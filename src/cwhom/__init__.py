@@ -28,6 +28,7 @@ from .interference import (
     HomCurve,
     CoherenceCurve,
     GridResolutionError,
+    NumericalError,
     coherence_function,
     jsa_coherence_fwhm,
     fourfold_probability,

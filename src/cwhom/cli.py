@@ -8,7 +8,8 @@ names.  CSV-emitting subcommands print one JSON metadata line on
 stdout.
 
 Exit codes: 0 on success, 2 on scenario or input validation failure,
-3 when the frequency grid cannot resolve the requested delays.  On
+3 when the frequency grid cannot resolve the requested delays, 4 when
+a numeric guard trips (roundoff swamps the computed quantity).  On
 failure one JSON object is printed to stderr.
 """
 
@@ -30,11 +31,12 @@ from .detection import DetectorModel, effective_jitter
 from .interference import (
     CoherenceCurve,
     CoincidenceConfig,
+    FourfoldEngine,
     GridResolutionError,
     InterferenceSetup,
+    NumericalError,
     _required_n_points,
     coherence_function,
-    fourfold_probability,
     fourfold_probability_oracle,
     hom_curve,
     visibility,
@@ -459,7 +461,7 @@ def _cmd_fbg_fit(args, scenario: dict, base: str) -> None:
 def _cmd_oracle_check(args, scenario: dict, base: str) -> None:
     delays = _delays(scenario)
     setup = _build_setup(scenario, delays)
-    engine = np.array([fourfold_probability(setup, t) for t in delays])
+    engine = FourfoldEngine(setup).probabilities(delays)
     oracle = np.array([fourfold_probability_oracle(setup, t) for t in delays])
     if np.sum(engine) == 0.0 or np.sum(oracle) == 0.0:
         raise ValueError("cannot normalize: one probability sum vanished")
@@ -553,6 +555,8 @@ def main(argv: list[str] | None = None) -> int:
         if exc.required_n_points is not None:
             extra["required_n_points"] = exc.required_n_points
         return _fail(3, "resolution", str(exc), **extra)
+    except NumericalError as exc:
+        return _fail(4, "numerical", str(exc))
     except jsonschema.ValidationError as exc:
         return _fail(2, "validation", exc.message)
     except KeyError as exc:

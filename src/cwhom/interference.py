@@ -7,7 +7,11 @@ Two independent computational routes to the same physical quantity:
   kernels attached to index differences. The four-term interference
   bracket splits into two factorized direct terms (autocorrelation
   sums) and two cross terms evaluated as chained matrix contractions,
-  never as a literal four-nested loop.
+  never as a literal four-nested loop. The kernels are even on the
+  symmetric lag axis, so the second cross core is the conjugate
+  transpose of the first (``w4 = w3^H``) and costs nothing extra;
+  ``FourfoldEngine.probabilities`` evaluates a whole delay scan with one
+  phase block and one matrix product per bracket term.
 
 * ``fourfold_probability_oracle`` works in the time domain: it builds
   the pair amplitudes by discrete Fourier transform of each JSA, forms
@@ -18,6 +22,10 @@ Two independent computational routes to the same physical quantity:
 
 Both routes carry the same absolute normalization, so their ratio is a
 discretization-error diagnostic, not a free parameter.
+
+Lag sums over a uniform delay scan (the coherence density and the
+coherence FWHM) are chirp-z transforms: Bluestein's identity turns the
+sum over lags at every delay into one FFT convolution.
 
 All outputs are unnormalized probabilities: one global scale is left
 free by design and every reported metric (visibility, normalized dip
@@ -31,6 +39,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.fft
 from scipy.special import erf
 
 from .detection import DetectorModel, jitter_kernel, jitter_sigma_time
@@ -45,6 +54,7 @@ from .units import RECT_TC_PRODUCT, RMS_TO_FWHM
 
 __all__ = [
     "GridResolutionError",
+    "NumericalError",
     "CoincidenceConfig",
     "InterferenceSetup",
     "HomCurve",
@@ -75,6 +85,10 @@ class GridResolutionError(ValueError):
     def __init__(self, message: str, required_n_points: int | None = None):
         super().__init__(message)
         self.required_n_points = required_n_points
+
+
+class NumericalError(ArithmeticError):
+    """A numeric guard tripped: roundoff swamps the computed quantity."""
 
 
 @dataclass(frozen=True)
@@ -152,8 +166,14 @@ def coherence_function(
     delays = np.asarray(delays, dtype=float)
     if delays.ndim != 1 or delays.size < 5:
         raise ValueError("need a 1-d array of at least 5 delays")
-    if abs(delays[0] + delays[-1]) > 1e-6 * (delays[-1] - delays[0]):
+    span = delays[-1] - delays[0]
+    if abs(delays[0] + delays[-1]) > 1e-6 * span:
         raise ValueError("delay scan must be symmetric about zero")
+    # the lag sum runs on the uniform lattice through both end points;
+    # the tolerance admits rounding and the snapping of tau = 0
+    lattice = np.linspace(delays[0], delays[-1], delays.size)
+    if np.max(np.abs(delays - lattice)) > 1e-9 * span:
+        raise ValueError("delays must be uniformly spaced")
     grid = jsa.grid
     _, x = _lag_frequencies(grid)
     r = np.correlate(jsa.j_amp, jsa.j_amp, mode="full")  # R(d) at index d+n-1
@@ -161,7 +181,7 @@ def coherence_function(
     g = _lag_sum_over_delays(r * k, x, delays) * grid.step**2
     floor = -1e-9 * float(np.max(np.abs(g)))
     if float(np.min(g)) < floor:
-        raise AssertionError("coherence density has a significant negative part")
+        raise NumericalError("coherence density has a significant negative part")
     g = np.maximum(g, 0.0)
     t_c = fwhm_from_samples(delays, g)
     return CoherenceCurve(delays=delays, density=g, t_c_fwhm=t_c)
@@ -194,15 +214,41 @@ def _lag_frequencies(grid: FrequencyGrid) -> tuple[np.ndarray, np.ndarray]:
     return lags, lags * grid.step
 
 
+def _chirp(phi: float, j: np.ndarray) -> np.ndarray:
+    """exp(i phi j^2 / 2) for integers j, free of the rounding of a large phase.
+
+    phi / 2 splits into a 24-bit head, whose product with j^2 is exact
+    while j^2 < 2^29, and a small tail; libm reduces the exact product.
+    """
+    half = 0.5 * phi
+    head = float(np.float32(half))
+    j2 = j.astype(float) ** 2
+    return np.exp(1j * head * j2) * np.exp(1j * (half - head) * j2)
+
+
 def _lag_sum_over_delays(coeff: np.ndarray, x: np.ndarray, delays: np.ndarray) -> np.ndarray:
-    """Re sum_d coeff[d] exp(i x_d tau) per tau, chunked to bound memory."""
-    out = np.empty(delays.size, dtype=float)
-    chunk = max(1, int(4e6 // max(x.size, 1)))
-    for lo in range(0, delays.size, chunk):
-        t = delays[lo : lo + chunk]
-        phase = np.exp(1j * np.outer(x, t))
-        out[lo : lo + chunk] = np.real(coeff @ phase)
-    return out
+    """Re sum_d coeff[d] exp(i x_d tau) per tau, as one chirp-z transform.
+
+    Both axes are uniform, x_d = x_0 + d dx and tau_k = tau_0 + k dt (the
+    delays are taken as the lattice through their end points), so with
+    phi = dx dt the phase splits into exp(i x_d tau_0) exp(i x_0 k dt)
+    exp(i phi d k). Bluestein's identity d k = (d^2 + k^2 - (k - d)^2) / 2
+    turns the sum over d into a convolution with the chirp
+    exp(-i phi j^2 / 2), done by FFT on a circle long enough that the
+    needed j = k - d, from -(lags - 1) to delays - 1, never alias.
+    """
+    n_lag, m = x.size, delays.size
+    dt = (delays[-1] - delays[0]) / max(m - 1, 1)
+    phi = (x[-1] - x[0]) / max(n_lag - 1, 1) * dt
+    d = np.arange(n_lag)
+    k = np.arange(m)
+    size = scipy.fft.next_fast_len(n_lag + m - 1)
+    # circular layout: every k - d lands on its own slot, negatives at the end
+    j = np.arange(size)
+    j[j >= m] -= size
+    a = coeff * np.exp(1j * x * delays[0]) * _chirp(phi, d)
+    conv = scipy.fft.ifft(scipy.fft.fft(a, size) * scipy.fft.fft(np.conj(_chirp(phi, j))))[:m]
+    return np.real(np.exp(1j * x[0] * dt * k) * _chirp(phi, k) * conv)
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +278,20 @@ def _check_resolution(grid: FrequencyGrid, t_max: float, context: str) -> None:
 
 
 class FourfoldEngine:
-    """Precomputed contraction state for one setup; cheap per-delay eval.
+    """Precomputed contraction state for one setup; cheap evaluation per delay.
 
     Direct bracket terms collapse onto JSA autocorrelations over the
     lag axis; cross terms reduce to bilinear forms u^H M u with
-    u = exp(i tau W) after three n x n matrix products done once.
+    u = exp(i tau W) after matrix products done once. The jitter and
+    window kernels are even on the symmetric lag axis, so the Toeplitz
+    kernel matrices k_phi2 and k_phi3 are real and symmetric and the
+    1-2 link k12 is Hermitian. The second cross core
+    w4 = k_phi2 k12 k_phi3 is then exactly w3^H for w3 = k_phi3 k12 k_phi2,
+    whatever the jitters, and w3 takes two real products per part of k12.
+
+    ``probabilities`` evaluates a delay scan with one phase block and one
+    matrix product per bracket term, checking every delay;
+    ``probability``, ``terms`` and ``baseline`` are its one-delay case.
     """
 
     def __init__(self, setup: InterferenceSetup):
@@ -276,13 +331,14 @@ class FourfoldEngine:
         idx = np.arange(n)
         d = idx[None, :] - idx[:, None] + (n - 1)
         k12 = (ja[:, None] * np.conj(ja)[None, :]) * g1[d]
-        k_phi2 = phi2[d].astype(complex)
-        k_phi3 = phi3[d].astype(complex)
-        w3 = k_phi3 @ k12 @ k_phi2
-        w4 = k_phi2 @ k12 @ k_phi3
+        k_phi2 = phi2[d]
+        k_phi3 = phi3[d]
+        w3 = np.empty((n, n), dtype=complex)
+        w3.real = k_phi3 @ k12.real @ k_phi2
+        w3.imag = k_phi3 @ k12.imag @ k_phi2
         k34 = (jb[:, None] * np.conj(jb)[None, :]) * s14[d]
         self._m3 = k34 * w3.T
-        self._m4 = k34 * w4.T
+        self._m4 = k34 * np.conj(w3)  # w4.T with w4 = w3^H
         self._scale = grid.step**4
         # Roundoff capacity of the four bilinear forms: deep in the tail
         # the terms cancel to a value far below the magnitudes actually
@@ -294,30 +350,55 @@ class FourfoldEngine:
             + float(np.sum(np.abs(self._m4)))
         )
 
+    def _terms(self, taus: np.ndarray) -> np.ndarray:
+        """Bracket contributions T1..T4 (rows) per delay, each times step^4."""
+        t_max = max(self._static_t_max, float(np.max(np.abs(taus))))
+        _check_resolution(self.grid, t_max, "the delay phase")
+        out = np.empty((4, taus.size), dtype=complex)
+        # phase blocks stay within 4e6 elements however long the scan
+        chunk = max(1, int(4e6 // self._x.size))
+        for lo in range(0, taus.size, chunk):
+            t = taus[lo : lo + chunk]
+            phase = np.exp(1j * np.outer(self._x, t))
+            u = np.exp(1j * np.outer(self.omega, t))
+            out[0, lo : lo + chunk] = self._a_phi2 * (self._b_phi3 @ phase)
+            out[1, lo : lo + chunk] = self._a_phi3 * (self._b_phi2 @ phase)
+            out[2, lo : lo + chunk] = np.sum(np.conj(u) * (self._m3 @ u), axis=0)
+            out[3, lo : lo + chunk] = np.sum(np.conj(u) * (self._m4 @ u), axis=0)
+        return out * self._scale
+
     def terms(self, tau: float) -> tuple[complex, complex, complex, complex]:
         """Bracket contributions (T1, T2, T3, T4), each times step^4."""
-        _check_resolution(self.grid, max(self._static_t_max, abs(tau)), "the delay phase")
-        phase = np.exp(1j * tau * self._x)
-        t1 = self._a_phi2 * np.sum(self._b_phi3 * phase)
-        t2 = self._a_phi3 * np.sum(self._b_phi2 * phase)
-        u = np.exp(1j * tau * self.omega)
-        t3 = np.conj(u) @ self._m3 @ u
-        t4 = np.conj(u) @ self._m4 @ u
-        s = self._scale
-        return t1 * s, t2 * s, t3 * s, t4 * s
+        t1, t2, t3, t4 = self._terms(np.array([float(tau)]))[:, 0]
+        return complex(t1), complex(t2), complex(t3), complex(t4)
 
-    def probability(self, tau: float) -> float:
-        t1, t2, t3, t4 = self.terms(tau)
+    def probabilities(self, taus) -> np.ndarray:
+        """Coincidence probability at every delay of a scan.
+
+        The grid must resolve the largest |tau|; the imaginary residue and
+        the sign of the result are checked at every delay.
+        """
+        taus = np.atleast_1d(np.asarray(taus, dtype=float))
+        t1, t2, t3, t4 = self._terms(taus)
         total = t1 + t2 - t3 - t4
-        scale = max(abs(t1) + abs(t2) + abs(t3) + abs(t4), self._residue_cap)
-        if scale > 0 and abs(total.imag) > IMAG_RESIDUE_TOL * scale:
-            raise AssertionError(
-                f"imaginary residue {total.imag:.3e} exceeds {IMAG_RESIDUE_TOL} x {scale:.3e}"
+        scale = np.maximum(np.abs(t1) + np.abs(t2) + np.abs(t3) + np.abs(t4), self._residue_cap)
+        judged = scale > 0
+        bad = np.flatnonzero(judged & (np.abs(total.imag) > IMAG_RESIDUE_TOL * scale))
+        if bad.size:
+            i = bad[0]
+            raise NumericalError(
+                f"imaginary residue {total.imag[i]:.3e} exceeds {IMAG_RESIDUE_TOL} x "
+                f"{scale[i]:.3e} at tau={taus[i]:.3e}"
             )
         p = total.real
-        if scale > 0 and p < -IMAG_RESIDUE_TOL * scale:
-            raise AssertionError(f"negative probability {p:.3e} at tau={tau:.3e}")
-        return max(p, 0.0)
+        bad = np.flatnonzero(judged & (p < -IMAG_RESIDUE_TOL * scale))
+        if bad.size:
+            i = bad[0]
+            raise NumericalError(f"negative probability {p[i]:.3e} at tau={taus[i]:.3e}")
+        return np.maximum(p, 0.0)
+
+    def probability(self, tau: float) -> float:
+        return float(self.probabilities(tau)[0])
 
     def baseline(self) -> float:
         """No-interference reference: direct terms only, at zero delay."""
@@ -482,9 +563,10 @@ def hom_curve(setup: InterferenceSetup, delays: np.ndarray) -> HomCurve:
     if not np.any(delays == 0.0):
         raise ValueError("delay scan must include tau = 0")
     engine = FourfoldEngine(setup)
-    values = np.array([engine.probability(t) for t in delays])
     tau_p, reliable = _plateau_delay(setup)
-    plateau = engine.probability(tau_p)
+    values = engine.probabilities(np.append(delays, tau_p))
+    plateau = float(values[-1])
+    values = values[:-1]
     dip = float(values[np.flatnonzero(delays == 0.0)[0]])
     return HomCurve(
         delays=delays,

@@ -251,7 +251,6 @@ class FbgModel:
 
 def _sinhc(x: np.ndarray) -> np.ndarray:
     """sinh(x)/x, complex-safe, with the x -> 0 limit handled."""
-    out = np.ones_like(x)
     small = np.abs(x) < 1e-8
     xs = np.where(small, 1.0, x)
     out = np.sinh(xs) / xs

@@ -251,6 +251,52 @@ def test_exit_code_3_when_grid_too_coarse(capsys, tmp_path):
     assert err["required_n_points"] == 551
 
 
+SMALL_DIP = {
+    "sources": {"a": {"kind": "rect", "t_c_ps": 100.0},
+                "b": {"kind": "rect", "t_c_ps": 100.0}},
+    "detectors": {"jitter_fwhm_ps": [17.0, 13.0, 11.0, 16.0]},
+    "windows": {"tau_14_ps": 40.0, "tau_23_ps": 280.0},
+    "delays": {"start_ps": -200.0, "stop_ps": 200.0, "count": 5},
+}
+
+
+def test_exit_code_4_when_numeric_guard_trips(capsys, tmp_path, monkeypatch):
+    import cwhom.interference
+
+    # a negative tolerance makes every imaginary residue count as too large
+    monkeypatch.setattr(cwhom.interference, "IMAG_RESIDUE_TOL", -1.0)
+    sc = tmp_path / "dip.json"
+    sc.write_text(json.dumps(SMALL_DIP))
+    code, _, stderr = run(capsys, ["homdip", "--scenario", str(sc),
+                                   "--out", str(tmp_path / "x.csv")])
+    assert code == 4
+    err = json.loads(stderr)
+    assert err["error"] == "numerical"
+    assert "imaginary residue" in err["message"]
+
+
+def test_oracle_check_builds_one_engine(capsys, tmp_path, monkeypatch):
+    from cwhom.interference import FourfoldEngine
+
+    builds = []
+    init = FourfoldEngine.__init__
+
+    def counting_init(self, setup):
+        builds.append(setup)
+        init(self, setup)
+
+    monkeypatch.setattr(FourfoldEngine, "__init__", counting_init)
+    sc = tmp_path / "oracle.json"
+    sc.write_text(json.dumps(SMALL_DIP))
+    out = tmp_path / "report.json"
+    code, _, _ = run(capsys, ["oracle-check", "--scenario", str(sc), "--out", str(out)])
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert len(doc["engine"]) == 5
+    assert doc["pass"] is True
+    assert len(builds) == 1
+
+
 def test_exit_code_2_unknown_scenario_key(capsys, tmp_path):
     sc = tmp_path / "bogus.json"
     sc.write_text(json.dumps({

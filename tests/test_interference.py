@@ -7,18 +7,21 @@ of each analytic filter shape.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from cwhom.detection import DetectorModel
+from cwhom.detection import DetectorModel, jitter_kernel
 from cwhom.interference import (
     CoincidenceConfig,
     FourfoldEngine,
     GridResolutionError,
     InterferenceSetup,
     _identical_source_setup,
+    _lag_frequencies,
+    _lag_sum_over_delays,
     coherence_function,
     fourfold_baseline,
     fourfold_probability,
@@ -29,7 +32,12 @@ from cwhom.interference import (
     visibility_at_zero_delay,
     visibility_map,
 )
-from cwhom.spectral import FrequencyGrid, joint_spectral_amplitude, make_filter
+from cwhom.spectral import (
+    FrequencyGrid,
+    JointSpectralAmplitude,
+    joint_spectral_amplitude,
+    make_filter,
+)
 from cwhom.units import RECT_TC_PRODUCT
 
 PS = 1e-12
@@ -113,6 +121,58 @@ def test_exchange_symmetry_at_zero_delay():
     wide, tight = asym(40 * PS), asym(10 * PS)
     assert wide < 1e-3
     assert tight < wide / 5.0
+
+
+def test_probabilities_match_per_delay_evaluation():
+    setup = two_source_setup(120 * PS, 80 * PS, 40 * PS, 600 * PS, JITTERS)
+    engine = FourfoldEngine(setup)
+    taus = np.linspace(-300 * PS, 300 * PS, 13)
+    batch = engine.probabilities(taus)
+    single = np.array([engine.probability(t) for t in taus])
+    np.testing.assert_allclose(batch, single, rtol=1e-12, atol=0.0)
+    reach = 2.0 * math.pi / (8.0 * setup.jsa_a.grid.step)
+    with pytest.raises(GridResolutionError):
+        engine.probabilities(np.array([0.0, 1.5 * reach]))
+
+
+def test_second_cross_core_is_conjugate_transpose():
+    # Unequal BS-side jitters (j2 != j3) make the two cross cores
+    # w3 = k_phi3 k12 k_phi2 and w4 = k_phi2 k12 k_phi3 differ as
+    # products, and a chirped source A makes k12 complex, yet w4 = w3^H
+    # because the kernels are even.
+    jitters = (17e-12, 5e-12, 60e-12, 16e-12)
+    plain = two_source_setup(120 * PS, 80 * PS, 40 * PS, 280 * PS, jitters)
+    grid = plain.jsa_a.grid
+    chirp = np.exp(1j * (grid.omega / (0.1 * grid.span)) ** 2)
+    setup = dataclasses.replace(
+        plain, jsa_a=JointSpectralAmplitude(grid=grid, j_amp=plain.jsa_a.j_amp * chirp)
+    )
+    engine = FourfoldEngine(setup)
+    n = grid.n_points
+    _, x = _lag_frequencies(grid)
+    j1, j2, j3, j4 = jitters
+    cfg = setup.windows
+
+    def window(tau):
+        return tau * np.sinc(tau * x / (2.0 * np.pi))
+
+    phi2 = window(cfg.tau_23) * jitter_kernel(j2, x)
+    phi3 = window(cfg.tau_23) * jitter_kernel(j3, x)
+    s14 = window(cfg.tau_14) * jitter_kernel(j4, x)
+    idx = np.arange(n)
+    d = idx[None, :] - idx[:, None] + (n - 1)
+    ja, jb = setup.jsa_a.j_amp, setup.jsa_b.j_amp
+    k12 = np.outer(ja, np.conj(ja)) * jitter_kernel(j1, x)[d]
+    k_phi2 = phi2[d].astype(complex)
+    k_phi3 = phi3[d].astype(complex)
+    w3 = k_phi3 @ k12 @ k_phi2
+    w4 = k_phi2 @ k12 @ k_phi3
+    assert np.abs(w4 - w3).max() > 1e-2 * np.abs(w4).max()
+    assert np.abs(w4.imag).max() > 1e-2 * np.abs(w4).max()
+    np.testing.assert_allclose(w4, w3.conj().T, rtol=0.0, atol=1e-12 * np.abs(w4).max())
+    k34 = np.outer(jb, np.conj(jb)) * s14[d]
+    for got, want in ((engine._m3, k34 * w3.T), (engine._m4, k34 * w4.T)):
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
 
 
 def test_visibility_scale_invariance():
@@ -223,6 +283,26 @@ def test_coherence_function_validation():
         coherence_function(jsa, 0.0, 0.0, np.array([-1e-10, 0.0, 1e-10]))
     with pytest.raises(ValueError, match="symmetric"):
         coherence_function(jsa, 0.0, 0.0, np.linspace(-1e-10, 3e-10, 21))
+    u = np.linspace(-1.0, 1.0, 21)
+    with pytest.raises(ValueError, match="uniformly spaced"):
+        coherence_function(jsa, 0.0, 0.0, 1e-10 * u * np.abs(u))
+
+
+# Counts below (5, 161) and above (8193) the 1129 lags of the grid, on a
+# symmetric scan and on one that starts off zero.
+@pytest.mark.parametrize("count,start", [(5, -1.0), (161, -0.3), (8193, -1.0)])
+def test_lag_sum_matches_dense_sum(count, start):
+    rng = np.random.default_rng(count)
+    grid = FrequencyGrid(n_points=565, span=3e12)
+    _, x = _lag_frequencies(grid)
+    coeff = rng.normal(size=x.size) + 1j * rng.normal(size=x.size)
+    delays = np.linspace(start * 400 * PS, 400 * PS, count)
+    fast = _lag_sum_over_delays(coeff, x, delays)
+    dense = np.concatenate([
+        np.real(coeff @ np.exp(1j * np.outer(x, delays[lo : lo + 512])))
+        for lo in range(0, count, 512)
+    ])
+    assert np.max(np.abs(fast - dense)) <= 1e-9 * np.max(np.abs(dense))
 
 
 # ---------------------------------------------------------------------------
