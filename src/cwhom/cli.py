@@ -358,7 +358,7 @@ def _cmd_optimize_rate(args, scenario: dict, base: str) -> None:
         tc_max=rq["tc_max_ps"] * PS,
         **kwargs,
     )
-    res = optimize_window(q, threads=args.threads)
+    res = optimize_window(q)
     out = {
         "tau_w_opt_ps": res.tau_w_opt / PS,
         "tc_opt_ps": res.tc_opt / PS,
@@ -501,9 +501,6 @@ _HANDLERS = {
 def _add_io_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scenario", required=True, help="scenario JSON file")
     parser.add_argument("--out", required=True, help="output artifact path")
-    parser.add_argument(
-        "--threads", type=int, default=None, help="worker threads (default: CWHOM_THREADS or 1)"
-    )
     parser.add_argument("--seed", type=int, default=None, help="override the scenario RNG seed")
 
 

@@ -11,14 +11,17 @@ Two independent computational routes to the same physical quantity:
   symmetric lag axis, so the second cross core is the conjugate
   transpose of the first (``w4 = w3^H``) and costs nothing extra;
   ``FourfoldEngine.probabilities`` evaluates a whole delay scan with one
-  phase block and one matrix product per bracket term.
+  phase block and one matrix product per bracket term. Every sum runs
+  over the contiguous span of grid points where either JSA is nonzero
+  (a rect JSA fills a few percent of its grid); the points outside it
+  contribute exact zeros.
 
 * ``fourfold_probability_oracle`` works in the time domain: it builds
   the pair amplitudes by discrete Fourier transform of each JSA, forms
   the antisymmetrized four-time detection density, and integrates the
   detection times over the coincidence windows (jitter folded into the
-  window weights analytically). It shares no kernel code with the
-  frequency route.
+  window weights analytically). Its Fourier sums skip the zero entries
+  of each JSA. It shares no kernel code with the frequency route.
 
 Both routes carry the same absolute normalization, so their ratio is a
 discretization-error diagnostic, not a free parameter.
@@ -289,6 +292,13 @@ class FourfoldEngine:
     w4 = k_phi2 k12 k_phi3 is then exactly w3^H for w3 = k_phi3 k12 k_phi2,
     whatever the jitters, and w3 takes two real products per part of k12.
 
+    Only the span [lo, hi) from the first to the last grid point where
+    either JSA is nonzero enters: the JSAs, ``omega`` and the m = hi - lo
+    point lag axis are cut to it, so the cores are m x m rather than
+    n x n. The span is contiguous, so the lag axis stays uniform and
+    every identity above holds on it; the grid resolution checks still
+    use the full grid's step. Dense JSAs give the whole grid.
+
     ``probabilities`` evaluates a delay scan with one phase block and one
     matrix product per bracket term, checking every delay;
     ``probability``, ``terms`` and ``baseline`` are its one-delay case.
@@ -301,19 +311,24 @@ class FourfoldEngine:
         self._static_t_max = max(cfg.tau_14, cfg.tau_23, tc_a, tc_b)
         _check_resolution(grid, self._static_t_max, "window/coherence kernels")
         self.grid = grid
-        self.omega = grid.omega
-        n = grid.n_points
+
+        # an exact test: points outside [lo, hi) add exact zeros to every term
+        ja = setup.jsa_a.j_amp
+        jb = setup.jsa_b.j_amp
+        nz = np.flatnonzero((ja != 0) | (jb != 0))
+        lo, hi = int(nz[0]), int(nz[-1]) + 1
+        ja, jb = ja[lo:hi], jb[lo:hi]
+        self.omega = grid.omega[lo:hi]
+        m = hi - lo
 
         j1, j2, j3, j4 = setup.detectors.jitter_fwhm
-        lags, x = _lag_frequencies(grid)
+        x = np.arange(-(m - 1), m) * grid.step
         g1 = jitter_kernel(j1, x)
         g4 = jitter_kernel(j4, x)
         phi2 = cfg.tau_23 * _sinc(cfg.tau_23 * x / 2.0) * jitter_kernel(j2, x)
         phi3 = cfg.tau_23 * _sinc(cfg.tau_23 * x / 2.0) * jitter_kernel(j3, x)
         s14 = cfg.tau_14 * _sinc(cfg.tau_14 * x / 2.0) * g4
 
-        ja = setup.jsa_a.j_amp
-        jb = setup.jsa_b.j_amp
         ra = np.correlate(ja, ja, mode="full")
         rb = np.correlate(jb, jb, mode="full")
 
@@ -327,13 +342,13 @@ class FourfoldEngine:
 
         # Cross terms: chain 1-2 (g1), 2-3 (phi), 3-4 (window-14 kernel
         # with delay phase), 4-1 (other phi); trace taken against the
-        # 3-4 link leaves an n x n core per bracket term.
-        idx = np.arange(n)
-        d = idx[None, :] - idx[:, None] + (n - 1)
+        # 3-4 link leaves an m x m core per bracket term.
+        idx = np.arange(m)
+        d = idx[None, :] - idx[:, None] + (m - 1)
         k12 = (ja[:, None] * np.conj(ja)[None, :]) * g1[d]
         k_phi2 = phi2[d]
         k_phi3 = phi3[d]
-        w3 = np.empty((n, n), dtype=complex)
+        w3 = np.empty((m, m), dtype=complex)
         w3.real = k_phi3 @ k12.real @ k_phi2
         w3.imag = k_phi3 @ k12.imag @ k_phi2
         k34 = (jb[:, None] * np.conj(jb)[None, :]) * s14[d]
@@ -443,13 +458,24 @@ def _lattice(lo: float, hi: float, step: float) -> tuple[np.ndarray, int]:
     return np.arange(k0, k1 + 1) * step, k0
 
 
+def _pair_amplitude(jsa: JointSpectralAmplitude, v: np.ndarray) -> np.ndarray:
+    """f(v) = step * sum over W of J(W) exp(-i v W), at each time lag v.
+
+    The sum runs over the nonzero entries of J only: the zeros add
+    nothing to it.
+    """
+    nz = jsa.j_amp != 0
+    return np.exp(-1j * np.outer(v, jsa.grid.omega[nz])) @ jsa.j_amp[nz] * jsa.grid.step
+
+
 def fourfold_probability_oracle(setup: InterferenceSetup, tau: float) -> float:
     """Brute-force time-domain evaluation of the coincidence probability.
 
-    Pair amplitudes f(t) come from a direct Fourier sum of each JSA on a
-    shared time lattice; the four detection-time integrals use window
-    weights with jitter folded in analytically. Independent of the
-    frequency-domain contraction route. Practical for modest grids.
+    Pair amplitudes f(t) come from a direct Fourier sum of each JSA, over
+    its nonzero entries, on a shared time lattice; the four
+    detection-time integrals use window weights with jitter folded in
+    analytically. Independent of the frequency-domain contraction route.
+    Practical for modest grids.
     """
     grid = setup.jsa_a.grid
     cfg = setup.windows
@@ -501,11 +527,8 @@ def fourfold_probability_oracle(setup: InterferenceSetup, tau: float) -> float:
             required_n_points=need,
         )
 
-    def pair_amplitude(j_amp: np.ndarray) -> np.ndarray:
-        return np.exp(-1j * np.outer(v, grid.omega)) @ j_amp * grid.step
-
-    fa = pair_amplitude(setup.jsa_a.j_amp)
-    fb = pair_amplitude(setup.jsa_b.j_amp)
+    fa = _pair_amplitude(setup.jsa_a, v)
+    fb = _pair_amplitude(setup.jsa_b, v)
 
     def table(f: np.ndarray, oa: int, na: int, ob: int, nb: int) -> np.ndarray:
         ia = np.arange(na)[:, None]

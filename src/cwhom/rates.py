@@ -8,9 +8,7 @@ yield under time-varying channel loss.
 
 from __future__ import annotations
 
-import concurrent.futures
 import functools
-import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -205,17 +203,14 @@ def _solve_one_window(tau_w: float, q: RateQuery) -> tuple[float, float, float] 
     return (tau_w, tc, cw_fourfold_rate(q.mu, tc, tau_w))
 
 
-def optimize_window(q: RateQuery, threads: int | None = None) -> OptResult:
+def optimize_window(q: RateQuery) -> OptResult:
     """Maximize R = (mu/T_c)^2 tau_w over the window/coherence trade-off.
 
     Scans 40 log-spaced coincidence windows; for each, finds the
     smallest coherence time whose zero-delay visibility (identical
     sources, tau_23 = 4 T_c, accidentals excluded) still meets v_target,
     then rates it.  Windows infeasible even at tc_max are skipped; if
-    none is feasible this raises.  The per-window solves are independent
-    and may run on a thread pool (threads, or CWHOM_THREADS); results
-    are assembled in scan order, so the output does not depend on the
-    thread count.
+    none is feasible this raises.
     """
     taus = np.geomspace(q.tau_w_range[0], q.tau_w_range[1], N_WINDOW_SAMPLES)
     if _visibility_model(q.tc_max, float(taus[0]), q.jitter, q.filter_kind) < q.v_target:
@@ -223,13 +218,7 @@ def optimize_window(q: RateQuery, threads: int | None = None) -> OptResult:
             "visibility target unreachable: even at tc_max the smallest "
             "window in tau_w_range falls short of v_target"
         )
-    if threads is None:
-        threads = int(os.environ.get("CWHOM_THREADS", "1"))
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            solved = list(pool.map(lambda t: _solve_one_window(float(t), q), taus))
-    else:
-        solved = [_solve_one_window(float(t), q) for t in taus]
+    solved = [_solve_one_window(float(t), q) for t in taus]
     rows = [r for r in solved if r is not None]
     if not rows:
         raise ValueError(

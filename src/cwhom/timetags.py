@@ -14,8 +14,8 @@ integral itself.
 
 from __future__ import annotations
 
-import io
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -403,13 +403,15 @@ def load_tags_csv(path: str, duration: float | None = None) -> TagStream:
     """Read a `channel,timestamp_fs` file back into a TagStream."""
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
-        if header != "channel,timestamp_fs":
-            raise ValueError("tag file must have header channel,timestamp_fs")
-        body = fh.read()
-    if body.strip():
-        rows = np.loadtxt(io.StringIO(body), delimiter=",", dtype=np.int64, ndmin=2)
-    else:
-        rows = np.zeros((0, 2), dtype=np.int64)
+    if header != "channel,timestamp_fs":
+        raise ValueError("tag file must have header channel,timestamp_fs")
+    # numpy reads a named file in blocks, faster than line by line from a
+    # handle; a header-only file is an empty stream, not a malformed one
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        rows = np.loadtxt(
+            path, delimiter=",", dtype=np.int64, ndmin=2, skiprows=1, encoding="ascii"
+        )
     if rows.size == 0:
         ch = np.zeros(0, dtype=np.uint8)
         t = np.zeros(0, dtype=np.int64)

@@ -22,6 +22,7 @@ from cwhom.interference import (
     _identical_source_setup,
     _lag_frequencies,
     _lag_sum_over_delays,
+    _pair_amplitude,
     coherence_function,
     fourfold_baseline,
     fourfold_probability,
@@ -60,6 +61,88 @@ def two_source_setup(tc_a, tc_b, tau_14, tau_23, jitters, kind="rect"):
         jsa_b=jsa_b,
         detectors=DetectorModel(jitter_fwhm=jitters),
         windows=CoincidenceConfig(tau_14=tau_14, tau_23=tau_23),
+    )
+
+
+def full_grid_reference(setup):
+    """Direct-term lag coefficients and cross cores over the whole grid.
+
+    Built here from the n x n formulas, with no restriction to where the
+    JSAs are nonzero: returns the lag axis x, the a-side scalars
+    (a_phi2, a_phi3), the b-side lag coefficients (b_phi3, b_phi2), the
+    two cross cores w3 = k_phi3 k12 k_phi2 and w4 = k_phi2 k12 k_phi3, and
+    the 3-4 link k34.
+    """
+    grid = setup.jsa_a.grid
+    n = grid.n_points
+    _, x = _lag_frequencies(grid)
+    j1, j2, j3, j4 = setup.detectors.jitter_fwhm
+    cfg = setup.windows
+
+    def window(tau):
+        return tau * np.sinc(tau * x / (2.0 * np.pi))
+
+    g1 = jitter_kernel(j1, x)
+    phi2 = window(cfg.tau_23) * jitter_kernel(j2, x)
+    phi3 = window(cfg.tau_23) * jitter_kernel(j3, x)
+    s14 = window(cfg.tau_14) * jitter_kernel(j4, x)
+    ja, jb = setup.jsa_a.j_amp, setup.jsa_b.j_amp
+    ra = np.correlate(ja, ja, mode="full")
+    rb = np.correlate(jb, jb, mode="full")
+    idx = np.arange(n)
+    d = idx[None, :] - idx[:, None] + (n - 1)
+    k12 = np.outer(ja, np.conj(ja)) * g1[d]
+    k_phi2 = phi2[d].astype(complex)
+    k_phi3 = phi3[d].astype(complex)
+    return dict(
+        x=x,
+        a_phi2=np.sum(np.conj(ra) * g1 * phi2),
+        a_phi3=np.sum(np.conj(ra) * g1 * phi3),
+        b_phi3=np.conj(rb) * s14 * phi3,
+        b_phi2=np.conj(rb) * s14 * phi2,
+        w3=k_phi3 @ k12 @ k_phi2,
+        w4=k_phi2 @ k12 @ k_phi3,
+        k34=np.outer(jb, np.conj(jb)) * s14[d],
+    )
+
+
+def full_grid_terms(setup, taus):
+    """Bracket terms T1..T4 (columns) per delay, contracted over the whole grid."""
+    ref = full_grid_reference(setup)
+    grid = setup.jsa_a.grid
+    rows = []
+    for tau in taus:
+        phase = np.exp(1j * ref["x"] * tau)
+        u = np.exp(1j * grid.omega * tau)
+        rows.append([
+            ref["a_phi2"] * np.sum(ref["b_phi3"] * phase),
+            ref["a_phi3"] * np.sum(ref["b_phi2"] * phase),
+            np.conj(u) @ (ref["k34"] * ref["w3"].T) @ u,
+            np.conj(u) @ (ref["k34"] * ref["w4"].T) @ u,
+        ])
+    return np.array(rows) * grid.step**4
+
+
+def support_span(setup):
+    """[lo, hi) from the first to the last point where either JSA is nonzero."""
+    nz = np.flatnonzero((setup.jsa_a.j_amp != 0) | (setup.jsa_b.j_amp != 0))
+    return int(nz[0]), int(nz[-1]) + 1
+
+
+def off_centre_setup():
+    """Hand-made JSAs whose nonzeros sit off-centre and only partly overlap."""
+    plain = two_source_setup(120 * PS, 80 * PS, 40 * PS, 280 * PS, JITTERS)
+    grid = plain.jsa_a.grid
+    n = grid.n_points
+
+    def bump(start, width, rate):
+        j = np.zeros(n, dtype=complex)
+        k = np.arange(width)
+        j[start : start + width] = np.sin(np.pi * (k + 1) / (width + 1)) ** 4 * np.exp(1j * rate * k**2)
+        return JointSpectralAmplitude(grid=grid, j_amp=j)
+
+    return dataclasses.replace(
+        plain, jsa_a=bump(n // 5, 31, 0.01), jsa_b=bump(n // 5 + 12, 37, -0.004)
     )
 
 
@@ -111,16 +194,19 @@ def test_exchange_symmetry_at_zero_delay():
     # windowed model rather than an engine artifact.
     a, b = 120 * PS, 80 * PS
 
-    def asym(t14):
+    def residual(t14, probability):
         fwd = two_source_setup(a, b, t14, 2000 * PS, (15e-12,) * 4)
         rev = two_source_setup(b, a, t14, 2000 * PS, (15e-12,) * 4)
-        pf = fourfold_probability(fwd, 0.0)
-        pr = fourfold_probability(rev, 0.0)
-        return abs(pf - pr) / pr
+        pf = probability(fwd, 0.0)
+        pr = probability(rev, 0.0)
+        return (pf - pr) / pr
 
-    wide, tight = asym(40 * PS), asym(10 * PS)
-    assert wide < 1e-3
-    assert tight < wide / 5.0
+    wide = residual(40 * PS, fourfold_probability)
+    tight = residual(10 * PS, fourfold_probability)
+    assert abs(wide) < 1e-3
+    assert abs(tight) < abs(wide) / 5.0
+    assert residual(40 * PS, fourfold_probability_oracle) == pytest.approx(wide, rel=1e-3)
+    assert residual(10 * PS, fourfold_probability_oracle) == pytest.approx(tight, rel=1e-3)
 
 
 def test_probabilities_match_per_delay_evaluation():
@@ -130,7 +216,11 @@ def test_probabilities_match_per_delay_evaluation():
     batch = engine.probabilities(taus)
     single = np.array([engine.probability(t) for t in taus])
     np.testing.assert_allclose(batch, single, rtol=1e-12, atol=0.0)
+    # the contraction runs over a small part of the grid, yet the reach
+    # of the delay phase is still set by the full grid's step
+    assert engine.omega.size < setup.jsa_a.grid.n_points // 10
     reach = 2.0 * math.pi / (8.0 * setup.jsa_a.grid.step)
+    engine.probabilities(np.array([0.99 * reach]))
     with pytest.raises(GridResolutionError):
         engine.probabilities(np.array([0.0, 1.5 * reach]))
 
@@ -148,31 +238,63 @@ def test_second_cross_core_is_conjugate_transpose():
         plain, jsa_a=JointSpectralAmplitude(grid=grid, j_amp=plain.jsa_a.j_amp * chirp)
     )
     engine = FourfoldEngine(setup)
-    n = grid.n_points
-    _, x = _lag_frequencies(grid)
-    j1, j2, j3, j4 = jitters
-    cfg = setup.windows
-
-    def window(tau):
-        return tau * np.sinc(tau * x / (2.0 * np.pi))
-
-    phi2 = window(cfg.tau_23) * jitter_kernel(j2, x)
-    phi3 = window(cfg.tau_23) * jitter_kernel(j3, x)
-    s14 = window(cfg.tau_14) * jitter_kernel(j4, x)
-    idx = np.arange(n)
-    d = idx[None, :] - idx[:, None] + (n - 1)
-    ja, jb = setup.jsa_a.j_amp, setup.jsa_b.j_amp
-    k12 = np.outer(ja, np.conj(ja)) * jitter_kernel(j1, x)[d]
-    k_phi2 = phi2[d].astype(complex)
-    k_phi3 = phi3[d].astype(complex)
-    w3 = k_phi3 @ k12 @ k_phi2
-    w4 = k_phi2 @ k12 @ k_phi3
+    ref = full_grid_reference(setup)
+    w3, w4 = ref["w3"], ref["w4"]
     assert np.abs(w4 - w3).max() > 1e-2 * np.abs(w4).max()
     assert np.abs(w4.imag).max() > 1e-2 * np.abs(w4).max()
     np.testing.assert_allclose(w4, w3.conj().T, rtol=0.0, atol=1e-12 * np.abs(w4).max())
-    k34 = np.outer(jb, np.conj(jb)) * s14[d]
-    for got, want in ((engine._m3, k34 * w3.T), (engine._m4, k34 * w4.T)):
-        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
+    # the engine keeps the block over the JSAs' nonzero span, and the
+    # full-grid cores vanish exactly outside it
+    lo, hi = support_span(setup)
+    assert hi - lo < grid.n_points
+    for got, want in ((engine._m3, ref["k34"] * w3.T), (engine._m4, ref["k34"] * w4.T)):
+        block = want[lo:hi, lo:hi]
+        np.testing.assert_allclose(got, block, rtol=0.0, atol=1e-12 * np.abs(want).max())
+        outside = want.copy()
+        outside[lo:hi, lo:hi] = 0.0
+        assert not np.any(outside)
+
+
+@pytest.mark.parametrize("make_setup", [
+    off_centre_setup,
+    lambda: two_source_setup(120 * PS, 80 * PS, 40 * PS, 280 * PS, JITTERS),
+], ids=["off-centre", "unequal-rect"])
+def test_support_restriction_matches_full_grid_contraction(make_setup):
+    setup = make_setup()
+    lo, hi = support_span(setup)
+    assert 0 < lo and hi < setup.jsa_a.grid.n_points
+    # somewhere inside the span one of the two JSAs is exactly zero
+    assert np.any(setup.jsa_a.j_amp[lo:hi] == 0) or np.any(setup.jsa_b.j_amp[lo:hi] == 0)
+    engine = FourfoldEngine(setup)
+    assert np.array_equal(engine.omega, setup.jsa_a.grid.omega[lo:hi])
+    taus = np.array([0.0, 35 * PS, -90 * PS, 150 * PS])
+    want = full_grid_terms(setup, taus)
+    p_want = (want[:, 0] + want[:, 1] - want[:, 2] - want[:, 3]).real
+    np.testing.assert_allclose(engine.probabilities(taus), p_want, rtol=1e-12, atol=0.0)
+    base = (want[0, 0] + want[0, 1]).real
+    assert engine.baseline() == pytest.approx(base, rel=1e-12)
+    v0 = (want[0, 2] + want[0, 3]).real / base
+    assert visibility_at_zero_delay(setup) == pytest.approx(v0, rel=1e-12)
+
+
+def test_oracle_pair_amplitude_skips_only_zeros():
+    # The oracle's Fourier sum over the nonzero entries must equal the
+    # dense sum over every grid point; the JSA spans four decades, so a
+    # magnitude cut in place of the exact zero test would show.
+    setup = off_centre_setup()
+    grid = setup.jsa_a.grid
+    v = np.linspace(-700 * PS, 700 * PS, 301)
+    for jsa in (setup.jsa_a, setup.jsa_b):
+        assert np.count_nonzero(jsa.j_amp) < grid.n_points // 5
+        dense = np.exp(-1j * np.outer(v, grid.omega)) @ jsa.j_amp * grid.step
+        got = _pair_amplitude(jsa, v)
+        assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+def test_dense_jsa_contracts_over_the_full_grid():
+    setup = _identical_source_setup(165 * PS, 40 * PS, 2000 * PS, 17e-12, "gaussian")
+    assert np.all(setup.jsa_a.j_amp != 0)
+    assert np.array_equal(FourfoldEngine(setup).omega, setup.jsa_a.grid.omega)
 
 
 def test_visibility_scale_invariance():

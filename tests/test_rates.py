@@ -1,8 +1,8 @@
 """Rate model and optimizer tests.
 
 The closed-form rates have exact hand values; the optimizer is checked
-for bisection tightness, thread-count independence, and feasibility
-refusals against its own visibility model.
+for bisection tightness and feasibility refusals against its own
+visibility model.
 """
 
 from __future__ import annotations
@@ -194,15 +194,6 @@ def test_optimizer_interior_maximum():
     assert 0 < k < rates.size - 1
     assert rates[0] < rates[k]
     assert rates[-1] < rates[k]
-
-
-def test_optimizer_thread_count_is_immaterial():
-    r1 = optimize_window(CANONICAL_QUERY, threads=1)
-    r2 = optimize_window(CANONICAL_QUERY, threads=2)
-    assert np.array_equal(r1.curve, r2.curve)
-    assert r1.tau_w_opt == r2.tau_w_opt
-    assert r1.tc_opt == r2.tc_opt
-    assert r1.rate_opt == r2.rate_opt
 
 
 def test_optimizer_unreachable_target():

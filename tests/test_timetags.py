@@ -8,6 +8,7 @@ closed-form accidental model on a fixed seed.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -331,6 +332,29 @@ def test_tags_csv_empty_body(tmp_path):
     path.write_text("channel,timestamp_fs\n")
     stream = load_tags_csv(path, duration=1e-3)
     assert stream.n_events == 0
+    # a header-only file is an empty stream, read without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stream = load_tags_csv(path)
+    assert stream.n_events == 0 and stream.duration == 1e-15
+    assert stream.channels.dtype == np.uint8 and stream.times_fs.dtype == np.int64
+
+
+def test_tags_csv_saved_stream_loads_back_identically(tmp_path):
+    # Timestamps shared across channels (in the loader's channel order)
+    # come back in place, and the default duration is the last timestamp.
+    stream = TagStream(
+        channels=np.array([3, 1, 2, 4, 1, 3], dtype=np.uint8),
+        times_fs=np.array([0, 7, 7, 7, 123_456_789_012, 999_999_999_999], dtype=np.int64),
+        duration=1e-3,
+    )
+    path = tmp_path / "tags.csv"
+    save_tags_csv(stream, path)
+    back = load_tags_csv(path)
+    assert back.channels.dtype == np.uint8 and back.times_fs.dtype == np.int64
+    assert np.array_equal(back.times_fs, stream.times_fs)
+    assert np.array_equal(back.channels, stream.channels)
+    assert back.duration == 999_999_999_999 * 1e-15
 
 
 # ---------------------------------------------------------------------------
