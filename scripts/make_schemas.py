@@ -1,4 +1,4 @@
-"""Regenerate the JSON schemas under schemas/ and the packaged copies.
+"""Regenerate the JSON schemas packaged under src/cwhom/schemas/.
 
 Run from the repository root:  python3 scripts/make_schemas.py
 """
@@ -381,13 +381,17 @@ SCHEMAS = {
 }
 
 
+def serialize(schema: dict) -> str:
+    """File text of one schema, as main writes it."""
+    return json.dumps(schema, indent=2, sort_keys=True) + "\n"
+
+
 def main() -> None:
-    root = pathlib.Path(__file__).resolve().parent.parent
-    for target in (root / "schemas", root / "src" / "cwhom" / "schemas"):
-        target.mkdir(parents=True, exist_ok=True)
-        for name, schema in SCHEMAS.items():
-            (target / name).write_text(json.dumps(schema, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(SCHEMAS)} schemas to schemas/ and src/cwhom/schemas/")
+    target = pathlib.Path(__file__).resolve().parent.parent / "src" / "cwhom" / "schemas"
+    target.mkdir(parents=True, exist_ok=True)
+    for name, schema in SCHEMAS.items():
+        (target / name).write_text(serialize(schema))
+    print(f"wrote {len(SCHEMAS)} schemas to src/cwhom/schemas/")
 
 
 if __name__ == "__main__":

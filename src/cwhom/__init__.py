@@ -13,7 +13,6 @@ from .spectral import (
     JointSpectralAmplitude,
     FbgModel,
     make_filter,
-    make_grid_for_filters,
     fbg_response,
     fbg_reflectivity_fwhm,
     fit_fbg,
@@ -29,11 +28,15 @@ from .interference import (
     CoherenceCurve,
     GridResolutionError,
     NumericalError,
+    WIDTH_PRODUCTS,
     coherence_function,
     jsa_coherence_fwhm,
     fourfold_probability,
-    fourfold_baseline,
     fourfold_probability_oracle,
+    sized_grid,
+    filter_width,
+    analytic_jsa,
+    build_setup,
     hom_curve,
     visibility,
     visibility_at_zero_delay,

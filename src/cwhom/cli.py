@@ -36,24 +36,24 @@ from .interference import (
     InterferenceSetup,
     NumericalError,
     _required_n_points,
+    analytic_jsa,
+    build_setup,
     coherence_function,
+    filter_width,
     fourfold_probability_oracle,
     hom_curve,
+    sized_grid,
     visibility,
     visibility_map,
 )
-from .presets import REFERENCE_FILTERS, reference_source_a, reference_source_b
-from .rates import LossProfile, RateQuery, optimize_window, pass_swaps, pulsed_rate
-from .spectral import (
-    FbgModel,
-    FrequencyGrid,
-    fbg_reflectivity_fwhm,
-    fit_fbg,
-    joint_spectral_amplitude,
-    load_filter_table,
-    make_filter,
-    save_fbg_model,
+from .presets import (
+    GRATING_GRID_FLOOR,
+    REFERENCE_FILTERS,
+    reference_source_a,
+    reference_source_b,
 )
+from .rates import LossProfile, RateQuery, optimize_window, pass_swaps, pulsed_rate
+from .spectral import FbgModel, fbg_reflectivity_fwhm, fit_fbg, load_filter_table, save_fbg_model
 from .timetags import (
     SimScenario,
     count_fourfolds,
@@ -62,20 +62,11 @@ from .timetags import (
     shifted_accidentals,
     simulate_streams,
 )
-from .units import RECT_TC_PRODUCT
-
-PS = 1e-12
+from .units import PS
 
 # engine and time-lattice oracle must agree to this after one shared
 # normalization scalar
 ORACLE_TOLERANCE = 1e-3
-
-# intensity-FWHM x coherence-time product per analytic filter shape
-_WIDTH_PRODUCTS = {
-    "rect": RECT_TC_PRODUCT,
-    "gaussian": 4.0 * math.sqrt(2.0) * math.log(2.0),
-    "lorentzian": 2.0 * math.log(2.0),
-}
 
 _PRESET_SOURCES = {"a": reference_source_a, "b": reference_source_b}
 
@@ -180,20 +171,8 @@ def _grid_overrides(scenario: dict) -> tuple[float, int | None]:
     return float(g.get("span_factor", 8.0)), (int(n) if n is not None else None)
 
 
-def _sized_n(span: float, reach: float, n_override: int | None, floor: int) -> int:
-    if n_override is not None:
-        return n_override
-    probe = FrequencyGrid(n_points=3, span=span)
-    return max(floor, _required_n_points(probe, reach))
-
-
 # ---------------------------------------------------------------------------
 # Setup construction
-
-
-def _analytic_jsa(grid: FrequencyGrid, kind: str, w_f: float):
-    f = make_filter(grid, kind, w_f)
-    return joint_spectral_amplitude(f, f)
 
 
 def _build_setup(scenario: dict, delays: np.ndarray) -> InterferenceSetup:
@@ -207,42 +186,35 @@ def _build_setup(scenario: dict, delays: np.ndarray) -> InterferenceSetup:
         raise ValueError("sources must be both presets or both analytic shapes")
 
     if "preset" in a:
-        widths = [fbg_reflectivity_fwhm(m) for m in REFERENCE_FILTERS.values()]
-        span = span_factor * max(widths)
-        reach = max(cfg.tau_14, cfg.tau_23, max_delay, 3.0 * max(jit), PS)
+        def jsas(grid):
+            return _PRESET_SOURCES[a["preset"]](grid=grid), _PRESET_SOURCES[b["preset"]](grid=grid)
+
+        span = span_factor * max(fbg_reflectivity_fwhm(m) for m in REFERENCE_FILTERS.values())
+        reach = max(max_delay, 3.0 * max(jit), PS)
         # coherence times are unknown until the gratings are sampled, and
         # the plateau sample sits at up to 6x the largest one; rebuild on
         # a finer grid whenever the first estimate shows the reach short
         for _ in range(3):
-            n = _sized_n(span, reach, n_override, 513)
-            grid = FrequencyGrid(n_points=n, span=span)
-            setup = InterferenceSetup(
-                jsa_a=_PRESET_SOURCES[a["preset"]](grid=grid),
-                jsa_b=_PRESET_SOURCES[b["preset"]](grid=grid),
-                detectors=DetectorModel(jitter_fwhm=jit),
-                windows=cfg,
+            setup = build_setup(
+                jsas, span, cfg, jit, reach=reach, floor=GRATING_GRID_FLOOR, n_points=n_override
             )
-            need = max(reach, 6.0 * max(setup.coherence_times))
-            if need <= reach or n_override is not None:
+            need = 6.0 * max(setup.coherence_times)
+            if need <= max(reach, cfg.tau_14, cfg.tau_23) or n_override is not None:
                 break
             reach = need
         return setup
 
-    tc_a, tc_b = a["t_c_ps"] * PS, b["t_c_ps"] * PS
-    w_a = _WIDTH_PRODUCTS[a["kind"]] / tc_a
-    w_b = _WIDTH_PRODUCTS[b["kind"]] / tc_b
-    span = span_factor * max(w_a, w_b)
-    reach = max(cfg.tau_14, cfg.tau_23, max_delay, 6.0 * max(tc_a, tc_b), 3.0 * max(jit))
-    grid = FrequencyGrid(n_points=_sized_n(span, reach, n_override, 129), span=span)
-    setup = InterferenceSetup(
-        jsa_a=_analytic_jsa(grid, a["kind"], w_a),
-        jsa_b=_analytic_jsa(grid, b["kind"], w_b),
-        detectors=DetectorModel(jitter_fwhm=jit),
-        windows=cfg,
+    # coherence times are exact by construction of the filter widths
+    tc = (a["t_c_ps"] * PS, b["t_c_ps"] * PS)
+    return build_setup(
+        lambda grid: (analytic_jsa(grid, a["kind"], tc[0]), analytic_jsa(grid, b["kind"], tc[1])),
+        span_factor * max(filter_width(a["kind"], tc[0]), filter_width(b["kind"], tc[1])),
+        cfg,
+        jit,
+        reach=max(max_delay, 6.0 * max(tc), 3.0 * max(jit)),
+        n_points=n_override,
+        coherence_times=tc,
     )
-    # exact by construction of the filter widths
-    setup.__dict__["coherence_times"] = (tc_a, tc_b)
-    return setup
 
 
 def _coherence_jsa(scenario: dict, which: str, delays: np.ndarray):
@@ -254,11 +226,9 @@ def _coherence_jsa(scenario: dict, which: str, delays: np.ndarray):
         jsa = builder(n_points=n_override, tau_max=reach)
     else:
         t_c = src["t_c_ps"] * PS
-        w_f = _WIDTH_PRODUCTS[src["kind"]] / t_c
-        span = span_factor * w_f
-        n = _sized_n(span, max(reach, t_c), n_override, 129)
-        jsa = _analytic_jsa(FrequencyGrid(n_points=n, span=span), src["kind"], w_f)
-    required = _required_n_points(jsa.grid, reach)
+        span = span_factor * filter_width(src["kind"], t_c)
+        jsa = analytic_jsa(sized_grid(span, max(reach, t_c), n_points=n_override), src["kind"], t_c)
+    required = _required_n_points(jsa.grid.span, reach)
     if jsa.grid.n_points < required:
         raise GridResolutionError(
             f"grid of {jsa.grid.n_points} points cannot resolve delays out to "

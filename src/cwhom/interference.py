@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 import scipy.fft
@@ -60,13 +61,17 @@ __all__ = [
     "NumericalError",
     "CoincidenceConfig",
     "InterferenceSetup",
+    "WIDTH_PRODUCTS",
     "HomCurve",
     "CoherenceCurve",
     "coherence_function",
     "jsa_coherence_fwhm",
     "fourfold_probability",
     "fourfold_probability_oracle",
-    "fourfold_baseline",
+    "sized_grid",
+    "filter_width",
+    "analytic_jsa",
+    "build_setup",
     "hom_curve",
     "visibility",
     "visibility_at_zero_delay",
@@ -114,13 +119,17 @@ class InterferenceSetup:
     """Everything the coincidence probability depends on.
 
     Source A feeds channels 1 (herald) and 2 (BS input); source B feeds
-    channels 4 (herald) and 3 (BS input).
+    channels 4 (herald) and 3 (BS input). known_coherence_times, when
+    given, are the sources' coherence FWHMs known by construction; they
+    are not checked against the JSAs, so a copy with other JSAs must drop
+    them.
     """
 
     jsa_a: JointSpectralAmplitude
     jsa_b: JointSpectralAmplitude
     detectors: DetectorModel
     windows: CoincidenceConfig
+    known_coherence_times: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
         if self.jsa_a.grid != self.jsa_b.grid:
@@ -128,7 +137,9 @@ class InterferenceSetup:
 
     @cached_property
     def coherence_times(self) -> tuple[float, float]:
-        """Jitter-free coherence FWHM of each source's JSA [s]."""
+        """Jitter-free coherence FWHM of each source's JSA [s], known or estimated."""
+        if self.known_coherence_times is not None:
+            return self.known_coherence_times
         return (jsa_coherence_fwhm(self.jsa_a), jsa_coherence_fwhm(self.jsa_b))
 
 
@@ -263,16 +274,81 @@ def _sinc(x: np.ndarray) -> np.ndarray:
     return np.sinc(x / np.pi)
 
 
-def _required_n_points(grid: FrequencyGrid, t_max: float) -> int:
+def _required_n_points(span: float, t_max: float) -> int:
     step_max = 2.0 * math.pi / (RESOLUTION_PERIODS * t_max)
-    n = int(math.ceil(2.0 * grid.span / step_max)) + 1
+    n = int(math.ceil(2.0 * span / step_max)) + 1
     return n if n % 2 == 1 else n + 1
+
+
+# Intensity-FWHM x coherence-time product of each analytic filter shape:
+# a filter of FWHM product / t_c gives J = F(W) F(-W) a jitter-free
+# coherence FWHM of t_c, per analytic transform of the shape.
+WIDTH_PRODUCTS = {
+    "rect": RECT_TC_PRODUCT,
+    "gaussian": 4.0 * math.sqrt(2.0) * math.log(2.0),
+    "lorentzian": 2.0 * math.log(2.0),
+}
+
+# Fewest points of a grid sized by ``sized_grid``.
+GRID_FLOOR = 129
+
+
+def sized_grid(
+    span: float, t_max: float, floor: int = GRID_FLOOR, n_points: int | None = None
+) -> FrequencyGrid:
+    """Grid over [-span, span] with n_points, or else the fewest points, and at
+    least floor, that resolve times up to t_max (floor when t_max is 0)."""
+    if n_points is None:
+        n_points = max(floor, _required_n_points(span, t_max)) if t_max > 0 else floor
+    return FrequencyGrid(n_points=n_points, span=span)
+
+
+def filter_width(kind: str, t_c: float) -> float:
+    """Intensity FWHM [rad/s] of the analytic filter whose JSA has coherence FWHM t_c."""
+    try:
+        return WIDTH_PRODUCTS[kind] / t_c
+    except KeyError:
+        raise ValueError(f"unsupported filter kind: {kind!r}")
+
+
+def analytic_jsa(grid: FrequencyGrid, kind: str, t_c: float) -> JointSpectralAmplitude:
+    """J = F(W) F(-W) behind one analytic filter, with coherence FWHM t_c."""
+    f = make_filter(grid, kind, filter_width(kind, t_c))
+    return joint_spectral_amplitude(f, f)
+
+
+def build_setup(
+    jsas: Callable[[FrequencyGrid], tuple[JointSpectralAmplitude, JointSpectralAmplitude]],
+    span: float,
+    windows: CoincidenceConfig,
+    jitters: tuple[float, float, float, float],
+    *,
+    reach: float = 0.0,
+    floor: int = GRID_FLOOR,
+    n_points: int | None = None,
+    coherence_times: tuple[float, float] | None = None,
+) -> InterferenceSetup:
+    """Setup whose JSAs, jsas(grid) for sources A and B, share one sized grid.
+
+    The grid over [-span, span] resolves the windows, reach and the known
+    coherence_times (see ``sized_grid``); without coherence_times the setup
+    estimates them from the JSAs on first use.
+    """
+    t_max = max(windows.tau_14, windows.tau_23, reach, *(coherence_times or ()))
+    jsa_a, jsa_b = jsas(sized_grid(span, t_max, floor, n_points))
+    return InterferenceSetup(
+        jsa_a=jsa_a,
+        jsa_b=jsa_b,
+        detectors=DetectorModel(jitter_fwhm=jitters),
+        windows=windows,
+        known_coherence_times=coherence_times,
+    )
 
 
 def _check_resolution(grid: FrequencyGrid, t_max: float, context: str) -> None:
     step_max = 2.0 * math.pi / (RESOLUTION_PERIODS * t_max)
     if grid.step > step_max * (1.0 + 1e-12):
-        need = _required_n_points(grid, t_max)
+        need = _required_n_points(grid.span, t_max)
         raise GridResolutionError(
             f"grid spacing {grid.step:.3e} rad/s cannot resolve {context}: "
             f"need <= {step_max:.3e} rad/s (n_points >= {need} at this span)",
@@ -424,11 +500,6 @@ class FourfoldEngine:
 def fourfold_probability(setup: InterferenceSetup, tau: float) -> float:
     """Unnormalized four-photon coincidence probability at delay tau."""
     return FourfoldEngine(setup).probability(tau)
-
-
-def fourfold_baseline(setup: InterferenceSetup) -> float:
-    """P(tau=0) with the interference terms removed (the dip reference)."""
-    return FourfoldEngine(setup).baseline()
 
 
 # ---------------------------------------------------------------------------
@@ -635,34 +706,16 @@ def _identical_source_setup(
     jitter: float | tuple[float, float, float, float],
     filter_kind: str,
 ) -> InterferenceSetup:
-    # Filter intensity FWHM that makes the jitter-free coherence FWHM of
-    # J = F(W) F(-W) equal t_c, per analytic transform of each shape.
-    widths = {
-        "rect": RECT_TC_PRODUCT,
-        "gaussian": 4.0 * math.sqrt(2.0) * math.log(2.0),
-        "lorentzian": 2.0 * math.log(2.0),
-    }
-    try:
-        w_f = widths[filter_kind] / t_c
-    except KeyError:
-        raise ValueError(f"unsupported filter kind for identical sources: {filter_kind!r}")
-    span = 8.0 * w_f
-    t_max = max(tau_14, tau_23, t_c)
-    n = _required_n_points(FrequencyGrid(n_points=3, span=span), t_max)
-    grid = FrequencyGrid(n_points=max(n, 129), span=span)
-    f = make_filter(grid, filter_kind, w_f)
-    jsa = joint_spectral_amplitude(f, f)
     jit = jitter if isinstance(jitter, tuple) else (float(jitter),) * 4
-    setup = InterferenceSetup(
-        jsa_a=jsa,
-        jsa_b=jsa,
-        detectors=DetectorModel(jitter_fwhm=jit),
-        windows=CoincidenceConfig(tau_14=tau_14, tau_23=tau_23),
+    # the coherence FWHM is t_c by construction; passing it spares the
+    # numeric estimate of the same number
+    return build_setup(
+        lambda grid: (analytic_jsa(grid, filter_kind, t_c),) * 2,
+        8.0 * filter_width(filter_kind, t_c),
+        CoincidenceConfig(tau_14=tau_14, tau_23=tau_23),
+        jit,
+        coherence_times=(t_c, t_c),
     )
-    # coherence FWHM equals t_c by construction of w_f; priming the
-    # cache skips the numeric lag-sum estimate of the same number
-    setup.__dict__["coherence_times"] = (t_c, t_c)
-    return setup
 
 
 def visibility_map(

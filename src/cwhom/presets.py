@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .detection import DetectorModel, effective_jitter
-from .interference import CoincidenceConfig, InterferenceSetup, _required_n_points
+from .detection import effective_jitter
+from .interference import CoincidenceConfig, InterferenceSetup, build_setup, sized_grid
 from .spectral import (
     FbgModel,
     FrequencyGrid,
@@ -27,6 +27,9 @@ REFERENCE_JITTERS_FWHM = (17e-12, 13e-12, 11e-12, 16e-12)
 
 # RMS jitter of the time-tagging unit, common to all channels.
 TIME_TAGGER_RMS = 4.2e-12
+
+# Fewest points of a grid sized for the grating sources.
+GRATING_GRID_FLOOR = 513
 
 # Nominal reflectivity FWHM of each grating, in pm at 1550 nm.
 NOMINAL_BANDWIDTHS_PM = {
@@ -101,15 +104,6 @@ def tagger_composed_jitters(
     )
 
 
-def _sized_grid(span: float, n_points: int | None, tau_max: float | None) -> FrequencyGrid:
-    if n_points is None:
-        n_points = 513
-        if tau_max is not None:
-            probe = FrequencyGrid(n_points=3, span=span)
-            n_points = max(n_points, _required_n_points(probe, tau_max))
-    return FrequencyGrid(n_points=n_points, span=span)
-
-
 def filtered_pair_jsa(
     signal: FbgModel,
     idler: FbgModel,
@@ -128,7 +122,8 @@ def filtered_pair_jsa(
     if grid is None:
         w_s = fbg_reflectivity_fwhm(signal)
         w_i = fbg_reflectivity_fwhm(idler)
-        grid = _sized_grid(span_factor * max(w_s, w_i), n_points, tau_max)
+        span = span_factor * max(w_s, w_i)
+        grid = sized_grid(span, tau_max or 0.0, GRATING_GRID_FLOOR, n_points)
     amp = fbg_response(signal, grid).amp * fbg_response(idler, grid).amp[::-1]
     peak = np.max(np.abs(amp))
     if peak == 0.0:
@@ -170,14 +165,12 @@ def reference_setup(
     filter band.  tau_max bounds the largest delay the caller intends to
     evaluate; the grid resolution is chosen accordingly.
     """
-    if tau_max is None:
-        tau_max = tau_23
-    reach = max(tau_14, tau_23, tau_max)
     widths = [fbg_reflectivity_fwhm(m) for m in REFERENCE_FILTERS.values()]
-    grid = _sized_grid(8.0 * max(widths), None, reach)
-    return InterferenceSetup(
-        jsa_a=reference_source_a(grid=grid),
-        jsa_b=reference_source_b(grid=grid),
-        detectors=DetectorModel(jitter_fwhm=jitters_fwhm),
-        windows=CoincidenceConfig(tau_14=tau_14, tau_23=tau_23),
+    return build_setup(
+        lambda grid: (reference_source_a(grid=grid), reference_source_b(grid=grid)),
+        8.0 * max(widths),
+        CoincidenceConfig(tau_14=tau_14, tau_23=tau_23),
+        jitters_fwhm,
+        reach=tau_max or 0.0,
+        floor=GRATING_GRID_FLOOR,
     )

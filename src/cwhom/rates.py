@@ -10,18 +10,11 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import DetectorModel
-from .interference import (
-    CoincidenceConfig,
-    _identical_source_setup,
-    visibility_at_zero_delay,
-)
-
-PS = 1e-12
+from .interference import _identical_source_setup, visibility_at_zero_delay
 
 # optimizer defaults: log-spaced window scan and bisection tightness
 N_WINDOW_SAMPLES = 40

@@ -28,7 +28,6 @@ __all__ = [
     "SpectralAmplitude",
     "JointSpectralAmplitude",
     "FbgModel",
-    "make_grid_for_filters",
     "make_filter",
     "tabulated_filter",
     "load_filter_table",
@@ -45,9 +44,6 @@ __all__ = [
 # propagation detuning of the grating equations. Fixed for fused silica
 # fiber near 1550 nm; bandwidth calibration absorbs the residual error.
 FBG_EFFECTIVE_INDEX = 1.468
-
-DEFAULT_N_POINTS = 513
-DEFAULT_SPAN_FACTOR = 8.0
 
 
 @dataclass(frozen=True)
@@ -74,20 +70,6 @@ class FrequencyGrid:
     @property
     def step(self) -> float:
         return 2.0 * self.span / (self.n_points - 1)
-
-
-def make_grid_for_filters(
-    fwhms: list[float] | tuple[float, ...],
-    n_points: int = DEFAULT_N_POINTS,
-    span_factor: float = DEFAULT_SPAN_FACTOR,
-) -> FrequencyGrid:
-    """Grid sized to the widest filter: span = span_factor * max FWHM."""
-    if not fwhms:
-        raise ValueError("at least one filter FWHM required")
-    w = max(fwhms)
-    if w <= 0:
-        raise ValueError("filter FWHM must be positive")
-    return FrequencyGrid(n_points=n_points, span=span_factor * w)
 
 
 @dataclass(frozen=True)

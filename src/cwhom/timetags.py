@@ -14,18 +14,15 @@ integral itself.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .detection import DetectorModel
 from .interference import CoherenceCurve, CoincidenceConfig
-from .units import RMS_TO_FWHM
-
-FS = 1e-15
+from .units import FS, RMS_TO_FWHM
 
 # Channel labels: 1 and 4 are the heralding channels of the two sources,
 # 2 and 3 are the beam-splitter output channels (2', 3').
@@ -226,10 +223,12 @@ def simulate_streams(scenario: SimScenario) -> TagStream:
     # port assignment: 0 -> channel 2, 1 -> channel 3
     port_a = np.zeros(n_a, dtype=np.int8)
     port_b = np.zeros(n_b, dtype=np.int8)
-    lone_a = np.setdiff1d(np.arange(n_a), ia, assume_unique=False)
-    lone_b = np.setdiff1d(np.arange(n_b), ib, assume_unique=False)
-    port_a[lone_a] = rng.random(lone_a.size) < 0.5
-    port_b[lone_b] = rng.random(lone_b.size) < 0.5
+    lone_a = np.ones(n_a, dtype=bool)
+    lone_b = np.ones(n_b, dtype=bool)
+    lone_a[ia] = False
+    lone_b[ib] = False
+    port_a[lone_a] = rng.random(np.count_nonzero(lone_a)) < 0.5
+    port_b[lone_b] = rng.random(np.count_nonzero(lone_b)) < 0.5
     if ia.size:
         g = scenario.gamma_of(bs_a[ia] - bs_b[ib])
         same = rng.random(ia.size) < g
@@ -285,12 +284,14 @@ def count_fourfolds(stream: TagStream, cfg: CoincidenceConfig, tau: float) -> in
     and at least one channel-4 tag within [t1 + tau - tau_14/2,
     t1 + tau + tau_14/2]; each trigger contributes at most one count.
     """
-    t1 = stream.channel_times(1)
+    return _count_triggers([stream.channel_times(c) for c in CHANNELS], cfg, tau)
+
+
+def _count_triggers(times: list[np.ndarray], cfg: CoincidenceConfig, tau: float) -> int:
+    """Fourfolds over the sorted femtosecond tags of channels 1 to 4."""
+    t1, t2, t3, t4 = times
     if t1.size == 0:
         return 0
-    t2 = stream.channel_times(2)
-    t3 = stream.channel_times(3)
-    t4 = stream.channel_times(4)
     h23 = round(cfg.tau_23 / 2.0 / FS)
     h14 = round(cfg.tau_14 / 2.0 / FS)
     off = round(tau / FS)
@@ -311,23 +312,15 @@ def shifted_accidentals(
 
     Adds delta to every tag of shift_channel (2 or 3) and re-counts
     fourfolds; the surviving events must contain an uncorrelated photon
-    in that channel.
+    in that channel. A constant shift keeps the channel's tags sorted.
     """
     if shift_channel not in (2, 3):
         raise ValueError("shift_channel must be 2 or 3")
     if delta < 10.0 * cfg.tau_23:
         raise ValueError("delta must be at least 10 times tau_23")
-    d_fs = round(delta / FS)
-    times = stream.times_fs.copy()
-    mask = stream.channels == shift_channel
-    times[mask] += d_fs
-    order = np.argsort(times, kind="stable")
-    shifted = TagStream(
-        channels=stream.channels[order],
-        times_fs=times[order],
-        duration=stream.duration + delta,
-    )
-    return count_fourfolds(shifted, cfg, tau)
+    times = [stream.channel_times(c) for c in CHANNELS]
+    times[shift_channel - 1] = times[shift_channel - 1] + round(delta / FS)
+    return _count_triggers(times, cfg, tau)
 
 
 def analytic_accidentals(p: AccidentalParams) -> dict[str, float]:

@@ -37,13 +37,3 @@ def angular_to_wavelength_pm(delta_omega: float) -> float:
     """Convert an angular frequency offset in rad/s to pm at 1550 nm."""
     delta_nu = delta_omega / (2.0 * math.pi)
     return delta_nu * LAMBDA0_M**2 / C_M_PER_S * 1e12
-
-
-def ps(value: float) -> float:
-    """Picoseconds to seconds."""
-    return value * PS
-
-
-def to_ps(value: float) -> float:
-    """Seconds to picoseconds."""
-    return value / PS

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import os
+import runpy
 
 import jsonschema
 import numpy as np
@@ -17,7 +18,7 @@ from cwhom.cli import _schema, main
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCENARIOS = os.path.join(REPO, "scenarios")
-SCHEMAS = os.path.join(REPO, "schemas")
+SCHEMAS = os.path.join(REPO, "src", "cwhom", "schemas")
 
 
 def run(capsys, argv):
@@ -193,6 +194,8 @@ def test_tags_simulate_count_roundtrip(capsys, tmp_path):
     meta = meta_of(stdout)
     assert meta["n_events"] > 1000
     first = sim.read_bytes()
+    # the bundled stream is this scenario's output
+    assert first == open(os.path.join(REPO, "data", "tags_demo.csv"), "rb").read()
 
     # identical scenario, identical bytes; a new seed changes the stream
     code, _, _ = run(capsys, ["tags", "simulate", "--scenario",
@@ -328,12 +331,10 @@ def test_bundled_scenarios_validate():
         jsonschema.validate(doc, _schema("scenario"))
 
 
-def test_schema_copies_in_sync():
-    # the repo-level schema directory mirrors the packaged one
-    names = sorted(os.listdir(SCHEMAS))
-    pkg_dir = os.path.join(REPO, "src", "cwhom", "schemas")
-    assert names == sorted(os.listdir(pkg_dir))
-    for name in names:
-        repo_bytes = open(os.path.join(SCHEMAS, name), "rb").read()
-        pkg_bytes = open(os.path.join(pkg_dir, name), "rb").read()
-        assert repo_bytes == pkg_bytes, name
+def test_packaged_schemas_match_generator():
+    # the packaged schemas are exactly what scripts/make_schemas.py writes
+    gen = runpy.run_path(os.path.join(REPO, "scripts", "make_schemas.py"))
+    assert sorted(os.listdir(SCHEMAS)) == sorted(gen["SCHEMAS"])
+    for name, schema in gen["SCHEMAS"].items():
+        with open(os.path.join(SCHEMAS, name), newline="") as fh:
+            assert fh.read() == gen["serialize"](schema), name

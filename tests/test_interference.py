@@ -23,8 +23,10 @@ from cwhom.interference import (
     _lag_frequencies,
     _lag_sum_over_delays,
     _pair_amplitude,
+    analytic_jsa,
+    build_setup,
     coherence_function,
-    fourfold_baseline,
+    filter_width,
     fourfold_probability,
     fourfold_probability_oracle,
     hom_curve,
@@ -45,22 +47,14 @@ PS = 1e-12
 JITTERS = (17e-12, 13e-12, 11e-12, 16e-12)
 
 
-def two_source_setup(tc_a, tc_b, tau_14, tau_23, jitters, kind="rect"):
-    """Setup with possibly different coherence times per source."""
-    w_a = RECT_TC_PRODUCT / tc_a
-    w_b = RECT_TC_PRODUCT / tc_b
-    span = 8.0 * max(w_a, w_b)
-    t_max = max(tau_14, tau_23, tc_a, tc_b)
-    need = int(math.ceil(2.0 * span / (2.0 * math.pi / (8.0 * t_max)))) + 1
-    n = max(need | 1, 129)
-    grid = FrequencyGrid(n_points=n, span=span)
-    jsa_a = joint_spectral_amplitude(make_filter(grid, kind, w_a), make_filter(grid, kind, w_a))
-    jsa_b = joint_spectral_amplitude(make_filter(grid, kind, w_b), make_filter(grid, kind, w_b))
-    return InterferenceSetup(
-        jsa_a=jsa_a,
-        jsa_b=jsa_b,
-        detectors=DetectorModel(jitter_fwhm=jitters),
-        windows=CoincidenceConfig(tau_14=tau_14, tau_23=tau_23),
+def two_source_setup(tc_a, tc_b, tau_14, tau_23, jitters):
+    """Rect sources with possibly different coherence times, left to the numeric estimate."""
+    return build_setup(
+        lambda grid: (analytic_jsa(grid, "rect", tc_a), analytic_jsa(grid, "rect", tc_b)),
+        8.0 * max(filter_width("rect", tc_a), filter_width("rect", tc_b)),
+        CoincidenceConfig(tau_14=tau_14, tau_23=tau_23),
+        jitters,
+        reach=max(tc_a, tc_b),
     )
 
 
@@ -309,7 +303,7 @@ def test_visibility_scale_invariance():
 def test_zero_delay_identity_with_baseline():
     setup = _identical_source_setup(165 * PS, 40 * PS, 2000 * PS, JITTERS, "rect")
     v0 = visibility_at_zero_delay(setup)
-    base = fourfold_baseline(setup)
+    base = FourfoldEngine(setup).baseline()
     p0 = fourfold_probability(setup, 0.0)
     assert v0 == pytest.approx((base - p0) / base, abs=1e-12)
 
@@ -359,10 +353,8 @@ def test_rect_coherence_against_fft_oracle():
     # Independent oracle: the arrival-delay density is |FT of J|^2; take
     # the FFT on a heavily zero-padded grid and read the width off it.
     t_c = 165 * PS
-    w_f = RECT_TC_PRODUCT / t_c
-    grid = FrequencyGrid(n_points=1025, span=8.0 * w_f)
-    f = make_filter(grid, "rect", w_f)
-    jsa = joint_spectral_amplitude(f, f)
+    grid = FrequencyGrid(n_points=1025, span=8.0 * filter_width("rect", t_c))
+    jsa = analytic_jsa(grid, "rect", t_c)
 
     n_fft = 1 << 20
     ft = np.fft.fft(jsa.j_amp, n=n_fft)
@@ -383,10 +375,8 @@ def test_rect_coherence_against_fft_oracle():
 
 def test_coherence_function_parity_and_width():
     t_c = 165 * PS
-    w_f = RECT_TC_PRODUCT / t_c
-    grid = FrequencyGrid(n_points=1025, span=8.0 * w_f)
-    f = make_filter(grid, "rect", w_f)
-    jsa = joint_spectral_amplitude(f, f)
+    grid = FrequencyGrid(n_points=1025, span=8.0 * filter_width("rect", t_c))
+    jsa = analytic_jsa(grid, "rect", t_c)
     delays = np.linspace(-500 * PS, 500 * PS, 401)
     curve = coherence_function(jsa, 0.0, 0.0, delays)
     assert np.allclose(curve.density, curve.density[::-1], rtol=1e-9, atol=1e-9 * curve.density.max())
@@ -398,9 +388,7 @@ def test_coherence_function_parity_and_width():
 
 def test_coherence_function_validation():
     t_c = 165 * PS
-    w_f = RECT_TC_PRODUCT / t_c
-    grid = FrequencyGrid(n_points=257, span=8.0 * w_f)
-    jsa = joint_spectral_amplitude(make_filter(grid, "rect", w_f), make_filter(grid, "rect", w_f))
+    jsa = analytic_jsa(FrequencyGrid(n_points=257, span=8.0 * filter_width("rect", t_c)), "rect", t_c)
     with pytest.raises(ValueError, match="at least 5"):
         coherence_function(jsa, 0.0, 0.0, np.array([-1e-10, 0.0, 1e-10]))
     with pytest.raises(ValueError, match="symmetric"):
@@ -459,14 +447,12 @@ def test_short_bs_window_plateau_unreliable():
 
 
 def test_grid_resolution_error_names_required_points():
-    w_f = RECT_TC_PRODUCT / (100 * PS)
-    grid = FrequencyGrid(n_points=129, span=8.0 * w_f)
-    f = make_filter(grid, "rect", w_f)
-    jsa = joint_spectral_amplitude(f, f)
-    setup = InterferenceSetup(
-        jsa_a=jsa, jsa_b=jsa,
-        detectors=DetectorModel(jitter_fwhm=(0.0,) * 4),
-        windows=CoincidenceConfig(tau_14=40 * PS, tau_23=4000 * PS),
+    setup = build_setup(
+        lambda grid: (analytic_jsa(grid, "rect", 100 * PS),) * 2,
+        8.0 * filter_width("rect", 100 * PS),
+        CoincidenceConfig(tau_14=40 * PS, tau_23=4000 * PS),
+        (0.0,) * 4,
+        n_points=129,
     )
     with pytest.raises(GridResolutionError) as err:
         fourfold_probability(setup, 0.0)

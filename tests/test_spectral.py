@@ -27,7 +27,6 @@ from cwhom.spectral import (
     load_fbg_model,
     load_filter_table,
     make_filter,
-    make_grid_for_filters,
     save_fbg_model,
     tabulated_filter,
 )
@@ -86,15 +85,6 @@ def test_grid_symmetry_and_step():
     assert w[16] == 0.0
     assert np.allclose(w, -w[::-1])
     assert g.step == pytest.approx(2 * 1.6e11 / 32, rel=1e-15)
-
-
-def test_make_grid_for_filters():
-    g = make_grid_for_filters([1e10, 3e10], n_points=65, span_factor=8.0)
-    assert g.span == pytest.approx(2.4e11)
-    with pytest.raises(ValueError):
-        make_grid_for_filters([])
-    with pytest.raises(ValueError):
-        make_grid_for_filters([0.0])
 
 
 # ---------------------------------------------------------------------------

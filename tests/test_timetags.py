@@ -12,6 +12,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cwhom.detection import DetectorModel
 from cwhom.interference import CoherenceCurve, CoincidenceConfig
@@ -27,6 +29,7 @@ from cwhom.timetags import (
     shifted_accidentals,
     simulate_streams,
 )
+from cwhom.units import FS
 
 PS_FS = 1000  # femtoseconds per picosecond
 TAU_W = 2e-9
@@ -108,6 +111,47 @@ def test_empty_stream_counts_zero():
                        times_fs=np.zeros(0, dtype=np.int64), duration=1e-6)
     cfg = CoincidenceConfig(tau_14=40e-12, tau_23=100e-12)
     assert count_fourfolds(stream, cfg, 0.0) == 0
+
+
+def brute_fourfolds(times: dict, cfg: CoincidenceConfig, tau: float) -> int:
+    """Triggers with a tag in every window, scanning every tag per trigger."""
+    h23, h14, off = round(cfg.tau_23 / 2 / FS), round(cfg.tau_14 / 2 / FS), round(tau / FS)
+
+    def hit(ch, lo, hi):
+        return any(lo <= t <= hi for t in times[ch])
+
+    return sum(
+        hit(2, t1 - h23, t1 + h23) and hit(3, t1 - h23, t1 + h23)
+        and hit(4, t1 + off - h14, t1 + off + h14)
+        for t1 in times[1]
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(h23=st.integers(1, 10), h14=st.integers(1, 10), tau=st.integers(-10, 10),
+       shift_channel=st.sampled_from([2, 3]), data=st.data())
+def test_counts_match_brute_force(h23, h14, tau, shift_channel, data):
+    # picosecond lattice: each trigger gets one partner per channel on, just
+    # inside or just outside a window edge, or at the window centre, and one
+    # more in the shifted channel that the shift of 10 tau_23 = 20 h23 ps
+    # moves onto such a place; strays land anywhere
+    tags = data.draw(st.lists(st.tuples(st.integers(1, 4), st.integers(0, 350)), max_size=10))
+    for t1 in data.draw(st.lists(st.integers(220, 320), min_size=1, max_size=4)):
+        tags.append((1, t1))
+        for c, centre, h in ((2, t1, h23), (3, t1, h23), (4, t1 + tau, h14),
+                             (shift_channel, t1 - 20 * h23, h23)):
+            tags.append((c, centre + data.draw(st.sampled_from([-h - 1, -h, 0, h, h + 1]))))
+    ch = np.array([c for c, _ in tags], dtype=np.uint8)
+    t = np.array([p for _, p in tags], dtype=np.int64) * PS_FS
+    order = np.lexsort((ch, t))
+    stream = TagStream(channels=ch[order], times_fs=t[order], duration=1e-9)
+    cfg = CoincidenceConfig(tau_14=2 * h14 * 1e-12, tau_23=2 * h23 * 1e-12)
+    times = {c: t[ch == c].tolist() for c in (1, 2, 3, 4)}
+    assert count_fourfolds(stream, cfg, tau * 1e-12) == brute_fourfolds(times, cfg, tau * 1e-12)
+    delta = 10 * cfg.tau_23
+    times[shift_channel] = [x + round(delta / FS) for x in times[shift_channel]]
+    got = shifted_accidentals(stream, cfg, delta, shift_channel, tau * 1e-12)
+    assert got == brute_fourfolds(times, cfg, tau * 1e-12)
 
 
 def test_tag_stream_validation():

@@ -15,7 +15,6 @@ from cwhom.units import (
     RECT_TC_PRODUCT,
     RMS_TO_FWHM,
     angular_to_wavelength_pm,
-    ps,
     wavelength_pm_to_angular,
 )
 
@@ -33,7 +32,6 @@ def test_rect_tc_product_solves_half_power_sinc():
 def test_second_scale_constants():
     assert PS == 1e-12
     assert FS == 1e-15
-    assert ps(250.0) == 2.5e-10
 
 
 def test_wavelength_pm_to_angular_at_1550nm():
