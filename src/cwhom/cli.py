@@ -27,15 +27,16 @@ from importlib import resources
 import jsonschema
 import numpy as np
 
-from .detection import DetectorModel, effective_jitter
+from .detection import DetectorModel
 from .interference import (
+    GRID_FLOOR,
     CoherenceCurve,
     CoincidenceConfig,
     FourfoldEngine,
     GridResolutionError,
     InterferenceSetup,
     NumericalError,
-    _required_n_points,
+    _check_resolution,
     analytic_jsa,
     build_setup,
     coherence_function,
@@ -48,12 +49,14 @@ from .interference import (
 )
 from .presets import (
     GRATING_GRID_FLOOR,
-    REFERENCE_FILTERS,
+    REFERENCE_SOURCES,
+    grating_width,
     reference_source_a,
     reference_source_b,
+    tagger_composed_jitters,
 )
 from .rates import LossProfile, RateQuery, optimize_window, pass_swaps, pulsed_rate
-from .spectral import FbgModel, fbg_reflectivity_fwhm, fit_fbg, load_filter_table, save_fbg_model
+from .spectral import FbgModel, fit_fbg, load_filter_table, save_fbg_model
 from .timetags import (
     SimScenario,
     count_fourfolds,
@@ -143,12 +146,7 @@ def _jitters(scenario: dict) -> tuple[float, float, float, float]:
         return (0.0, 0.0, 0.0, 0.0)
     jit = tuple(float(j) * PS for j in det["jitter_fwhm_ps"])
     rms = det.get("compose_tagger_rms_ps")
-    if rms is not None:
-        rms_s = float(rms) * PS
-        jit = tuple(
-            effective_jitter(components_fwhm=(j,), components_rms=(rms_s,)) for j in jit
-        )
-    return jit
+    return jit if rms is None else tagger_composed_jitters(jit, float(rms) * PS)
 
 
 def _delays(scenario: dict) -> np.ndarray:
@@ -175,67 +173,60 @@ def _grid_overrides(scenario: dict) -> tuple[float, int | None]:
 # Setup construction
 
 
+def _source(spec: dict):
+    """(width, jsa(grid), known T_c or None, grid floor) of one scenario source.
+
+    The width [rad/s] is the widest grating FWHM of a preset or the
+    analytic filter's FWHM; an analytic source's coherence time is exact
+    by construction of its filter width, a preset's is estimated from
+    its sampled JSA.
+    """
+    if "preset" in spec:
+        width = grating_width(*REFERENCE_SOURCES[spec["preset"]])
+        return width, _PRESET_SOURCES[spec["preset"]], None, GRATING_GRID_FLOOR
+    kind, t_c = spec["kind"], spec["t_c_ps"] * PS
+    return filter_width(kind, t_c), lambda grid: analytic_jsa(grid, kind, t_c), t_c, GRID_FLOOR
+
+
 def _build_setup(scenario: dict, delays: np.ndarray) -> InterferenceSetup:
     src = _section(scenario, "sources")
+    (width_a, jsa_a, tc_a, floor), (width_b, jsa_b, tc_b, _) = _source(src["a"]), _source(src["b"])
+    if (tc_a is None) != (tc_b is None):
+        raise ValueError("sources must be both presets or both analytic shapes")
+    known = None if tc_a is None else (tc_a, tc_b)
     cfg = _windows(scenario)
     jit = _jitters(scenario)
     span_factor, n_override = _grid_overrides(scenario)
     max_delay = float(np.max(np.abs(delays))) if delays.size else 0.0
-    a, b = src["a"], src["b"]
-    if ("preset" in a) != ("preset" in b):
-        raise ValueError("sources must be both presets or both analytic shapes")
-
-    if "preset" in a:
-        def jsas(grid):
-            return _PRESET_SOURCES[a["preset"]](grid=grid), _PRESET_SOURCES[b["preset"]](grid=grid)
-
-        span = span_factor * max(fbg_reflectivity_fwhm(m) for m in REFERENCE_FILTERS.values())
-        reach = max(max_delay, 3.0 * max(jit), PS)
-        # coherence times are unknown until the gratings are sampled, and
-        # the plateau sample sits at up to 6x the largest one; rebuild on
-        # a finer grid whenever the first estimate shows the reach short
-        for _ in range(3):
-            setup = build_setup(
-                jsas, span, cfg, jit, reach=reach, floor=GRATING_GRID_FLOOR, n_points=n_override
-            )
-            need = 6.0 * max(setup.coherence_times)
-            if need <= max(reach, cfg.tau_14, cfg.tau_23) or n_override is not None:
-                break
-            reach = need
-        return setup
-
-    # coherence times are exact by construction of the filter widths
-    tc = (a["t_c_ps"] * PS, b["t_c_ps"] * PS)
-    return build_setup(
-        lambda grid: (analytic_jsa(grid, a["kind"], tc[0]), analytic_jsa(grid, b["kind"], tc[1])),
-        span_factor * max(filter_width(a["kind"], tc[0]), filter_width(b["kind"], tc[1])),
-        cfg,
-        jit,
-        reach=max(max_delay, 6.0 * max(tc), 3.0 * max(jit)),
-        n_points=n_override,
-        coherence_times=tc,
-    )
+    # the plateau sample sits at up to 6x the largest coherence time; an
+    # unknown one is estimated once the sources are sampled, so rebuild
+    # on a finer grid whenever that estimate shows the reach short
+    reach = max(max_delay, 3.0 * max(jit), PS, 6.0 * max(known or (0.0,)))
+    for _ in range(3):
+        setup = build_setup(
+            lambda grid: (jsa_a(grid), jsa_b(grid)),
+            span_factor * max(width_a, width_b),
+            cfg,
+            jit,
+            reach=reach,
+            floor=floor,
+            n_points=n_override,
+            coherence_times=known,
+        )
+        need = 6.0 * max(setup.coherence_times)
+        if need <= max(reach, cfg.tau_14, cfg.tau_23) or n_override is not None:
+            break
+        reach = need
+    return setup
 
 
 def _coherence_jsa(scenario: dict, which: str, delays: np.ndarray):
-    src = _section(scenario, "sources")[which]
+    width, jsa, t_c, floor = _source(_section(scenario, "sources")[which])
     span_factor, n_override = _grid_overrides(scenario)
     reach = max(float(np.max(np.abs(delays))), PS)
-    if "preset" in src:
-        builder = _PRESET_SOURCES[src["preset"]]
-        jsa = builder(n_points=n_override, tau_max=reach)
-    else:
-        t_c = src["t_c_ps"] * PS
-        span = span_factor * filter_width(src["kind"], t_c)
-        jsa = analytic_jsa(sized_grid(span, max(reach, t_c), n_points=n_override), src["kind"], t_c)
-    required = _required_n_points(jsa.grid.span, reach)
-    if jsa.grid.n_points < required:
-        raise GridResolutionError(
-            f"grid of {jsa.grid.n_points} points cannot resolve delays out to "
-            f"{reach / PS:.6g} ps (need {required})",
-            required_n_points=required,
-        )
-    return jsa
+    grid = sized_grid(span_factor * width, max(reach, t_c or 0.0), floor, n_override)
+    _check_resolution(grid, reach, f"delays out to {reach / PS:.6g} ps")
+    return jsa(grid)
 
 
 # ---------------------------------------------------------------------------

@@ -202,23 +202,24 @@ def coherence_function(
 
 
 def jsa_coherence_fwhm(jsa: JointSpectralAmplitude) -> float:
-    """Jitter-free coherence FWHM of a JSA, with adaptive delay span."""
+    """Jitter-free coherence FWHM of a JSA, with adaptive delay span.
+
+    The 8193-delay scan starts at three periods of the JSA's support
+    width and doubles its span until it brackets the half maximum.
+    """
     grid = jsa.grid
     absj = np.abs(jsa.j_amp)
     support = grid.omega[absj > 1e-6 * absj.max()]
     w_supp = float(support[-1] - support[0])
     if w_supp <= 0:
         w_supp = 2.0 * grid.step
-    _, x = _lag_frequencies(grid)
-    rk = np.correlate(jsa.j_amp, jsa.j_amp, mode="full")
     half_span = 3.0 * 2.0 * math.pi / w_supp
     for _ in range(40):
         delays = np.linspace(-half_span, half_span, 8193)
-        g = _lag_sum_over_delays(rk, x, delays)
-        peak = float(np.max(g))
-        if g[0] < 0.5 * peak and g[-1] < 0.5 * peak:
-            return fwhm_from_samples(delays, g)
-        half_span *= 2.0
+        try:
+            return coherence_function(jsa, 0.0, 0.0, delays).t_c_fwhm
+        except ValueError:  # the only refusal of this scan: half maximum not bracketed
+            half_span *= 2.0
     raise ValueError("coherence FWHM did not converge; JSA support degenerate?")
 
 
@@ -626,11 +627,13 @@ def fourfold_probability_oracle(setup: InterferenceSetup, tau: float) -> float:
 def _plateau_delay(setup: InterferenceSetup) -> tuple[float, bool]:
     """Delay used as the P(infinity) estimate, and its reliability.
 
-    Nominal rule: max(6 x max coherence time, 3 x max jitter). The
-    sample must sit past the dip but before the capture roll-off that
-    starts near tau_23/2, so the nominal value is clamped into
-    [t_lo, t_hi] below. Outside the tau_23 >= 4 T_c regime (or when the
-    clamp interval is empty) no plateau exists and the flag is False.
+    Nominal rule: max(6 x max coherence time, 3 x max jitter), clamped
+    into [t_lo, t_hi]: past the dip, and with the delayed wave packet
+    inside the half BS window tau_23/2. That does not keep the sample
+    off the capture roll-off: on the criterion-2 setup it sits at
+    t_hi = 790 ps, where P is 0.9646 of the direct-term baseline.
+    Outside the tau_23 >= 4 T_c regime (or when the clamp interval is
+    empty) no plateau exists and the flag is False.
     """
     cfg = setup.windows
     tc_max = max(setup.coherence_times)
@@ -685,11 +688,14 @@ def visibility(curve: HomCurve) -> float:
 
 
 def visibility_at_zero_delay(setup: InterferenceSetup) -> float:
-    """V from one engine build: 1 - P(0) / baseline.
+    """Baseline visibility from one engine build: 1 - P(0) / baseline.
 
     The baseline (direct terms at tau = 0) is the distinguishable-photon
-    reference unaffected by the capture roll-off near tau_23/2, so this
-    agrees with the plateau route whenever the latter is reliable.
+    reference. It is not the plateau visibility ``visibility(hom_curve())``,
+    1 - P(0) / P(tau_p), because P at the plateau delay tau_p sits below
+    the baseline: on the criterion-2 setup P(tau_p) / baseline = 0.9646
+    (see ``_plateau_delay``), and the two read 0.97627 (baseline) and
+    0.97540 (plateau).
     """
     engine = FourfoldEngine(setup)
     t1, t2, t3, t4 = engine.terms(0.0)

@@ -10,16 +10,15 @@ the frozen expectations).
 
 from __future__ import annotations
 
-import numpy as np
-
 from .detection import effective_jitter
-from .interference import CoincidenceConfig, InterferenceSetup, build_setup, sized_grid
+from .interference import CoincidenceConfig, InterferenceSetup, build_setup
 from .spectral import (
     FbgModel,
     FrequencyGrid,
     JointSpectralAmplitude,
     fbg_reflectivity_fwhm,
     fbg_response,
+    joint_spectral_amplitude,
 )
 
 # Per-channel detector jitter FWHMs for channels (1, 2', 3', 4).
@@ -80,6 +79,12 @@ REFERENCE_FILTERS = {
     "idler_b": FILTER_IDLER_B,
 }
 
+# The (signal, idler) gratings of each reference source.
+REFERENCE_SOURCES = {
+    "a": (FILTER_SIGNAL_A, FILTER_IDLER_A),
+    "b": (FILTER_SIGNAL_B, FILTER_IDLER_B),
+}
+
 # Jitter FWHM pairs (signal channel, idler channel) used when measuring
 # each source's two-photon coherence curve: source A on channels (1, 2'),
 # source B on channels (4, 3').
@@ -104,53 +109,30 @@ def tagger_composed_jitters(
     )
 
 
+def grating_width(*models: FbgModel) -> float:
+    """Widest reflectivity FWHM [rad/s] among the gratings."""
+    return max(fbg_reflectivity_fwhm(m) for m in models)
+
+
 def filtered_pair_jsa(
-    signal: FbgModel,
-    idler: FbgModel,
-    grid: FrequencyGrid | None = None,
-    n_points: int | None = None,
-    span_factor: float = 8.0,
-    tau_max: float | None = None,
+    signal: FbgModel, idler: FbgModel, grid: FrequencyGrid
 ) -> JointSpectralAmplitude:
     """Joint spectral amplitude of a CW-pumped pair behind two gratings.
 
     The signal reflection is sampled at +omega and the idler reflection
-    at -omega; the product is normalized to unit peak magnitude.  When
-    grid is omitted one is sized from the filter bandwidths, and, when
-    tau_max is given, so that delays up to tau_max resolve.
+    at -omega; the product is normalized to unit peak magnitude.
     """
-    if grid is None:
-        w_s = fbg_reflectivity_fwhm(signal)
-        w_i = fbg_reflectivity_fwhm(idler)
-        span = span_factor * max(w_s, w_i)
-        grid = sized_grid(span, tau_max or 0.0, GRATING_GRID_FLOOR, n_points)
-    amp = fbg_response(signal, grid).amp * fbg_response(idler, grid).amp[::-1]
-    peak = np.max(np.abs(amp))
-    if peak == 0.0:
-        raise ValueError("filter reflection bands do not overlap")
-    return JointSpectralAmplitude(grid=grid, j_amp=amp / peak)
+    return joint_spectral_amplitude(fbg_response(signal, grid), fbg_response(idler, grid))
 
 
-def reference_source_a(
-    grid: FrequencyGrid | None = None,
-    n_points: int | None = None,
-    tau_max: float | None = None,
-) -> JointSpectralAmplitude:
+def reference_source_a(grid: FrequencyGrid) -> JointSpectralAmplitude:
     """Pair spectrum of reference source A (41 pm signal, 27 pm idler)."""
-    return filtered_pair_jsa(
-        FILTER_SIGNAL_A, FILTER_IDLER_A, grid=grid, n_points=n_points, tau_max=tau_max
-    )
+    return filtered_pair_jsa(*REFERENCE_SOURCES["a"], grid)
 
 
-def reference_source_b(
-    grid: FrequencyGrid | None = None,
-    n_points: int | None = None,
-    tau_max: float | None = None,
-) -> JointSpectralAmplitude:
+def reference_source_b(grid: FrequencyGrid) -> JointSpectralAmplitude:
     """Pair spectrum of reference source B (44 pm signal, 41 pm idler)."""
-    return filtered_pair_jsa(
-        FILTER_SIGNAL_B, FILTER_IDLER_B, grid=grid, n_points=n_points, tau_max=tau_max
-    )
+    return filtered_pair_jsa(*REFERENCE_SOURCES["b"], grid)
 
 
 def reference_setup(
@@ -165,10 +147,9 @@ def reference_setup(
     filter band.  tau_max bounds the largest delay the caller intends to
     evaluate; the grid resolution is chosen accordingly.
     """
-    widths = [fbg_reflectivity_fwhm(m) for m in REFERENCE_FILTERS.values()]
     return build_setup(
-        lambda grid: (reference_source_a(grid=grid), reference_source_b(grid=grid)),
-        8.0 * max(widths),
+        lambda grid: (reference_source_a(grid), reference_source_b(grid)),
+        8.0 * grating_width(*REFERENCE_FILTERS.values()),
         CoincidenceConfig(tau_14=tau_14, tau_23=tau_23),
         jitters_fwhm,
         reach=tau_max or 0.0,

@@ -289,13 +289,12 @@ def fbg_response(model: FbgModel, grid: FrequencyGrid) -> SpectralAmplitude:
     return SpectralAmplitude(grid=grid, amp=r)
 
 
-def fbg_reflectivity_fwhm(model: FbgModel, n_points: int = 4097, span: float | None = None) -> float:
+def fbg_reflectivity_fwhm(model: FbgModel) -> float:
     """FWHM of |r(W)|^2 in rad/s, by linear interpolation of the crossings."""
-    if span is None:
-        # Generous span: grating bandwidth scales with kappa and 1/length.
-        span = 12.0 * (model.peak_kappa + math.pi / model.length) * C_M_PER_S / FBG_EFFECTIVE_INDEX / 2.0
-        span = max(span, 40.0 / model.length * C_M_PER_S / FBG_EFFECTIVE_INDEX)
-    grid = FrequencyGrid(n_points=n_points, span=span)
+    # Generous span: grating bandwidth scales with kappa and 1/length.
+    span = 12.0 * (model.peak_kappa + math.pi / model.length) * C_M_PER_S / FBG_EFFECTIVE_INDEX / 2.0
+    span = max(span, 40.0 / model.length * C_M_PER_S / FBG_EFFECTIVE_INDEX)
+    grid = FrequencyGrid(n_points=4097, span=span)
     r2 = np.abs(fbg_response(model, grid).amp) ** 2
     return fwhm_from_samples(grid.omega, r2)
 
@@ -410,25 +409,19 @@ def save_fbg_model(model: FbgModel, path) -> None:
 def joint_spectral_amplitude(
     signal: SpectralAmplitude,
     idler: SpectralAmplitude,
-    pump_envelope: np.ndarray | None = None,
     normalize: bool = True,
 ) -> JointSpectralAmplitude:
-    """J(W) = F_s(W) * F_i(-W) * pump(W), optionally peak-normalized.
+    """J(W) = F_s(W) * F_i(-W), optionally peak-normalized.
 
     With a CW pump and pm-scale filters the pump phase-matching envelope
-    is flat over the filter support, so it defaults to 1.
+    is flat over the filter support, so it does not enter.
     """
     if signal.grid != idler.grid:
         raise ValueError("signal and idler grids must match")
     j = signal.amp * idler.mirrored()
-    if pump_envelope is not None:
-        pump = np.asarray(pump_envelope, dtype=complex)
-        if pump.shape != j.shape:
-            raise ValueError("pump envelope shape does not match grid")
-        j = j * pump
     peak = np.max(np.abs(j))
     if peak == 0:
-        raise ValueError("JSA is identically zero (disjoint filters?)")
+        raise ValueError("JSA is identically zero: the filter bands do not overlap")
     if normalize:
         j = j / peak
     return JointSpectralAmplitude(grid=signal.grid, j_amp=j)

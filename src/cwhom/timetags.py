@@ -388,8 +388,13 @@ def save_tags_csv(stream: TagStream, path: str) -> None:
     """Write `channel,timestamp_fs` rows, sorted by timestamp."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write("channel,timestamp_fs\n")
-        for ch, t in zip(stream.channels, stream.times_fs):
-            fh.write(f"{int(ch)},{int(t)}\n")
+        # Python ints from .tolist() format fast; a list per chunk of events,
+        # not per stream, keeps the memory bounded
+        chunk = 1 << 16
+        for lo in range(0, stream.n_events, chunk):
+            ch = stream.channels[lo : lo + chunk].tolist()
+            t = stream.times_fs[lo : lo + chunk].tolist()
+            fh.writelines(f"{c},{x}\n" for c, x in zip(ch, t))
 
 
 def load_tags_csv(path: str, duration: float | None = None) -> TagStream:

@@ -11,11 +11,14 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from cwhom.detection import DetectorModel, effective_jitter
 from cwhom.interference import (
     CoherenceCurve,
     CoincidenceConfig,
+    FourfoldEngine,
+    _plateau_delay,
     analytic_jsa,
     build_setup,
     coherence_function,
@@ -24,11 +27,19 @@ from cwhom.interference import (
     fourfold_probability_oracle,
     hom_curve,
     jsa_coherence_fwhm,
+    sized_grid,
     visibility,
     visibility_at_zero_delay,
     visibility_map,
 )
-from cwhom.presets import COHERENCE_JITTER_PAIRS, REFERENCE_FILTERS, filtered_pair_jsa
+from cwhom.presets import (
+    COHERENCE_JITTER_PAIRS,
+    GRATING_GRID_FLOOR,
+    REFERENCE_FILTERS,
+    filtered_pair_jsa,
+    grating_width,
+    tagger_composed_jitters,
+)
 from cwhom.rates import LossProfile, RateQuery, cw_fourfold_rate, optimize_window, pass_swaps, pulsed_rate
 from cwhom.spectral import (
     FbgModel,
@@ -117,6 +128,26 @@ def test_criterion_2_visibility_golden_number():
     assert v == np.float64(0.9753995610018338).item() or abs(v - 0.9753995610018338) < 1e-9
 
 
+def test_two_visibilities_on_criterion_2_setup():
+    # Criterion 2 reads the plateau visibility 1 - P(0)/P(tau_p); vismap and
+    # the optimizer (criteria 4 and 8) read the baseline visibility
+    # 1 - P(0)/B, B the direct terms at tau = 0. They differ by the ratio
+    # P(tau_p)/B pinned here, so a change to either route shows.
+    setup = identical_setup("rect", 165 * PS, 40 * PS, 2000 * PS,
+                            tagger_composed_jitters(QUARTET, 4.2 * PS))
+    assert setup.jsa_a.grid.n_points == 1377
+    tau_p, reliable = _plateau_delay(setup)
+    assert reliable and tau_p == pytest.approx(789.96 * PS, abs=0.01 * PS)
+    engine = FourfoldEngine(setup)
+    ratio = engine.probability(tau_p) / engine.baseline()
+    assert ratio == pytest.approx(0.9645545350530204, rel=1e-9)
+    v_plateau = visibility(hom_curve(setup, np.array([0.0])))
+    v_baseline = visibility_at_zero_delay(setup)
+    assert v_plateau == pytest.approx(0.97539956, abs=1e-8)
+    assert v_baseline == pytest.approx(0.97627154, abs=1e-8)
+    assert 1.0 - v_plateau == pytest.approx((1.0 - v_baseline) / ratio, rel=1e-9)
+
+
 def test_criterion_3_coherence_times_from_fitted_models():
     # Fit every grating from its bundled reflectance table (seeded 25%
     # off in kappa, no offset hint), rebuild the pair spectra from the
@@ -139,9 +170,14 @@ def test_criterion_3_coherence_times_from_fitted_models():
         fitted[name] = model
 
     delays = np.linspace(-800 * PS, 800 * PS, 3201)
-    jsa_a = filtered_pair_jsa(fitted["signal_a"], fitted["idler_a"], tau_max=800 * PS)
+
+    def pair_jsa(signal, idler):
+        grid = sized_grid(8.0 * grating_width(signal, idler), 800 * PS, GRATING_GRID_FLOOR)
+        return filtered_pair_jsa(signal, idler, grid)
+
+    jsa_a = pair_jsa(fitted["signal_a"], fitted["idler_a"])
     tc_a = coherence_function(jsa_a, *COHERENCE_JITTER_PAIRS["a"], delays).t_c_fwhm
-    jsa_b = filtered_pair_jsa(fitted["signal_b"], fitted["idler_b"], tau_max=800 * PS)
+    jsa_b = pair_jsa(fitted["signal_b"], fitted["idler_b"])
     tc_b = coherence_function(jsa_b, *COHERENCE_JITTER_PAIRS["b"], delays).t_c_fwhm
     ok_a = 0.95 * 244 * PS <= tc_a <= 1.05 * 244 * PS
     ok_b = 0.95 * 164 * PS <= tc_b <= 1.05 * 164 * PS

@@ -254,6 +254,60 @@ def test_exit_code_3_when_grid_too_coarse(capsys, tmp_path):
     assert err["required_n_points"] == 551
 
 
+def test_exit_code_2_mixed_preset_and_analytic_sources(capsys, tmp_path):
+    sc = tmp_path / "mixed.json"
+    sc.write_text(json.dumps({
+        "sources": {"a": {"preset": "a"}, "b": {"kind": "rect", "t_c_ps": 165.0}},
+        "windows": {"tau_14_ps": 40.0, "tau_23_ps": 2000.0},
+        "delays": {"start_ps": -200.0, "stop_ps": 200.0, "count": 5},
+    }))
+    code, _, stderr = run(capsys, ["homdip", "--scenario", str(sc),
+                                   "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    err = json.loads(stderr)
+    assert err["error"] == "validation"
+    assert "both presets or both analytic" in err["message"]
+
+
+def preset_coherence_scenario(tmp_path, grid: dict) -> str:
+    doc = json.loads(open(scenario_path("reference_sources.json")).read())
+    doc["grid"] = grid
+    sc = tmp_path / "preset_coherence.json"
+    sc.write_text(json.dumps(doc))
+    return str(sc)
+
+
+def test_coherence_preset_honours_span_factor(capsys, tmp_path):
+    from cwhom.interference import coherence_function, sized_grid
+    from cwhom.presets import (
+        COHERENCE_JITTER_PAIRS, GRATING_GRID_FLOOR, REFERENCE_SOURCES, grating_width,
+        reference_source_b,
+    )
+
+    out = tmp_path / "coh.csv"
+    sc = preset_coherence_scenario(tmp_path, {"span_factor": 6.0})
+    code, stdout, _ = run(capsys, ["coherence", "--scenario", sc, "--out", str(out)])
+    assert code == 0
+    t_c_ps = meta_of(stdout)["t_c_fwhm_ps"]
+    # the default span factor 8 gives 168.55088825918506 ps
+    assert t_c_ps != pytest.approx(168.55088825918506, rel=1e-6)
+    delays = np.linspace(-800e-12, 800e-12, 161)
+    grid = sized_grid(6.0 * grating_width(*REFERENCE_SOURCES["b"]), 800e-12, GRATING_GRID_FLOOR)
+    curve = coherence_function(reference_source_b(grid), *COHERENCE_JITTER_PAIRS["b"], delays)
+    assert t_c_ps == pytest.approx(curve.t_c_fwhm / 1e-12, rel=1e-12)
+
+
+def test_exit_code_3_when_preset_grid_too_coarse(capsys, tmp_path):
+    sc = preset_coherence_scenario(tmp_path, {"n_points": 129})
+    code, _, stderr = run(capsys, ["coherence", "--scenario", sc,
+                                   "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+    err = json.loads(stderr)
+    assert err["error"] == "resolution"
+    # the grid source B is sampled on by default resolves the 800 ps reach
+    assert err["required_n_points"] == 565
+
+
 SMALL_DIP = {
     "sources": {"a": {"kind": "rect", "t_c_ps": 100.0},
                 "b": {"kind": "rect", "t_c_ps": 100.0}},

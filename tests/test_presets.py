@@ -13,16 +13,19 @@ import numpy as np
 import pytest
 
 from cwhom.detection import RMS_TO_FWHM
-from cwhom.interference import coherence_function, visibility_at_zero_delay
+from cwhom.interference import coherence_function, sized_grid, visibility_at_zero_delay
 from cwhom.presets import (
     COHERENCE_JITTER_PAIRS,
     FILTER_IDLER_A,
     FILTER_SIGNAL_A,
+    GRATING_GRID_FLOOR,
     NOMINAL_BANDWIDTHS_PM,
     REFERENCE_FILTERS,
     REFERENCE_JITTERS_FWHM,
+    REFERENCE_SOURCES,
     TIME_TAGGER_RMS,
     filtered_pair_jsa,
+    grating_width,
     reference_setup,
     reference_source_a,
     reference_source_b,
@@ -49,6 +52,11 @@ FROZEN_TC_B = 1.6850551234607817e-10
 FROZEN_V0_REFERENCE = 0.5944311459268931
 
 
+def pair_grid(signal: FbgModel, idler: FbgModel, tau_max: float, n_points: int | None = None):
+    """Grid sized from a pair's widest grating band, resolving delays up to tau_max."""
+    return sized_grid(8.0 * grating_width(signal, idler), tau_max, GRATING_GRID_FLOOR, n_points)
+
+
 def local_maxima(values: np.ndarray) -> np.ndarray:
     inner = (values[1:-1] > values[:-2]) & (values[1:-1] > values[2:])
     return np.where(inner)[0] + 1
@@ -63,7 +71,7 @@ def test_bandwidths_match_nominal():
 
 
 def test_source_a_coherence_time():
-    jsa = reference_source_a(tau_max=800e-12)
+    jsa = reference_source_a(pair_grid(*REFERENCE_SOURCES["a"], 800e-12))
     curve = coherence_function(jsa, *COHERENCE_JITTER_PAIRS["a"], DELAYS)
     # 244 ps nominal, 5% band.
     assert 231.8e-12 <= curve.t_c_fwhm <= 256.2e-12
@@ -71,7 +79,7 @@ def test_source_a_coherence_time():
 
 
 def test_source_b_coherence_time():
-    jsa = reference_source_b(tau_max=800e-12)
+    jsa = reference_source_b(pair_grid(*REFERENCE_SOURCES["b"], 800e-12))
     curve = coherence_function(jsa, *COHERENCE_JITTER_PAIRS["b"], DELAYS)
     # 164 ps nominal, 5% band.
     assert 155.8e-12 <= curve.t_c_fwhm <= 172.2e-12
@@ -79,7 +87,7 @@ def test_source_b_coherence_time():
 
 
 def test_source_b_side_peak_requires_spectral_phase():
-    jsa = reference_source_b(tau_max=800e-12)
+    jsa = reference_source_b(pair_grid(*REFERENCE_SOURCES["b"], 800e-12))
     curve = coherence_function(jsa, *COHERENCE_JITTER_PAIRS["b"], DELAYS)
     g = curve.density / curve.density.max()
 
@@ -135,9 +143,13 @@ def test_reference_setup_visibility():
 
 
 def test_filtered_jsa_grid_sizing():
-    jsa = filtered_pair_jsa(FILTER_SIGNAL_A, FILTER_IDLER_A, n_points=601)
-    assert jsa.grid.n_points == 601
-    jsa2 = filtered_pair_jsa(FILTER_SIGNAL_A, FILTER_IDLER_A, tau_max=2e-9)
+    grid = pair_grid(FILTER_SIGNAL_A, FILTER_IDLER_A, 0.0, n_points=601)
+    jsa = filtered_pair_jsa(FILTER_SIGNAL_A, FILTER_IDLER_A, grid)
+    assert jsa.grid is grid and grid.n_points == 601
+    assert grid.span == 8.0 * fbg_reflectivity_fwhm(FILTER_SIGNAL_A)  # the wider band
+    assert pair_grid(FILTER_SIGNAL_A, FILTER_IDLER_A, 0.0).n_points == GRATING_GRID_FLOOR
+    jsa2 = filtered_pair_jsa(FILTER_SIGNAL_A, FILTER_IDLER_A,
+                             pair_grid(FILTER_SIGNAL_A, FILTER_IDLER_A, 2e-9))
     assert jsa2.grid.step <= 2.0 * math.pi / (8.0 * 2e-9)
     assert np.max(np.abs(jsa2.j_amp)) == pytest.approx(1.0, abs=1e-12)
 
