@@ -407,13 +407,8 @@ def _cmd_fbg_fit(args, scenario: dict, base: str) -> None:
     omega, refl, _phase = load_filter_table(_resolve(base, ff["table_csv"]))
     seed_model = FbgModel(**ff["seed"])
     rng_seed = args.seed if args.seed is not None else ff.get("rng_seed", 0)
-    model, residual = fit_fbg(
-        omega,
-        refl,
-        seed_model,
-        rng_seed=int(rng_seed),
-        n_restarts=int(ff.get("n_restarts", 3)),
-    )
+    restarts = {"n_restarts": int(ff["n_restarts"])} if "n_restarts" in ff else {}
+    model, residual = fit_fbg(omega, refl, seed_model, rng_seed=int(rng_seed), **restarts)
     _validate(asdict(model), "fbg_model")
     save_fbg_model(model, args.out)
     _emit_meta({"subcommand": "fbg fit", "out": args.out, "residual": residual})

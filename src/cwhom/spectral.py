@@ -14,12 +14,12 @@ shapes the biphoton joint spectral amplitude.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass, asdict, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .units import C_M_PER_S, LAMBDA0_M, wavelength_pm_to_angular
 
@@ -231,14 +231,6 @@ class FbgModel:
             raise ValueError("width must lie in (0, 1]")
 
 
-def _sinhc(x: np.ndarray) -> np.ndarray:
-    """sinh(x)/x, complex-safe, with the x -> 0 limit handled."""
-    small = np.abs(x) < 1e-8
-    xs = np.where(small, 1.0, x)
-    out = np.sinh(xs) / xs
-    return np.where(small, 1.0 + x**2 / 6.0, out)
-
-
 def _kappa_profile(model: FbgModel) -> np.ndarray:
     n = model.n_sections
     z = (np.arange(n) + 0.5) * (model.length / n)
@@ -246,39 +238,37 @@ def _kappa_profile(model: FbgModel) -> np.ndarray:
     return model.peak_kappa * np.exp(-math.log(2.0) * np.abs(u) ** (2.0 * model.order))
 
 
-def fbg_response(model: FbgModel, grid: FrequencyGrid) -> SpectralAmplitude:
-    """Complex reflection amplitude r(W) of the grating on a grid.
+def _reflection(model: FbgModel, omega: np.ndarray) -> np.ndarray:
+    """Complex reflection amplitude r(omega) of the grating.
 
     Each section contributes the standard uniform-grating 2x2 transfer
-    matrix; sections are chained from the input facet. The result
-    satisfies |r|^2 + |t|^2 = 1 for this lossless model.
+    matrix; sections are chained from the input facet. With real coupling
+    and real detuning every section matrix, and so their product, has the
+    lossless form [[p, conj(q)], [q, conj(p)]], so the chain tracks only
+    its first column. The result satisfies |r|^2 + |t|^2 = 1.
     """
     kappa = _kappa_profile(model)
     dz = model.length / model.n_sections
     # Propagation detuning (1/m) from the angular-frequency offset.
-    delta = (grid.omega - model.detuning_offset) * FBG_EFFECTIVE_INDEX / C_M_PER_S
-    delta = delta.astype(complex)
+    delta = (omega - model.detuning_offset) * FBG_EFFECTIVE_INDEX / C_M_PER_S
+    delta2 = delta * delta
 
-    n_w = grid.n_points
-    t11 = np.ones(n_w, dtype=complex)
-    t12 = np.zeros(n_w, dtype=complex)
-    t21 = np.zeros(n_w, dtype=complex)
-    t22 = np.ones(n_w, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
+    t11 = np.ones(delta.shape, dtype=complex)
+    t21 = np.zeros(delta.shape, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in kappa:
-            gamma = np.sqrt(np.asarray(k**2 - delta**2, dtype=complex))
-            ch = np.cosh(gamma * dz)
-            shc = _sinhc(gamma * dz) * dz  # sinh(gamma dz) / gamma
-            f11 = ch - 1j * delta * shc
-            f12 = -1j * k * shc
-            f21 = 1j * k * shc
-            f22 = ch + 1j * delta * shc
-            t11, t12, t21, t22 = (
-                t11 * f11 + t12 * f21,
-                t11 * f12 + t12 * f22,
-                t21 * f11 + t22 * f21,
-                t21 * f12 + t22 * f22,
-            )
+            # gamma^2 = kappa^2 - delta^2: cosh/sinh inside the stopband,
+            # cos/sin outside, both with real arguments g dz.
+            gamma2 = k * k - delta2
+            g = np.sqrt(np.abs(gamma2))
+            x = g * dz
+            band = gamma2 > 0
+            ch = np.where(band, np.cosh(x), np.cos(x))
+            # sinh(gamma dz) / gamma, with its limit dz at gamma -> 0
+            shc = np.where(x < 1e-8, dz, np.where(band, np.sinh(x), np.sin(x)) / g)
+            p = ch - 1j * (delta * shc)
+            q = 1j * (k * shc)
+            t11, t21 = t11 * p + t21.conj() * q, t21 * p + t11.conj() * q
     if not np.all(np.isfinite(t11)):
         raise ValueError("invalid FBG model: transfer matrix overflow (kappa*L too large)")
     r = t21 / t11
@@ -286,9 +276,15 @@ def fbg_response(model: FbgModel, grid: FrequencyGrid) -> SpectralAmplitude:
     residual = np.max(np.abs(np.abs(r) ** 2 + np.abs(t) ** 2 - 1.0))
     if residual > 1e-9:
         raise ValueError(f"invalid FBG model: energy conservation violated ({residual:.2e})")
-    return SpectralAmplitude(grid=grid, amp=r)
+    return r
 
 
+def fbg_response(model: FbgModel, grid: FrequencyGrid) -> SpectralAmplitude:
+    """Complex reflection amplitude r(W) of the grating on a grid."""
+    return SpectralAmplitude(grid=grid, amp=_reflection(model, grid.omega))
+
+
+@functools.cache
 def fbg_reflectivity_fwhm(model: FbgModel) -> float:
     """FWHM of |r(W)|^2 in rad/s, by linear interpolation of the crossings."""
     # Generous span: grating bandwidth scales with kappa and 1/length.
@@ -331,11 +327,18 @@ def fit_fbg(
     """Fit (peak_kappa, order, width, detuning_offset) to a measured |r|^2.
 
     Length and section count are kept from the seed (they describe the
-    physical device, not the fit). Derivative-free simplex search with
-    `n_restarts` randomized starts around the seed; the best evaluated
-    point wins, ties broken by fewest iterations. Returns (model,
-    residual) with residual the sum of squared reflectance errors.
+    physical device, not the fit). The model is evaluated at the table's
+    own abscissae, and a trust-region least-squares solver minimizes the
+    vector of reflectance errors. |r|^2 is even about the detuning
+    offset, so the offset starts at the reflectance centroid
+    sum(omega r) / sum(r); the other parameters start at the seed's.
+    `n_restarts` extra starts are drawn at random around that point, and
+    the lowest residual wins. Returns (model, residual) with
+    residual the sum of squared reflectance errors; the unmodified seed
+    comes back when no start improves on it.
     """
+    from scipy.optimize import least_squares
+
     omega = np.asarray(omega, dtype=float)
     reflectance = np.asarray(reflectance, dtype=float)
     if omega.size < 20:
@@ -344,13 +347,13 @@ def fit_fbg(
         raise ValueError("fit inputs must be finite")
     if np.ptp(reflectance) == 0:
         raise ValueError("degenerate table: reflectance has no variation")
+    if not np.sum(reflectance) > 0:
+        raise ValueError("degenerate table: reflectance does not sum to a positive value")
     if np.any(np.diff(omega) <= 0):
         raise ValueError("fit abscissae must be strictly increasing")
     span = max(abs(omega[0]), abs(omega[-1]))
-    n_pts = max(257, 2 * omega.size + 1) | 1
-    grid = FrequencyGrid(n_points=n_pts, span=span)
-
     scale_off = max(abs(seed.detuning_offset), 0.05 * span)
+    centroid = float(np.sum(omega * reflectance) / np.sum(reflectance))
 
     def unpack(x) -> FbgModel:
         return replace(
@@ -358,36 +361,33 @@ def fit_fbg(
             peak_kappa=seed.peak_kappa * math.exp(x[0]),
             order=max(1.0, seed.order * math.exp(x[1])),
             width=min(1.0, seed.width * math.exp(x[2])),
-            detuning_offset=seed.detuning_offset + x[3] * scale_off,
+            detuning_offset=centroid + x[3] * scale_off,
         )
 
-    def residual(x) -> float:
+    def errors(model: FbgModel) -> np.ndarray:
         try:
-            model = unpack(x)
-            r2 = np.abs(fbg_response(model, grid).amp) ** 2
+            return np.abs(_reflection(model, omega)) ** 2 - reflectance
         except (ValueError, FloatingPointError):
-            return 1e12
-        fit = np.interp(omega, grid.omega, r2)
-        return float(np.sum((fit - reflectance) ** 2))
+            # a model the transfer matrix rejects scores worse than any valid one
+            return np.full(omega.size, 1e6)
 
-    x0 = np.zeros(4)
-    seed_res = residual(x0)
+    seed_res = float(np.sum(errors(seed) ** 2))
     if seed_res == 0.0:
         return seed, 0.0
 
     rng = np.random.default_rng(rng_seed)
-    best: tuple[float, int, FbgModel] | None = None
-    starts = [x0] + [0.1 * rng.standard_normal(4) for _ in range(n_restarts)]
+    starts = [np.zeros(4)] + [0.1 * rng.standard_normal(4) for _ in range(n_restarts)]
+    best_res, best = math.inf, seed
     for start in starts:
-        out = minimize(residual, start, method="Nelder-Mead",
-                       options={"xatol": 1e-6, "fatol": 1e-14, "maxiter": 4000})
-        cand = (float(out.fun), int(out.nit), unpack(out.x))
-        if best is None or cand[:2] < best[:2]:
-            best = cand
-    assert best is not None
-    if best[0] > seed_res:
+        # gtol off: the gradient test is absolute and would stop at residual
+        # ~1e-18, far above roundoff; the step and cost tests end the search
+        out = least_squares(lambda x: errors(unpack(x)), start, method="trf", gtol=None)
+        res = float(np.sum(out.fun**2))
+        if res < best_res:
+            best_res, best = res, unpack(out.x)
+    if best_res > seed_res:
         return seed, seed_res
-    return best[2], best[0]
+    return best, best_res
 
 
 def load_fbg_model(path) -> FbgModel:

@@ -9,6 +9,8 @@ from __future__ import annotations
 import json
 import os
 import runpy
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
@@ -184,6 +186,38 @@ def test_fbg_fit_recovers_calibrated_model(capsys, tmp_path):
     jsonschema.validate(doc, _schema("fbg_model"))
     assert doc["peak_kappa"] == pytest.approx(FILTER_SIGNAL_A.peak_kappa, rel=5e-3)
     assert doc["length"] == FILTER_SIGNAL_A.length
+
+
+def test_fbg_fit_passes_restarts_only_when_set(capsys, tmp_path, monkeypatch):
+    # fit_fbg alone holds the default restart count
+    import cwhom.cli
+
+    calls = []
+
+    def fake_fit(omega, refl, seed, **kwargs):
+        calls.append(kwargs)
+        return seed, 0.0
+
+    monkeypatch.setattr(cwhom.cli, "fit_fbg", fake_fit)
+    doc = json.loads(open(scenario_path("fbg_fit.json")).read())
+    doc["fbg_fit"]["table_csv"] = os.path.join(REPO, "data", "filter_signal_a.csv")
+    sc = tmp_path / "fit.json"
+    argv = ["fbg", "fit", "--scenario", str(sc), "--out", str(tmp_path / "m.json")]
+    sc.write_text(json.dumps(doc))
+    assert run(capsys, argv)[0] == 0
+    del doc["fbg_fit"]["n_restarts"]
+    sc.write_text(json.dumps(doc))
+    assert run(capsys, argv)[0] == 0
+    assert calls == [{"rng_seed": 0, "n_restarts": 2}, {"rng_seed": 0}]
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize serves only fit_fbg, which imports it when called
+    script = "import sys, cwhom.cli; print([m for m in sys.modules if m.startswith('scipy.optimize')])"
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_tags_simulate_count_roundtrip(capsys, tmp_path):

@@ -1,24 +1,31 @@
 """Spectral-domain tests: grids, filters, grating transfer matrices, fitting.
 
-The grating model is checked two independent ways: a closed form for the
-on-resonance reflectance (section matrices commute at zero detuning) and
-a scipy ODE integration of the coupled-mode equations with the continuous
-apodization profile.
+The grating model is checked three independent ways: a closed form for the
+on-resonance reflectance (section matrices commute at zero detuning), a
+scipy ODE integration of the coupled-mode equations with the continuous
+apodization profile, and the full four-element complex transfer-matrix
+chain that the package's two-element lossless chain reduces.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from cwhom.presets import FILTER_SIGNAL_A, REFERENCE_FILTERS
 from cwhom.spectral import (
     FBG_EFFECTIVE_INDEX,
     FbgModel,
     FrequencyGrid,
+    _reflection,
     fbg_reflectivity_fwhm,
     fbg_response,
     fit_fbg,
@@ -33,6 +40,8 @@ from cwhom.spectral import (
 from cwhom.units import C_M_PER_S, wavelength_pm_to_angular
 
 RNG_SEED = 20240917
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # Compact grating used where the exact published geometry is not needed.
 TEST_MODEL = FbgModel(length=0.02, n_sections=64, peak_kappa=120.0, order=2.0, width=0.8)
@@ -299,6 +308,83 @@ def test_reflectance_even_without_offset():
     assert np.allclose(r, r[::-1], rtol=1e-10, atol=1e-12)
 
 
+def _sinhc(x: np.ndarray) -> np.ndarray:
+    """sinh(x)/x, complex-safe, with the x -> 0 limit handled."""
+    small = np.abs(x) < 1e-8
+    xs = np.where(small, 1.0, x)
+    out = np.sinh(xs) / xs
+    return np.where(small, 1.0 + x**2 / 6.0, out)
+
+
+def four_array_reflection(model: FbgModel, omega: np.ndarray) -> np.ndarray:
+    """Reference chain: full complex 2x2 products with complex gamma."""
+    dz = model.length / model.n_sections
+    kappa = kappa_of_z(model, (np.arange(model.n_sections) + 0.5) * dz)
+    delta = ((omega - model.detuning_offset) * FBG_EFFECTIVE_INDEX / C_M_PER_S).astype(complex)
+    t11 = np.ones(omega.size, dtype=complex)
+    t12 = np.zeros(omega.size, dtype=complex)
+    t21 = np.zeros(omega.size, dtype=complex)
+    t22 = np.ones(omega.size, dtype=complex)
+    for k in kappa:
+        gamma = np.sqrt(k**2 - delta**2)
+        ch = np.cosh(gamma * dz)
+        shc = _sinhc(gamma * dz) * dz
+        f11 = ch - 1j * delta * shc
+        f12 = -1j * k * shc
+        f21 = 1j * k * shc
+        f22 = ch + 1j * delta * shc
+        t11, t12, t21, t22 = (
+            t11 * f11 + t12 * f21,
+            t11 * f12 + t12 * f22,
+            t21 * f11 + t22 * f21,
+            t21 * f12 + t22 * f22,
+        )
+    return t21 / t11
+
+
+@pytest.mark.parametrize(
+    "model", [*REFERENCE_FILTERS.values(), TEST_MODEL], ids=[*REFERENCE_FILTERS, "test_model"]
+)
+def test_two_array_chain_matches_four_array_chain(model):
+    # Detunings from 4 peak couplings down to exactly zero: the stopband
+    # (every section has kappa > |delta|), the band edge (kappa^2 - delta^2
+    # changes sign along the apodized profile), and the sidelobes.
+    kappa = kappa_of_z(model, (np.arange(model.n_sections) + 0.5) * model.length / model.n_sections)
+    delta = model.peak_kappa * np.concatenate([np.linspace(-4.0, 4.0, 400), [0.0]])
+    omega = model.detuning_offset + delta * C_M_PER_S / FBG_EFFECTIVE_INDEX
+    omega[-1] = model.detuning_offset
+    stop = np.abs(delta) < kappa.min()
+    edge = (np.abs(delta) > kappa.min()) & (np.abs(delta) < kappa.max())
+    side = np.abs(delta) > kappa.max()
+    assert stop.sum() > 10 and edge.sum() > 10 and side.sum() > 100
+    r = _reflection(model, omega)
+    ref = four_array_reflection(model, omega)
+    assert np.max(np.abs(r - ref)) < 1e-13
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    peak_kappa=st.floats(0.0, 200.0),
+    order=st.floats(1.0, 8.0),
+    width=st.floats(0.05, 1.0),
+    offset_steps=st.integers(-40, 40),
+)
+def test_reflectance_bounded_and_even_about_offset(peak_kappa, order, width, offset_steps):
+    grid = FrequencyGrid(n_points=257, span=3e11)
+    model = FbgModel(
+        length=0.02, n_sections=32, peak_kappa=peak_kappa, order=order, width=width,
+        detuning_offset=offset_steps * grid.step,
+    )
+    r = np.abs(fbg_response(model, grid).amp)
+    assert np.all(r <= 1.0 + 1e-12)
+    # samples at offset +- k steps, k up to the nearer grid edge
+    centre = grid.n_points // 2 + offset_steps
+    reach = min(centre, grid.n_points - 1 - centre)
+    up = r[centre : centre + reach + 1]
+    down = r[centre - reach : centre + 1][::-1]
+    assert np.allclose(up, down, rtol=1e-10, atol=1e-12)
+
+
 def test_energy_conservation_is_enforced():
     g = FrequencyGrid(n_points=257, span=4e11)
     amp = fbg_response(TEST_MODEL, g).amp
@@ -311,6 +397,15 @@ def test_transfer_matrix_overflow_raises():
     g = FrequencyGrid(n_points=17, span=1e11)
     with pytest.raises(ValueError, match="overflow"):
         fbg_response(model, g)
+
+
+def test_reflectivity_fwhm_is_memoised():
+    model = replace(TEST_MODEL, peak_kappa=97.0)
+    first = fbg_reflectivity_fwhm(model)
+    hits = fbg_reflectivity_fwhm.cache_info().hits
+    assert fbg_reflectivity_fwhm(replace(model)) == first
+    assert fbg_reflectivity_fwhm.cache_info().hits == hits + 1
+    assert fbg_reflectivity_fwhm.__wrapped__(model) == first
 
 
 def test_reflectivity_fwhm_scale():
@@ -348,8 +443,8 @@ def dense_table(model: FbgModel, n: int = 161, span_factor: float = 2.5):
 
 def test_fit_returns_seed_when_seed_is_exact():
     truth = FbgModel(length=0.02, n_sections=32, peak_kappa=100.0, order=2.0, width=0.8)
-    # Sample the table on nodes of the fit's own evaluation grid so the
-    # seed reproduces the data with zero residual.
+    # The fit evaluates the model at the table's own abscissae, so a table
+    # sampled from the seed itself is reproduced with zero residual.
     span = 2.5 * fbg_reflectivity_fwhm(truth)
     g = FrequencyGrid(n_points=257, span=span)
     r2 = np.abs(fbg_response(truth, g).amp) ** 2
@@ -371,6 +466,19 @@ def test_fit_recovers_perturbed_coupling():
     assert res < 1e-3
 
 
+def test_fit_recovers_bundled_table_from_bundled_seed():
+    # One least-squares start from the fbg fit scenario's seed (kappa 28%
+    # low, no offset hint) lands on the calibrated grating to roundoff.
+    with open(os.path.join(REPO, "scenarios", "fbg_fit.json")) as fh:
+        seed = FbgModel(**json.load(fh)["fbg_fit"]["seed"])
+    om, r2, _ = load_filter_table(os.path.join(REPO, "data", "filter_signal_a.csv"))
+    model, res = fit_fbg(om, r2, seed, rng_seed=0, n_restarts=0)
+    assert model.peak_kappa == pytest.approx(FILTER_SIGNAL_A.peak_kappa, rel=1e-8)
+    assert model.order == pytest.approx(FILTER_SIGNAL_A.order, rel=1e-8)
+    assert model.width == pytest.approx(FILTER_SIGNAL_A.width, rel=1e-8)
+    assert res < 1e-18
+
+
 def test_fit_validation():
     seed = FbgModel(length=0.02, n_sections=32, peak_kappa=100.0, order=2.0, width=0.8)
     om = np.linspace(-1e11, 1e11, 30)
@@ -381,6 +489,8 @@ def test_fit_validation():
         fit_fbg(om[::-1], r2, seed)
     with pytest.raises(ValueError, match="degenerate"):
         fit_fbg(om, np.full(30, 0.4), seed)
+    with pytest.raises(ValueError, match="positive"):
+        fit_fbg(om, -r2, seed)
     bad = r2.copy()
     bad[3] = np.inf
     with pytest.raises(ValueError, match="finite"):
