@@ -14,9 +14,10 @@ integral itself.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,7 +39,11 @@ class TagStream:
     """Sorted four-channel detection record.
 
     channels and times_fs are parallel arrays; times are integer
-    femtoseconds, sorted ascending, within [0, duration].
+    femtoseconds, sorted ascending, within [0, duration].  Labels and
+    times are checked as given (integer-valued, labels 1 to 4) before
+    they are stored as uint8 and int64, so no value wraps or truncates.
+    The stored arrays are read-only views, which may share memory with
+    the arrays passed in; those must not be written to afterwards.
     """
 
     channels: np.ndarray
@@ -46,28 +51,60 @@ class TagStream:
     duration: float
 
     def __post_init__(self) -> None:
-        ch = np.asarray(self.channels, dtype=np.uint8)
-        t = np.asarray(self.times_fs, dtype=np.int64)
+        ch = np.asarray(self.channels)
+        t = np.asarray(self.times_fs)
         if ch.shape != t.shape or ch.ndim != 1:
             raise ValueError("channels and times_fs must be parallel 1-d arrays")
-        if not np.isin(ch, CHANNELS).all():
+        if not _integral(ch) or (ch.size and (ch.min() < 1 or ch.max() > 4)):
             raise ValueError("channel labels must be in {1, 2, 3, 4}")
+        if not _integral(t):
+            raise ValueError("timestamps must be integer femtoseconds")
         if self.duration <= 0:
             raise ValueError("duration must be positive")
-        if t.size and np.any(np.diff(t) < 0):
+        if t.size and np.any(t[1:] < t[:-1]):
             raise ValueError("timestamps must be sorted ascending")
         if t.size and (t[0] < 0 or t[-1] > round(self.duration / FS)):
             raise ValueError("timestamps must lie within [0, duration]")
-        object.__setattr__(self, "channels", ch)
-        object.__setattr__(self, "times_fs", t)
+        object.__setattr__(self, "channels", _read_only(ch.astype(np.uint8, copy=False)))
+        object.__setattr__(self, "times_fs", _read_only(t.astype(np.int64, copy=False)))
+
+    @functools.cached_property
+    def _by_channel(self) -> tuple[np.ndarray, ...]:
+        # split once per stream: every count reads these four arrays
+        return tuple(_read_only(self.times_fs[self.channels == c]) for c in CHANNELS)
 
     def channel_times(self, channel: int) -> np.ndarray:
-        """Sorted int64 femtosecond timestamps of one channel."""
-        return self.times_fs[self.channels == channel]
+        """Sorted int64 femtosecond timestamps of one channel, read-only."""
+        if channel not in CHANNELS:
+            raise ValueError("channel must be 1, 2, 3 or 4")
+        return self._by_channel[channel - 1]
 
     @property
     def n_events(self) -> int:
         return int(self.times_fs.size)
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    view = values.view()
+    view.flags.writeable = False
+    return view
+
+
+def _integral(values: np.ndarray) -> bool:
+    """True for an integer array, or a float one holding only whole numbers."""
+    if values.dtype.kind in "iu":
+        return True
+    if values.dtype.kind != "f":
+        return False
+    return bool(np.all(np.isfinite(values) & (values == np.trunc(values))))
+
+
+def _tag_ordered(channels: np.ndarray, times: np.ndarray) -> bool:
+    """True when the events are in (time, channel) order, checked in O(n)."""
+    if np.any(times[1:] < times[:-1]):
+        return False
+    tie = np.flatnonzero(times[1:] == times[:-1])
+    return not np.any(channels[tie + 1] < channels[tie])
 
 
 @dataclass(frozen=True)
@@ -272,8 +309,15 @@ def simulate_streams(scenario: SimScenario) -> TagStream:
 
 
 def _window_hits(tags: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """True where at least one tag lies in the inclusive window [lo, hi]."""
-    return np.searchsorted(tags, lo, side="left") < np.searchsorted(tags, hi, side="right")
+    """True where at least one tag lies in the inclusive window [lo, hi].
+
+    One binary search per window: the first tag at or after lo hits when
+    it exists and lies at or before hi.
+    """
+    if tags.size == 0:
+        return np.zeros(lo.shape, dtype=bool)
+    i = np.searchsorted(tags, lo, side="left")
+    return (i < tags.size) & (tags.take(i, mode="clip") <= hi)
 
 
 def count_fourfolds(stream: TagStream, cfg: CoincidenceConfig, tau: float) -> int:
@@ -284,21 +328,26 @@ def count_fourfolds(stream: TagStream, cfg: CoincidenceConfig, tau: float) -> in
     and at least one channel-4 tag within [t1 + tau - tau_14/2,
     t1 + tau + tau_14/2]; each trigger contributes at most one count.
     """
-    return _count_triggers([stream.channel_times(c) for c in CHANNELS], cfg, tau)
+    return _count_triggers(stream._by_channel, cfg, tau)
 
 
-def _count_triggers(times: list[np.ndarray], cfg: CoincidenceConfig, tau: float) -> int:
-    """Fourfolds over the sorted femtosecond tags of channels 1 to 4."""
+def _count_triggers(times: Sequence[np.ndarray], cfg: CoincidenceConfig, tau: float) -> int:
+    """Fourfolds over the sorted femtosecond tags of channels 1 to 4.
+
+    The herald window tau_14 is the narrowest, so it is tested first: only
+    the channel-1 triggers with a channel-4 tag in [t1 + tau - tau_14/2,
+    t1 + tau + tau_14/2] go on to the channel-2 and channel-3 tests.  A
+    shifted channel 2 or 3 leaves that first test unchanged.
+    """
     t1, t2, t3, t4 = times
-    if t1.size == 0:
-        return 0
     h23 = round(cfg.tau_23 / 2.0 / FS)
     h14 = round(cfg.tau_14 / 2.0 / FS)
     off = round(tau / FS)
-    ok = _window_hits(t2, t1 - h23, t1 + h23)
-    ok &= _window_hits(t3, t1 - h23, t1 + h23)
-    ok &= _window_hits(t4, t1 + off - h14, t1 + off + h14)
-    return int(np.count_nonzero(ok))
+    lo = t1 + (off - h14)
+    t1 = t1[_window_hits(t4, lo, lo + 2 * h14)]
+    lo = t1 - h23
+    hi = t1 + h23
+    return int(np.count_nonzero(_window_hits(t2, lo, hi) & _window_hits(t3, lo, hi)))
 
 
 def shifted_accidentals(
@@ -318,7 +367,7 @@ def shifted_accidentals(
         raise ValueError("shift_channel must be 2 or 3")
     if delta < 10.0 * cfg.tau_23:
         raise ValueError("delta must be at least 10 times tau_23")
-    times = [stream.channel_times(c) for c in CHANNELS]
+    times = list(stream._by_channel)
     times[shift_channel - 1] = times[shift_channel - 1] + round(delta / FS)
     return _count_triggers(times, cfg, tau)
 
@@ -385,20 +434,30 @@ def accidental_params_from(
 
 
 def save_tags_csv(stream: TagStream, path: str) -> None:
-    """Write `channel,timestamp_fs` rows, sorted by timestamp."""
+    """Write `channel,timestamp_fs` rows in (timestamp, channel) order."""
+    ch, t = stream.channels, stream.times_fs
+    if not _tag_ordered(ch, t):
+        # the stream is time-sorted; only ties can be out of channel order
+        order = np.lexsort((ch, t))
+        ch, t = ch[order], t[order]
     with open(path, "w", encoding="ascii") as fh:
         fh.write("channel,timestamp_fs\n")
         # Python ints from .tolist() format fast; a list per chunk of events,
         # not per stream, keeps the memory bounded
         chunk = 1 << 16
-        for lo in range(0, stream.n_events, chunk):
-            ch = stream.channels[lo : lo + chunk].tolist()
-            t = stream.times_fs[lo : lo + chunk].tolist()
-            fh.writelines(f"{c},{x}\n" for c, x in zip(ch, t))
+        for lo in range(0, t.size, chunk):
+            rows = zip(ch[lo : lo + chunk].tolist(), t[lo : lo + chunk].tolist())
+            fh.writelines(f"{c},{x}\n" for c, x in rows)
 
 
 def load_tags_csv(path: str, duration: float | None = None) -> TagStream:
-    """Read a `channel,timestamp_fs` file back into a TagStream."""
+    """Read a `channel,timestamp_fs` file back into a TagStream.
+
+    Rows come back in (timestamp, channel) order.  A file already in that
+    order, as `save_tags_csv` writes it, passes an O(n) check and is not
+    re-sorted; any other order is sorted by `np.lexsort`.  Labels and
+    timestamps are validated as read, before they are narrowed.
+    """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
     if header != "channel,timestamp_fs":
@@ -411,12 +470,12 @@ def load_tags_csv(path: str, duration: float | None = None) -> TagStream:
             path, delimiter=",", dtype=np.int64, ndmin=2, skiprows=1, encoding="ascii"
         )
     if rows.size == 0:
-        ch = np.zeros(0, dtype=np.uint8)
-        t = np.zeros(0, dtype=np.int64)
-    else:
-        ch = rows[:, 0].astype(np.uint8)
-        t = rows[:, 1]
-    order = np.lexsort((ch, t))
+        rows = np.zeros((0, 2), dtype=np.int64)
+    ch = rows[:, 0]
+    t = np.ascontiguousarray(rows[:, 1])
+    if not _tag_ordered(ch, t):
+        order = np.lexsort((ch, t))
+        ch, t = ch[order], t[order]
     if duration is None:
-        duration = float(t[order][-1] * FS) if t.size else FS
-    return TagStream(channels=ch[order], times_fs=t[order], duration=duration)
+        duration = float(t[-1] * FS) if t.size else FS
+    return TagStream(channels=ch, times_fs=t, duration=duration)

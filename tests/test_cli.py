@@ -271,6 +271,23 @@ def test_tags_count_empty_stream(capsys, tmp_path):
     assert doc == {"raw": 0, "shifted_2": 0, "shifted_3": 0, "corrected": 0}
 
 
+@pytest.mark.parametrize("row", ["257,5", "-252,7", "1,1.9"])
+def test_tags_count_rejects_bad_rows(capsys, tmp_path, row):
+    # a label that uint8 would wrap, or a fractional timestamp, is a
+    # validation error, not a silently different channel or time
+    (tmp_path / "bad.csv").write_text(f"channel,timestamp_fs\n1,3\n{row}\n")
+    sc = tmp_path / "count.json"
+    sc.write_text(json.dumps({
+        "windows": {"tau_14_ps": 100.0, "tau_23_ps": 2000.0},
+        "count": {"tag_csv": "bad.csv", "tau_ps": 0.0, "duration_ps": 1.0},
+    }))
+    out = tmp_path / "counts.json"
+    code, _, stderr = run(capsys, ["tags", "count", "--scenario", str(sc), "--out", str(out)])
+    assert code == 2
+    assert json.loads(stderr)["error"] == "validation"
+    assert not out.exists()
+
+
 def test_exit_code_3_when_grid_too_coarse(capsys, tmp_path):
     sc = tmp_path / "coarse.json"
     sc.write_text(json.dumps({

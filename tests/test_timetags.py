@@ -7,6 +7,8 @@ closed-form accidental model on a fixed seed.
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import math
 import warnings
 
@@ -168,6 +170,64 @@ def test_tag_stream_validation():
         TagStream(channels=np.array([1]), times_fs=np.array([100]), duration=0.0)
     with pytest.raises(ValueError, match="parallel"):
         TagStream(channels=np.array([1, 2]), times_fs=np.array([100]), duration=1e-9)
+    # labels and times are checked as given: 257 must not wrap to channel 1,
+    # -252 to channel 4, nor 1.9 fs truncate to 1 fs
+    t = np.array([100, 200])
+    for labels in (np.array([257, 2]), np.array([-252, 2]), np.array([1.0, 2.5])):
+        with pytest.raises(ValueError, match="channel"):
+            TagStream(channels=labels, times_fs=t, duration=1e-9)
+    for times in (np.array([1.9, 5.0]), np.array([np.nan, 5.0])):
+        with pytest.raises(ValueError, match="integer"):
+            TagStream(channels=np.array([1, 2]), times_fs=times, duration=1e-9)
+    # whole-number floats are exact and stay accepted
+    stream = TagStream(channels=np.array([1.0, 4.0]), times_fs=np.array([100.0, 200.0]), duration=1e-9)
+    assert stream.channels.dtype == np.uint8 and stream.times_fs.dtype == np.int64
+    assert stream.channels.tolist() == [1, 4] and stream.times_fs.tolist() == [100, 200]
+
+
+def test_channel_times_are_split_once_and_read_only():
+    stream = four_tag_stream()
+    for c in (1, 2, 3, 4):
+        first = stream.channel_times(c)
+        assert stream.channel_times(c) is first
+        assert first.tolist() == stream.times_fs[stream.channels == c].tolist()
+        with pytest.raises(ValueError, match="read-only"):
+            first[0] = 0
+    with pytest.raises(ValueError, match="channel"):
+        stream.channel_times(5)
+    # the split cannot go stale through a write to the stream's own arrays
+    with pytest.raises(ValueError, match="read-only"):
+        stream.times_fs[0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        stream.channels[0] = 4
+
+
+def test_count_order_does_not_change_the_counts():
+    sc = dataclasses.replace(mc_scenario(), duration=2e-3)
+    cfg = CoincidenceConfig(tau_14=TAU_W, tau_23=TAU_W)
+    calls = {
+        "raw": lambda s: count_fourfolds(s, cfg, 0.0),
+        "s2": lambda s: shifted_accidentals(s, cfg, 20 * TAU_W, 2),
+        "s3": lambda s: shifted_accidentals(s, cfg, 20 * TAU_W, 3),
+    }
+    # each count on a stream of its own is the reference
+    want = {name: call(simulate_streams(sc)) for name, call in calls.items()}
+    assert want["raw"] > 0
+    for order in itertools.permutations(calls):
+        stream = simulate_streams(sc)
+        assert {name: calls[name](stream) for name in order} == want
+
+
+@pytest.mark.parametrize("missing", [1, 2, 3, 4])
+def test_empty_channel_counts_zero(missing):
+    stream = four_tag_stream()
+    keep = stream.channels != missing
+    stream = TagStream(channels=stream.channels[keep], times_fs=stream.times_fs[keep],
+                       duration=stream.duration)
+    cfg = CoincidenceConfig(tau_14=40e-12, tau_23=100e-12)
+    assert count_fourfolds(stream, cfg, 0.0) == 0
+    assert shifted_accidentals(stream, cfg, 1e-9, 2) == 0
+    assert shifted_accidentals(stream, cfg, 1e-9, 3) == 0
 
 
 def test_shifted_accidentals_validation():
@@ -399,6 +459,45 @@ def test_tags_csv_saved_stream_loads_back_identically(tmp_path):
     assert np.array_equal(back.times_fs, stream.times_fs)
     assert np.array_equal(back.channels, stream.channels)
     assert back.duration == 999_999_999_999 * 1e-15
+
+
+def test_tags_csv_unsorted_rows_load_sorted(tmp_path):
+    # shuffled rows, and equal timestamps listing channels in descending
+    # order, both take the lexsort path and load as the sorted stream
+    sc = SimScenario(pair_rate_a=5e5, pair_rate_b=5e5,
+                     internal_delay_density=gaussian_density(),
+                     noise_rates=(1e5,) * 4, duration=1e-4, rng_seed=13)
+    stream = simulate_streams(sc)
+    rows = list(zip(stream.channels.tolist(), stream.times_fs.tolist()))
+    rng = np.random.default_rng(0)
+    shuffled = [rows[i] for i in rng.permutation(len(rows))]
+    ties = [(c, 7) for c in (4, 3, 2, 1)] + [(2, 9), (1, 9)]
+    tie_stream = TagStream(channels=np.array([1, 2, 3, 4, 1, 2]),
+                           times_fs=np.array([7, 7, 7, 7, 9, 9]), duration=1e-12)
+    for name, body, want in (("shuffled", shuffled, stream), ("ties", ties, tie_stream)):
+        path = tmp_path / f"{name}.csv"
+        path.write_text("channel,timestamp_fs\n" + "".join(f"{c},{t}\n" for c, t in body))
+        back = load_tags_csv(path, duration=want.duration)
+        assert back.channels.dtype == np.uint8 and back.times_fs.dtype == np.int64
+        assert np.array_equal(back.channels, want.channels)
+        assert np.array_equal(back.times_fs, want.times_fs)
+
+
+def test_tags_csv_saves_ties_in_channel_order(tmp_path):
+    stream = TagStream(channels=np.array([4, 2, 1, 3]), times_fs=np.array([5, 5, 8, 8]),
+                       duration=1e-12)
+    path = tmp_path / "ties.csv"
+    save_tags_csv(stream, path)
+    assert path.read_text() == "channel,timestamp_fs\n2,5\n4,5\n1,8\n3,8\n"
+
+
+@pytest.mark.parametrize("row, message", [("257,5", "channel"), ("-252,7", "channel"),
+                                          ("0,5", "channel"), ("1,1.9", "1.9")])
+def test_tags_csv_rejects_rows_that_would_narrow(tmp_path, row, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"channel,timestamp_fs\n1,3\n{row}\n")
+    with pytest.raises(ValueError, match=message):
+        load_tags_csv(path, duration=1e-12)
 
 
 # ---------------------------------------------------------------------------
