@@ -176,6 +176,7 @@ def coherence_function(
     weighted by both detection kernels; evaluated over index lags. The
     FWHM is interpolated linearly; if the delay span fails to bracket
     the half maximum on both sides this raises instead of extrapolating.
+    A non-finite or significantly negative density raises NumericalError.
     """
     delays = np.asarray(delays, dtype=float)
     if delays.ndim != 1 or delays.size < 5:
@@ -193,6 +194,8 @@ def coherence_function(
     r = np.correlate(jsa.j_amp, jsa.j_amp, mode="full")  # R(d) at index d+n-1
     k = jitter_kernel(jit_s, x) * jitter_kernel(jit_i, x)
     g = _lag_sum_over_delays(r * k, x, delays) * grid.step**2
+    if not np.all(np.isfinite(g)):
+        raise NumericalError("coherence density is not finite")
     floor = -1e-9 * float(np.max(np.abs(g)))
     if float(np.min(g)) < floor:
         raise NumericalError("coherence density has a significant negative part")
@@ -216,9 +219,12 @@ def jsa_coherence_fwhm(jsa: JointSpectralAmplitude) -> float:
     half_span = 3.0 * 2.0 * math.pi / w_supp
     for _ in range(40):
         delays = np.linspace(-half_span, half_span, 8193)
+        # the scan's ValueErrors are an unbracketed half maximum, which a
+        # wider span mends, and a density with no positive peak; a
+        # non-finite or negative density raises NumericalError at once
         try:
             return coherence_function(jsa, 0.0, 0.0, delays).t_c_fwhm
-        except ValueError:  # the only refusal of this scan: half maximum not bracketed
+        except ValueError:
             half_span *= 2.0
     raise ValueError("coherence FWHM did not converge; JSA support degenerate?")
 

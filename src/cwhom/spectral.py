@@ -300,9 +300,14 @@ def fwhm_from_samples(x: np.ndarray, y: np.ndarray) -> float:
 
     Linear interpolation between the bracketing samples; on each side
     the first half-maximum crossing walking outward from the peak wins.
-    Raises if either crossing is not bracketed by the sampled range.
+    Raises ValueError for a non-finite sample, a peak that is not
+    positive, or a crossing not bracketed by the sampled range.
     """
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("samples must be finite")
     i0 = int(np.argmax(y))
+    if not y[i0] > 0:
+        raise ValueError("peak must be positive")
     half = y[i0] / 2.0
     if y[0] >= half or y[-1] >= half:
         raise ValueError("half-maximum crossings not bracketed by the sampled range")

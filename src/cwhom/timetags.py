@@ -433,21 +433,68 @@ def accidental_params_from(
     )
 
 
+# "00" to "99" as two-byte codes: one lookup writes two decimal digits
+_DIGIT_PAIRS = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), dtype=np.uint16)
+# 10**1 to 10**18: a timestamp t >= 0 has 1 + (the number of these <= t) digits
+_POWERS_OF_TEN = np.array([10**k for k in range(1, 19)], dtype=np.int64)
+# rows formatted per block: small enough that the scratch arrays stay in cache
+_CSV_CHUNK = 1 << 14
+
+
+def _digit_counts(times: np.ndarray) -> np.ndarray:
+    return 1 + np.searchsorted(_POWERS_OF_TEN, times, side="right")
+
+
+def _csv_rows(channels: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """ASCII bytes of the rows `channel,timestamp\\n`, as one uint8 array.
+
+    Every row is first laid out at the width of the longest timestamp,
+    its digits written two at a time from a lookup table; rows with
+    fewer digits then lose their leading zeros through a boolean mask,
+    which a block of equal digit counts does without.
+    """
+    short, width = _digit_counts(np.array([times.min(), times.max()]))
+    n_pairs = (width + 1) // 2
+    pairs = np.empty((times.size, n_pairs), dtype=np.uint16)
+    rest = times
+    for k in range(n_pairs - 1, -1, -1):
+        # divmod by 100, with the remainder by subtraction: faster than np.divmod
+        quot = rest // 100
+        pairs[:, k] = _DIGIT_PAIRS[rest - 100 * quot]
+        rest = quot
+    block = np.empty((times.size, width + 3), dtype=np.uint8)
+    # an odd digit count puts the pairs' leading zero on the comma's column,
+    # which is written after them
+    block[:, width + 2 - 2 * n_pairs : width + 2] = pairs.view(np.uint8)
+    # labels are 1 to 4 (TagStream checks), so one ASCII digit each
+    np.add(channels, ord("0"), out=block[:, 0])
+    block[:, 1] = ord(",")
+    block[:, -1] = ord("\n")
+    if short == width:
+        return block
+    cols = np.arange(width + 3)
+    return block[(cols < 2) | (cols >= 2 + width - _digit_counts(times)[:, None])]
+
+
 def save_tags_csv(stream: TagStream, path: str) -> None:
-    """Write `channel,timestamp_fs` rows in (timestamp, channel) order."""
+    """Write the stream as an ASCII CSV file.
+
+    The bytes are the header line `channel,timestamp_fs\\n`, then one row
+    `<channel>,<timestamp_fs>\\n` per event in (timestamp, channel) order:
+    decimal integers without sign, padding or leading zeros, `\\n` line
+    ends and no trailing blank line.  An empty stream writes the header
+    alone.
+    """
     ch, t = stream.channels, stream.times_fs
     if not _tag_ordered(ch, t):
         # the stream is time-sorted; only ties can be out of channel order
         order = np.lexsort((ch, t))
         ch, t = ch[order], t[order]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("channel,timestamp_fs\n")
-        # Python ints from .tolist() format fast; a list per chunk of events,
-        # not per stream, keeps the memory bounded
-        chunk = 1 << 16
-        for lo in range(0, t.size, chunk):
-            rows = zip(ch[lo : lo + chunk].tolist(), t[lo : lo + chunk].tolist())
-            fh.writelines(f"{c},{x}\n" for c, x in rows)
+    with open(path, "wb") as fh:
+        fh.write(b"channel,timestamp_fs\n")
+        for lo in range(0, t.size, _CSV_CHUNK):
+            hi = lo + _CSV_CHUNK
+            fh.write(_csv_rows(ch[lo:hi], t[lo:hi]).tobytes())
 
 
 def load_tags_csv(path: str, duration: float | None = None) -> TagStream:

@@ -19,6 +19,7 @@ from cwhom.interference import (
     FourfoldEngine,
     GridResolutionError,
     InterferenceSetup,
+    NumericalError,
     _identical_source_setup,
     _lag_frequencies,
     _lag_sum_over_delays,
@@ -384,6 +385,25 @@ def test_coherence_function_parity_and_width():
     # Jitter broadens the measured arrival-delay density.
     blurred = coherence_function(jsa, 40e-12, 40e-12, delays)
     assert blurred.t_c_fwhm > curve.t_c_fwhm
+
+
+def test_non_finite_coherence_density_raises_at_the_first_scan(monkeypatch):
+    import cwhom.interference
+
+    t_c = 165 * PS
+    grid = FrequencyGrid(n_points=257, span=8.0 * filter_width("rect", t_c))
+    # finite amplitudes whose products overflow: the lag sum comes out inf/nan
+    j = 1e200 * analytic_jsa(grid, "rect", t_c).j_amp
+    scans = []
+
+    def counting_scan(*args):
+        scans.append(args)
+        return coherence_function(*args)
+
+    monkeypatch.setattr(cwhom.interference, "coherence_function", counting_scan)
+    with pytest.raises(NumericalError, match="not finite"):
+        jsa_coherence_fwhm(JointSpectralAmplitude(grid=grid, j_amp=j))
+    assert len(scans) == 1
 
 
 def test_coherence_function_validation():

@@ -16,7 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
@@ -415,10 +415,15 @@ def test_reflectivity_fwhm_scale():
     assert fbg_reflectivity_fwhm(strong) > fbg_reflectivity_fwhm(weak)
 
 
-def test_fwhm_from_samples_triangle_exact():
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(a=st.floats(0.2, 1.9), apex=st.integers(40, 80), height=st.floats(1e-200, 1e200))
+@example(a=1.7, apex=60, height=1.0)
+def test_fwhm_from_samples_triangle_exact(a, apex, height):
+    # the apex is a sample, so it is the sampled peak; the half-maximum
+    # crossings sit a / 2 from it, at least two samples from any kink,
+    # so linear interpolation is exact
     x = np.linspace(-3.0, 3.0, 121)
-    a = 1.7
-    y = np.clip(1.0 - np.abs(x) / a, 0.0, None)
+    y = height * np.clip(1.0 - np.abs(x - x[apex]) / a, 0.0, None)
     assert fwhm_from_samples(x, y) == pytest.approx(a, rel=1e-12)
 
 
@@ -426,6 +431,44 @@ def test_fwhm_from_samples_unbracketed_raises():
     x = np.linspace(-0.5, 0.5, 41)
     y = np.exp(-(x**2))  # edges stay above half max
     with pytest.raises(ValueError, match="not bracketed"):
+        fwhm_from_samples(x, y)
+
+
+@pytest.mark.parametrize("y, message", [
+    ([0.0, 1.0, np.nan, 1.0, 0.0], "finite"),
+    ([0.0, 1.0, np.inf, 1.0, 0.0], "finite"),
+    ([-3.0, -2.0, -1.0, -2.0, -3.0], "positive"),
+    ([-1.0, 0.0, -1.0, -2.0, -3.0], "positive"),
+    ([0.0, 0.0, 0.0, 0.0, 0.0], "positive"),
+])
+def test_fwhm_from_samples_rejects_bad_samples(y, message):
+    with pytest.raises(ValueError, match=message):
+        fwhm_from_samples(np.arange(5.0), np.array(y))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(y=st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=30), step=st.floats(1e-15, 1e3),
+       data=st.data())
+def test_fwhm_from_samples_returns_a_width_or_raises(y, step, data):
+    # any finite samples: a width within the sampled span, or a ValueError
+    # that names the reason; a non-finite sample anywhere is refused
+    x = step * np.arange(len(y))
+    y = np.array(y)
+    peak = y.max()
+    if not peak > 0:
+        with pytest.raises(ValueError, match="positive"):
+            fwhm_from_samples(x, y)
+    elif max(y[0], y[-1]) >= peak / 2:
+        with pytest.raises(ValueError, match="not bracketed"):
+            fwhm_from_samples(x, y)
+    else:
+        width = fwhm_from_samples(x, y)
+        assert 0.0 <= width <= x[-1] - x[0]
+        assert fwhm_from_samples(x, 3.0 * y) == pytest.approx(width, rel=1e-9, abs=1e-9 * step)
+    bad = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    target = data.draw(st.sampled_from([x, y]))
+    target[data.draw(st.integers(0, len(y) - 1))] = bad
+    with pytest.raises(ValueError, match="finite"):
         fwhm_from_samples(x, y)
 
 

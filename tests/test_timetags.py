@@ -14,12 +14,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cwhom.detection import DetectorModel
 from cwhom.interference import CoherenceCurve, CoincidenceConfig
 from cwhom.timetags import (
+    _CSV_CHUNK,
     AccidentalParams,
     SimScenario,
     TagStream,
@@ -489,6 +490,56 @@ def test_tags_csv_saves_ties_in_channel_order(tmp_path):
     path = tmp_path / "ties.csv"
     save_tags_csv(stream, path)
     assert path.read_text() == "channel,timestamp_fs\n2,5\n4,5\n1,8\n3,8\n"
+
+
+MAX_FS = 2**63 - 1
+# every 10**k - 1 / 10**k step in digit count that an int64 timestamp can take
+DIGIT_EDGES = [0] + [v for k in range(1, 19) for v in (10**k - 1, 10**k)] + [MAX_FS]
+
+
+def csv_reference(channels: np.ndarray, times: np.ndarray) -> bytes:
+    """The per-event formatter: one f-string per row, in (time, channel) order."""
+    rows = sorted(zip(times.tolist(), channels.tolist()))
+    return ("channel,timestamp_fs\n" + "".join(f"{c},{t}\n" for t, c in rows)).encode("ascii")
+
+
+def check_saved_bytes(path, channels, times):
+    # a duration beyond 2**63 fs admits every int64 timestamp
+    stream = TagStream(channels=np.array(channels, dtype=np.uint8),
+                       times_fs=np.array(times, dtype=np.int64), duration=1e4)
+    save_tags_csv(stream, path)
+    assert path.read_bytes() == csv_reference(stream.channels, stream.times_fs)
+    back = load_tags_csv(path, duration=stream.duration)
+    order = np.lexsort((stream.channels, stream.times_fs))
+    assert np.array_equal(back.channels, stream.channels[order])
+    assert np.array_equal(back.times_fs, stream.times_fs[order])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(rows=st.lists(st.tuples(st.integers(1, 4), st.one_of(st.sampled_from(DIGIT_EDGES),
+                                                            st.integers(0, MAX_FS))),
+                     max_size=30))
+@example(rows=[])
+@example(rows=[(3, 0)])
+@example(rows=[(c, t) for c, t in zip(itertools.cycle((4, 1, 3, 2)), DIGIT_EDGES)])
+@example(rows=[(4, 7), (2, 7), (3, 7), (1, 7), (2, 10), (1, 10)])
+def test_saved_bytes_match_per_event_formatter(tmp_path_factory, rows):
+    # rows are sorted by time only, so equal timestamps keep the drawn
+    # channel order, which the writer must put right
+    rows.sort(key=lambda row: row[1])
+    path = tmp_path_factory.mktemp("tags") / "tags.csv"
+    check_saved_bytes(path, [c for c, _ in rows], [t for _, t in rows])
+
+
+def test_saved_bytes_match_across_chunk_edges(tmp_path):
+    # the digit count steps from 12 to 13 right at the first chunk edge,
+    # and both chunks hold mixed digit counts; a third chunk holds one row
+    rng = np.random.default_rng(11)
+    times = np.concatenate([np.sort(rng.integers(0, 10**12, _CSV_CHUNK - 1)),
+                            [10**12 - 1, 10**12],
+                            np.sort(rng.integers(10**12, 10**14, _CSV_CHUNK))])
+    assert times[_CSV_CHUNK - 1] == 10**12 - 1 and times.size == 2 * _CSV_CHUNK + 1
+    check_saved_bytes(tmp_path / "tags.csv", rng.integers(1, 5, times.size), times)
 
 
 @pytest.mark.parametrize("row, message", [("257,5", "channel"), ("-252,7", "channel"),
