@@ -30,6 +30,7 @@ import numpy as np
 from .detection import DetectorModel
 from .interference import (
     GRID_FLOOR,
+    SPAN_FACTOR,
     CoherenceCurve,
     CoincidenceConfig,
     FourfoldEngine,
@@ -166,7 +167,7 @@ def _windows(scenario: dict) -> CoincidenceConfig:
 def _grid_overrides(scenario: dict) -> tuple[float, int | None]:
     g = scenario.get("grid", {})
     n = g.get("n_points")
-    return float(g.get("span_factor", 8.0)), (int(n) if n is not None else None)
+    return float(g.get("span_factor", SPAN_FACTOR)), (int(n) if n is not None else None)
 
 
 # ---------------------------------------------------------------------------
@@ -292,13 +293,8 @@ def _cmd_vismap(args, scenario: dict, base: str) -> None:
     vm = _section(scenario, "vismap")
     tcs = np.asarray(vm["tc_values_ps"], dtype=float) * PS
     t14s = np.asarray(vm["tau14_values_ps"], dtype=float) * PS
-    v = visibility_map(
-        tcs,
-        t14s,
-        vm["jitter_ps"] * PS,
-        filter_kind=vm.get("filter_kind", "rect"),
-        tau23_factor=vm.get("tau23_factor", 8.0),
-    )
+    kwargs = {key: vm[key] for key in ("filter_kind", "tau23_factor") if key in vm}
+    v = visibility_map(tcs, t14s, vm["jitter_ps"] * PS, **kwargs)
     header = ",".join(["tc_ps"] + [_fmt(t / PS) for t in t14s])
     n = _write_csv(args.out, header, ([tc / PS, *v[i]] for i, tc in enumerate(tcs)))
     _emit_meta({"subcommand": "vismap", "out": args.out, "n_rows": n})

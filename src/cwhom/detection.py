@@ -16,13 +16,6 @@ import numpy as np
 
 from .units import RMS_TO_FWHM
 
-__all__ = [
-    "DetectorModel",
-    "effective_jitter",
-    "jitter_kernel",
-    "jitter_sigma_time",
-]
-
 
 @dataclass(frozen=True)
 class DetectorModel:

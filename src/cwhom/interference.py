@@ -2,7 +2,7 @@
 
 Two independent computational routes to the same physical quantity:
 
-* ``fourfold_probability`` sums the frequency-domain coincidence
+* ``FourfoldEngine`` sums the frequency-domain coincidence
   expression over the grid, with the window sinc kernels and jitter
   kernels attached to index differences. The four-term interference
   bracket splits into two factorized direct terms (autocorrelation
@@ -54,29 +54,7 @@ from .spectral import (
     joint_spectral_amplitude,
     make_filter,
 )
-from .units import RECT_TC_PRODUCT, RMS_TO_FWHM
-
-__all__ = [
-    "GridResolutionError",
-    "NumericalError",
-    "CoincidenceConfig",
-    "InterferenceSetup",
-    "WIDTH_PRODUCTS",
-    "HomCurve",
-    "CoherenceCurve",
-    "coherence_function",
-    "jsa_coherence_fwhm",
-    "fourfold_probability",
-    "fourfold_probability_oracle",
-    "sized_grid",
-    "filter_width",
-    "analytic_jsa",
-    "build_setup",
-    "hom_curve",
-    "visibility",
-    "visibility_at_zero_delay",
-    "visibility_map",
-]
+from .units import RECT_TC_PRODUCT
 
 # Relative tolerance for the imaginary residue of the (mathematically
 # real) coincidence sum, measured against the term-magnitude scale.
@@ -105,13 +83,10 @@ class CoincidenceConfig:
 
     tau_14: float  # s, heralding (outer) window
     tau_23: float  # s, BS-photon window
-    trigger_channel: int = 1
 
     def __post_init__(self) -> None:
         if not (self.tau_14 > 0 and self.tau_23 > 0):
             raise ValueError("coincidence windows must be positive")
-        if self.trigger_channel != 1:
-            raise ValueError("only channel 1 triggering is supported")
 
 
 @dataclass(frozen=True)
@@ -191,9 +166,11 @@ def coherence_function(
         raise ValueError("delays must be uniformly spaced")
     grid = jsa.grid
     _, x = _lag_frequencies(grid)
-    r = np.correlate(jsa.j_amp, jsa.j_amp, mode="full")  # R(d) at index d+n-1
     k = jitter_kernel(jit_s, x) * jitter_kernel(jit_i, x)
-    g = _lag_sum_over_delays(r * k, x, delays) * grid.step**2
+    # an overflowing lag sum is caught by the finiteness check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = np.correlate(jsa.j_amp, jsa.j_amp, mode="full")  # R(d) at index d+n-1
+        g = _lag_sum_over_delays(r * k, x, delays) * grid.step**2
     if not np.all(np.isfinite(g)):
         raise NumericalError("coherence density is not finite")
     floor = -1e-9 * float(np.max(np.abs(g)))
@@ -299,6 +276,9 @@ WIDTH_PRODUCTS = {
 # Fewest points of a grid sized by ``sized_grid``.
 GRID_FLOOR = 129
 
+# Half span of a sized grid, in units of the widest filter FWHM.
+SPAN_FACTOR = 8.0
+
 
 def sized_grid(
     span: float, t_max: float, floor: int = GRID_FLOOR, n_points: int | None = None
@@ -384,7 +364,7 @@ class FourfoldEngine:
 
     ``probabilities`` evaluates a delay scan with one phase block and one
     matrix product per bracket term, checking every delay;
-    ``probability``, ``terms`` and ``baseline`` are its one-delay case.
+    ``probability`` and ``baseline`` are its one-delay case.
     """
 
     def __init__(self, setup: InterferenceSetup):
@@ -465,11 +445,6 @@ class FourfoldEngine:
             out[3, lo : lo + chunk] = np.sum(np.conj(u) * (self._m4 @ u), axis=0)
         return out * self._scale
 
-    def terms(self, tau: float) -> tuple[complex, complex, complex, complex]:
-        """Bracket contributions (T1, T2, T3, T4), each times step^4."""
-        t1, t2, t3, t4 = self._terms(np.array([float(tau)]))[:, 0]
-        return complex(t1), complex(t2), complex(t3), complex(t4)
-
     def probabilities(self, taus) -> np.ndarray:
         """Coincidence probability at every delay of a scan.
 
@@ -500,13 +475,8 @@ class FourfoldEngine:
 
     def baseline(self) -> float:
         """No-interference reference: direct terms only, at zero delay."""
-        t1, t2, _, _ = self.terms(0.0)
+        t1, t2, _, _ = self._terms(np.zeros(1))[:, 0]
         return float((t1 + t2).real)
-
-
-def fourfold_probability(setup: InterferenceSetup, tau: float) -> float:
-    """Unnormalized four-photon coincidence probability at delay tau."""
-    return FourfoldEngine(setup).probability(tau)
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +614,7 @@ def _plateau_delay(setup: InterferenceSetup) -> tuple[float, bool]:
     cfg = setup.windows
     tc_max = max(setup.coherence_times)
     j_max = max(setup.detectors.jitter_fwhm)
-    sigma_max = j_max / RMS_TO_FWHM
+    sigma_max = jitter_sigma_time(j_max)
     nominal = max(6.0 * tc_max, 3.0 * j_max)
     t_lo = max(2.0 * tc_max + cfg.tau_14 / 2.0 + 3.0 * sigma_max, 3.0 * j_max)
     t_hi = cfg.tau_23 / 2.0 - tc_max - cfg.tau_14 / 2.0 - 3.0 * sigma_max
@@ -703,8 +673,7 @@ def visibility_at_zero_delay(setup: InterferenceSetup) -> float:
     (see ``_plateau_delay``), and the two read 0.97627 (baseline) and
     0.97540 (plateau).
     """
-    engine = FourfoldEngine(setup)
-    t1, t2, t3, t4 = engine.terms(0.0)
+    t1, t2, t3, t4 = FourfoldEngine(setup)._terms(np.zeros(1))[:, 0]
     base = (t1 + t2).real
     if base <= 0:
         raise ValueError("zero baseline; setup captures no coincidences")
@@ -723,7 +692,7 @@ def _identical_source_setup(
     # numeric estimate of the same number
     return build_setup(
         lambda grid: (analytic_jsa(grid, filter_kind, t_c),) * 2,
-        8.0 * filter_width(filter_kind, t_c),
+        SPAN_FACTOR * filter_width(filter_kind, t_c),
         CoincidenceConfig(tau_14=tau_14, tau_23=tau_23),
         jit,
         coherence_times=(t_c, t_c),

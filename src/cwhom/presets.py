@@ -11,7 +11,7 @@ the frozen expectations).
 from __future__ import annotations
 
 from .detection import effective_jitter
-from .interference import CoincidenceConfig, InterferenceSetup, build_setup
+from .interference import SPAN_FACTOR, CoincidenceConfig, InterferenceSetup, build_setup
 from .spectral import (
     FbgModel,
     FrequencyGrid,
@@ -149,7 +149,7 @@ def reference_setup(
     """
     return build_setup(
         lambda grid: (reference_source_a(grid), reference_source_b(grid)),
-        8.0 * grating_width(*REFERENCE_FILTERS.values()),
+        SPAN_FACTOR * grating_width(*REFERENCE_FILTERS.values()),
         CoincidenceConfig(tau_14=tau_14, tau_23=tau_23),
         jitters_fwhm,
         reach=tau_max or 0.0,

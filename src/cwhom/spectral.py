@@ -23,23 +23,6 @@ import numpy as np
 
 from .units import C_M_PER_S, LAMBDA0_M, wavelength_pm_to_angular
 
-__all__ = [
-    "FrequencyGrid",
-    "SpectralAmplitude",
-    "JointSpectralAmplitude",
-    "FbgModel",
-    "make_filter",
-    "tabulated_filter",
-    "load_filter_table",
-    "fbg_response",
-    "fbg_reflectivity_fwhm",
-    "fit_fbg",
-    "load_fbg_model",
-    "save_fbg_model",
-    "joint_spectral_amplitude",
-    "fwhm_from_samples",
-]
-
 # Effective index used to convert angular-frequency detuning to the
 # propagation detuning of the grating equations. Fixed for fused silica
 # fiber near 1550 nm; bandwidth calibration absorbs the residual error.
@@ -74,7 +57,7 @@ class FrequencyGrid:
 
 @dataclass(frozen=True)
 class SpectralAmplitude:
-    """Complex field amplitude sampled on a FrequencyGrid (|amp| <= 1)."""
+    """Complex field amplitude sampled on a FrequencyGrid (finite, |amp| <= 1)."""
 
     grid: FrequencyGrid
     amp: np.ndarray
@@ -83,6 +66,8 @@ class SpectralAmplitude:
         amp = np.asarray(self.amp, dtype=complex)
         if amp.shape != (self.grid.n_points,):
             raise ValueError("amplitude shape does not match grid")
+        if not np.all(np.isfinite(amp)):
+            raise ValueError("amplitude must be finite")
         if np.max(np.abs(amp)) > 1.0 + 1e-12:
             raise ValueError("|amplitude| must not exceed 1")
         object.__setattr__(self, "amp", amp)
@@ -96,7 +81,8 @@ class SpectralAmplitude:
 class JointSpectralAmplitude:
     """Biphoton joint spectral amplitude J(W) on a shared grid.
 
-    J(W) refers to the signal photon at +W and the idler at -W.
+    J(W) refers to the signal photon at +W and the idler at -W. Its
+    entries are finite and not all zero.
     """
 
     grid: FrequencyGrid
@@ -106,6 +92,10 @@ class JointSpectralAmplitude:
         j = np.asarray(self.j_amp, dtype=complex)
         if j.shape != (self.grid.n_points,):
             raise ValueError("JSA shape does not match grid")
+        if not np.all(np.isfinite(j)):
+            raise ValueError("JSA must be finite")
+        if not np.any(j):
+            raise ValueError("JSA is identically zero")
         object.__setattr__(self, "j_amp", j)
 
 
@@ -157,7 +147,7 @@ def tabulated_filter(
         raise ValueError("table abscissae must be strictly increasing")
     if reflectance.shape != omega.shape:
         raise ValueError("table column lengths differ")
-    if np.any(reflectance < 0) or np.any(reflectance > 1 + 1e-12):
+    if not np.all((reflectance >= 0) & (reflectance <= 1 + 1e-12)):
         raise ValueError("reflectance must lie in [0, 1]")
     r2 = np.interp(grid.omega, omega, reflectance, left=0.0, right=0.0)
     amp = np.sqrt(np.clip(r2, 0.0, 1.0)).astype(complex)

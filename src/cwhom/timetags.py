@@ -21,9 +21,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .detection import DetectorModel
+from .detection import DetectorModel, jitter_sigma_time
 from .interference import CoherenceCurve, CoincidenceConfig
-from .units import FS, RMS_TO_FWHM
+from .units import FS
 
 # Channel labels: 1 and 4 are the heralding channels of the two sources,
 # 2 and 3 are the beam-splitter output channels (2', 3').
@@ -294,7 +294,7 @@ def simulate_streams(scenario: SimScenario) -> TagStream:
 
     ch_all = np.concatenate(channels)
     t_all = np.concatenate(times)
-    sigmas = [j / RMS_TO_FWHM for j in scenario.detectors.jitter_fwhm]
+    sigmas = [jitter_sigma_time(j) for j in scenario.detectors.jitter_fwhm]
     for ch, sigma in zip(CHANNELS, sigmas):
         if sigma > 0.0:
             mask = ch_all == ch

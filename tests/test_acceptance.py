@@ -23,7 +23,6 @@ from cwhom.interference import (
     build_setup,
     coherence_function,
     filter_width,
-    fourfold_probability,
     fourfold_probability_oracle,
     hom_curve,
     jsa_coherence_fwhm,
@@ -100,7 +99,7 @@ def test_criterion_1_engine_matches_time_domain_oracle():
     engine, oracle = [], []
     for tau_14, tau_23, jit, tau in sweep:
         s = identical_setup("rect", 165 * PS, tau_14, tau_23, jit, extra_reach=abs(tau))
-        engine.append(fourfold_probability(s, tau))
+        engine.append(FourfoldEngine(s).probability(tau))
         oracle.append(fourfold_probability_oracle(s, tau))
     elapsed = time.time() - t0
     engine, oracle = np.array(engine), np.array(oracle)
@@ -225,7 +224,7 @@ def test_criterion_5_narrow_bs_window_shape():
                             extra_reach=600 * PS)
     delays = np.linspace(-600 * PS, 600 * PS, 49)
     delays[24] = 0.0
-    vals = np.array([fourfold_probability(setup, t) for t in delays])
+    vals = FourfoldEngine(setup).probabilities(delays)
     i0, imax = 24, int(np.argmax(vals))
     local_min = vals[i0] < vals[i0 - 1] and vals[i0] < vals[i0 + 1]
     interior_max = 0 < imax < vals.size - 1 and imax != i0

@@ -211,13 +211,23 @@ def test_fbg_fit_passes_restarts_only_when_set(capsys, tmp_path, monkeypatch):
     assert calls == [{"rng_seed": 0, "n_restarts": 2}, {"rng_seed": 0}]
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize serves only fit_fbg, which imports it when called
-    script = "import sys, cwhom.cli; print([m for m in sys.modules if m.startswith('scipy.optimize')])"
+def modules_loaded_by(module: str, prefixes: tuple[str, ...]) -> list[str]:
+    """Names starting with one of prefixes in sys.modules after a fresh import of module."""
+    script = f"import sys, {module}; print(*[m for m in sys.modules if m.startswith({prefixes!r})])"
     env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.split()
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize serves only fit_fbg, which imports it when called
+    assert modules_loaded_by("cwhom.cli", ("scipy.optimize",)) == []
+
+
+def test_spectral_import_leaves_engine_and_scipy_unloaded():
+    # the package namespace imports nothing, so a leaf module loads only its own imports
+    assert modules_loaded_by("cwhom.spectral", ("cwhom.interference", "scipy")) == []
 
 
 def test_tags_simulate_count_roundtrip(capsys, tmp_path):

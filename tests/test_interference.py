@@ -28,7 +28,6 @@ from cwhom.interference import (
     build_setup,
     coherence_function,
     filter_width,
-    fourfold_probability,
     fourfold_probability_oracle,
     hom_curve,
     jsa_coherence_fwhm,
@@ -156,15 +155,16 @@ def off_centre_setup():
 ])
 def test_engine_matches_time_domain_oracle(jitter, tau):
     setup = _identical_source_setup(100 * PS, 40 * PS, 280 * PS, jitter, "rect")
-    engine = fourfold_probability(setup, tau)
+    engine = FourfoldEngine(setup).probability(tau)
     oracle = fourfold_probability_oracle(setup, tau)
     assert engine == pytest.approx(oracle, rel=1e-3)
 
 
 def test_engine_matches_oracle_with_unequal_sources():
     setup = two_source_setup(120 * PS, 80 * PS, 40 * PS, 280 * PS, JITTERS)
+    engine = FourfoldEngine(setup)
     for tau in (0.0, 120e-12):
-        assert fourfold_probability(setup, tau) == pytest.approx(
+        assert engine.probability(tau) == pytest.approx(
             fourfold_probability_oracle(setup, tau), rel=1e-3
         )
 
@@ -196,8 +196,11 @@ def test_exchange_symmetry_at_zero_delay():
         pr = probability(rev, 0.0)
         return (pf - pr) / pr
 
-    wide = residual(40 * PS, fourfold_probability)
-    tight = residual(10 * PS, fourfold_probability)
+    def engine_probability(setup, tau):
+        return FourfoldEngine(setup).probability(tau)
+
+    wide = residual(40 * PS, engine_probability)
+    tight = residual(10 * PS, engine_probability)
     assert abs(wide) < 1e-3
     assert abs(tight) < abs(wide) / 5.0
     assert residual(40 * PS, fourfold_probability_oracle) == pytest.approx(wide, rel=1e-3)
@@ -304,8 +307,9 @@ def test_visibility_scale_invariance():
 def test_zero_delay_identity_with_baseline():
     setup = _identical_source_setup(165 * PS, 40 * PS, 2000 * PS, JITTERS, "rect")
     v0 = visibility_at_zero_delay(setup)
-    base = FourfoldEngine(setup).baseline()
-    p0 = fourfold_probability(setup, 0.0)
+    engine = FourfoldEngine(setup)
+    base = engine.baseline()
+    p0 = engine.probability(0.0)
     assert v0 == pytest.approx((base - p0) / base, abs=1e-12)
 
 
@@ -475,7 +479,7 @@ def test_grid_resolution_error_names_required_points():
         n_points=129,
     )
     with pytest.raises(GridResolutionError) as err:
-        fourfold_probability(setup, 0.0)
+        FourfoldEngine(setup).probability(0.0)
     assert err.value.required_n_points is not None
     assert err.value.required_n_points > 129
     assert isinstance(err.value, ValueError)
@@ -486,8 +490,6 @@ def test_config_validation():
         CoincidenceConfig(tau_14=0.0, tau_23=1e-10)
     with pytest.raises(ValueError):
         CoincidenceConfig(tau_14=1e-10, tau_23=-1e-10)
-    with pytest.raises(ValueError):
-        CoincidenceConfig(tau_14=1e-10, tau_23=1e-10, trigger_channel=2)
 
 
 def test_setup_rejects_mismatched_grids():

@@ -25,6 +25,8 @@ from cwhom.spectral import (
     FBG_EFFECTIVE_INDEX,
     FbgModel,
     FrequencyGrid,
+    JointSpectralAmplitude,
+    SpectralAmplitude,
     _reflection,
     fbg_reflectivity_fwhm,
     fbg_response,
@@ -136,6 +138,8 @@ def test_make_filter_errors():
         make_filter(g, "rect", 1.5e11)  # wider than the span
     with pytest.raises(ValueError):
         make_filter(g, "boxcar", 1e10)
+    with pytest.raises(ValueError, match="finite"):
+        make_filter(g, "gaussian", 1e10, center=np.nan)
 
 
 def test_tabulated_filter_zero_outside_range():
@@ -158,6 +162,8 @@ def test_tabulated_filter_validation():
         tabulated_filter(g, om[::-1], ok)
     with pytest.raises(ValueError):
         tabulated_filter(g, om, np.full(11, 1.5))
+    with pytest.raises(ValueError, match="reflectance"):
+        tabulated_filter(g, om, np.where(np.arange(11) == 5, np.nan, 0.5))
     with pytest.raises(ValueError):
         tabulated_filter(g, om, ok[:-1])
     with pytest.raises(ValueError):
@@ -588,6 +594,23 @@ def test_jsa_of_nested_rects_takes_narrower_width():
     wide = make_filter(g, "rect", 3e11)
     jsa = joint_spectral_amplitude(narrow, wide, normalize=False)
     assert np.sum(np.abs(jsa.j_amp) ** 2) * g.step == pytest.approx(1e11, rel=1e-6)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_amplitudes_must_be_finite(bad):
+    g = FrequencyGrid(n_points=65, span=1e11)
+    values = np.full(65, 0.5, dtype=complex)
+    values[7] = bad
+    with pytest.raises(ValueError, match="finite"):
+        SpectralAmplitude(grid=g, amp=values)
+    with pytest.raises(ValueError, match="finite"):
+        JointSpectralAmplitude(grid=g, j_amp=values)
+
+
+def test_jsa_must_not_vanish():
+    # an all-zero JSA has no support to size a coherence scan from
+    with pytest.raises(ValueError, match="identically zero"):
+        JointSpectralAmplitude(grid=FrequencyGrid(n_points=65, span=1e11), j_amp=np.zeros(65))
 
 
 def test_jsa_grid_mismatch_raises():
