@@ -123,9 +123,14 @@ def _fail(code: int, kind: str, message: str, **extra) -> int:
 # Scenario parsing
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"scenario holds {name}; scenario numbers must be finite")
+
+
 def _load_scenario(path: str) -> tuple[dict, str]:
     with open(path) as fh:
-        scenario = json.load(fh)
+        # json.load reads NaN and +-Infinity, which the schema's number type admits
+        scenario = json.load(fh, parse_constant=_refuse_constant)
     _validate(scenario, "scenario")
     return scenario, os.path.dirname(os.path.abspath(path))
 

@@ -26,8 +26,9 @@ class DetectorModel:
     def __post_init__(self) -> None:
         if len(self.jitter_fwhm) != 4:
             raise ValueError("DetectorModel requires exactly four channels")
-        if any(j < 0 for j in self.jitter_fwhm):
-            raise ValueError("jitter FWHM must be nonnegative")
+        # written so that NaN, which fails every comparison, fails the check
+        if not all(0.0 <= j < math.inf for j in self.jitter_fwhm):
+            raise ValueError("jitter FWHM must be finite and nonnegative")
 
 
 def effective_jitter(components_fwhm=(), components_rms=()) -> float:

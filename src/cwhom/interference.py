@@ -43,8 +43,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-import scipy.fft
-from scipy.special import erf
 
 from .detection import DetectorModel, jitter_kernel, jitter_sigma_time
 from .spectral import (
@@ -224,6 +222,20 @@ def _chirp(phi: float, j: np.ndarray) -> np.ndarray:
     return np.exp(1j * head * j2) * np.exp(1j * (half - head) * j2)
 
 
+def _fast_len(n: int) -> int:
+    """Smallest 5-smooth number (2^a 3^b 5^c) >= n, an FFT length pocketfft factors fast."""
+    best = 1 << (n - 1).bit_length()
+    p35 = 1
+    while p35 < best:
+        p3 = p35
+        while p3 < best:
+            # the least power of two that lifts p3 to n or past it
+            best = min(best, p3 << (-(-n // p3) - 1).bit_length())
+            p3 *= 3
+        p35 *= 5
+    return best
+
+
 def _lag_sum_over_delays(coeff: np.ndarray, x: np.ndarray, delays: np.ndarray) -> np.ndarray:
     """Re sum_d coeff[d] exp(i x_d tau) per tau, as one chirp-z transform.
 
@@ -240,12 +252,12 @@ def _lag_sum_over_delays(coeff: np.ndarray, x: np.ndarray, delays: np.ndarray) -
     phi = (x[-1] - x[0]) / max(n_lag - 1, 1) * dt
     d = np.arange(n_lag)
     k = np.arange(m)
-    size = scipy.fft.next_fast_len(n_lag + m - 1)
+    size = _fast_len(n_lag + m - 1)
     # circular layout: every k - d lands on its own slot, negatives at the end
     j = np.arange(size)
     j[j >= m] -= size
     a = coeff * np.exp(1j * x * delays[0]) * _chirp(phi, d)
-    conv = scipy.fft.ifft(scipy.fft.fft(a, size) * scipy.fft.fft(np.conj(_chirp(phi, j))))[:m]
+    conv = np.fft.ifft(np.fft.fft(a, size) * np.fft.fft(np.conj(_chirp(phi, j))))[:m]
     return np.real(np.exp(1j * x[0] * dt * k) * _chirp(phi, k) * conv)
 
 
@@ -482,6 +494,9 @@ class FourfoldEngine:
 # ---------------------------------------------------------------------------
 # Time-domain oracle
 
+# math.erf over an array; the oracle's window lattices hold hundreds of points
+_erf = np.frompyfunc(math.erf, 1, 1)
+
 
 def _window_weights(u: np.ndarray, step: float, lo: float, hi: float, sigma: float) -> np.ndarray:
     """Quadrature weights for integrating a window over detection times.
@@ -492,8 +507,8 @@ def _window_weights(u: np.ndarray, step: float, lo: float, hi: float, sigma: flo
     """
     if sigma > 0:
         rt2 = sigma * math.sqrt(2.0)
-        w = 0.5 * (erf((hi - u) / rt2) - erf((lo - u) / rt2))
-        return w * step
+        w = 0.5 * (_erf((hi - u) / rt2) - _erf((lo - u) / rt2))
+        return w.astype(float) * step
     cell_lo = np.maximum(u - step / 2.0, lo)
     cell_hi = np.minimum(u + step / 2.0, hi)
     return np.clip(cell_hi - cell_lo, 0.0, None)

@@ -209,16 +209,19 @@ class FbgModel:
     design_wavelength: float = LAMBDA0_M  # m
 
     def __post_init__(self) -> None:
-        if self.length <= 0:
+        # each test is written so that NaN fails it
+        if not self.length > 0:
             raise ValueError("length must be positive")
         if self.n_sections < 16:
             raise ValueError("n_sections must be >= 16")
-        if self.peak_kappa < 0:
+        if not self.peak_kappa >= 0:
             raise ValueError("peak_kappa must be nonnegative")
-        if self.order < 1.0:
+        if not self.order >= 1.0:
             raise ValueError("order must be >= 1")
         if not (0 < self.width <= 1.0):
             raise ValueError("width must lie in (0, 1]")
+        if not math.isfinite(self.detuning_offset):
+            raise ValueError("detuning_offset must be finite")
 
 
 def _kappa_profile(model: FbgModel) -> np.ndarray:
@@ -312,6 +315,56 @@ def fwhm_from_samples(x: np.ndarray, y: np.ndarray) -> float:
     return float(x_hi - x_lo)
 
 
+# Calls of the residual function one least-squares search may make.
+LM_MAX_EVALS = 400
+
+
+def _levenberg_marquardt(fun, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimize sum(fun(x)**2) from x0; returns (x, fun(x)).
+
+    Levenberg-Marquardt with a forward-difference Jacobian, steps
+    sqrt(eps) max(1, |x_i|). A trial step solves
+    (J^T J + lam D) dx = -J^T r, with D the diagonal of J^T J floored at
+    1e-12 of its largest entry, so a column that a clamp inside fun
+    zeroes leaves the system nonsingular. A step that lowers the cost is
+    taken and divides lam by 10; a step that does not multiplies it by
+    10. The search stops after a step that lowers the cost by less than
+    1e-8 of itself, after a trial step shorter than 1e-8 of |x| (taken if
+    it lowers the cost), when the gradient vanishes, or once fun has been
+    called LM_MAX_EVALS times.
+    """
+    x = np.asarray(x0, dtype=float)
+    r = fun(x)
+    cost, evals, lam = float(r @ r), 1, 1e-3
+    rel_h = math.sqrt(np.finfo(float).eps)
+    while evals + x.size < LM_MAX_EVALS:
+        jac = np.empty((r.size, x.size))
+        for i in range(x.size):
+            xi = x.copy()
+            xi[i] += rel_h * max(1.0, abs(x[i]))
+            jac[:, i] = (fun(xi) - r) / (xi[i] - x[i])
+        evals += x.size
+        jtj, grad = jac.T @ jac, jac.T @ r
+        if not np.any(grad):
+            break
+        damp = np.diag(np.maximum(np.diag(jtj), 1e-12 * np.max(np.diag(jtj))))
+        while True:
+            step = np.linalg.solve(jtj + lam * damp, -grad)
+            r_new = fun(x + step)
+            evals += 1
+            cost_new = float(r_new @ r_new)
+            done = np.linalg.norm(step) <= 1e-8 * (1e-8 + np.linalg.norm(x)) or evals >= LM_MAX_EVALS
+            if cost_new < cost or done:
+                break
+            lam *= 10.0
+        if cost_new < cost:
+            done = done or cost - cost_new <= 1e-8 * cost
+            x, r, cost, lam = x + step, r_new, cost_new, lam / 10.0
+        if done:
+            break
+    return x, r
+
+
 def fit_fbg(
     omega: np.ndarray,
     reflectance: np.ndarray,
@@ -323,17 +376,16 @@ def fit_fbg(
 
     Length and section count are kept from the seed (they describe the
     physical device, not the fit). The model is evaluated at the table's
-    own abscissae, and a trust-region least-squares solver minimizes the
-    vector of reflectance errors. |r|^2 is even about the detuning
-    offset, so the offset starts at the reflectance centroid
+    own abscissae, and a Levenberg-Marquardt least-squares search
+    minimizes the vector of reflectance errors. |r|^2 is even about the
+    detuning offset, so the offset starts at the reflectance centroid
     sum(omega r) / sum(r); the other parameters start at the seed's.
     `n_restarts` extra starts are drawn at random around that point, and
     the lowest residual wins. Returns (model, residual) with
     residual the sum of squared reflectance errors; the unmodified seed
-    comes back when no start improves on it.
+    comes back when no start improves on it. A seed the transfer matrix
+    refuses raises ValueError.
     """
-    from scipy.optimize import least_squares
-
     omega = np.asarray(omega, dtype=float)
     reflectance = np.asarray(reflectance, dtype=float)
     if omega.size < 20:
@@ -359,14 +411,19 @@ def fit_fbg(
             detuning_offset=centroid + x[3] * scale_off,
         )
 
-    def errors(model: FbgModel) -> np.ndarray:
+    def model_errors(model: FbgModel) -> np.ndarray:
+        return np.abs(_reflection(model, omega)) ** 2 - reflectance
+
+    def errors(x) -> np.ndarray:
         try:
-            return np.abs(_reflection(model, omega)) ** 2 - reflectance
-        except (ValueError, FloatingPointError):
-            # a model the transfer matrix rejects scores worse than any valid one
+            return model_errors(unpack(x))
+        except (ValueError, OverflowError, FloatingPointError):
+            # a point whose model cannot be built or evaluated scores worse
+            # than any valid one
             return np.full(omega.size, 1e6)
 
-    seed_res = float(np.sum(errors(seed) ** 2))
+    # the seed itself is not caught: a seed the model refuses is an input error
+    seed_res = float(np.sum(model_errors(seed) ** 2))
     if seed_res == 0.0:
         return seed, 0.0
 
@@ -374,12 +431,10 @@ def fit_fbg(
     starts = [np.zeros(4)] + [0.1 * rng.standard_normal(4) for _ in range(n_restarts)]
     best_res, best = math.inf, seed
     for start in starts:
-        # gtol off: the gradient test is absolute and would stop at residual
-        # ~1e-18, far above roundoff; the step and cost tests end the search
-        out = least_squares(lambda x: errors(unpack(x)), start, method="trf", gtol=None)
-        res = float(np.sum(out.fun**2))
+        x, r = _levenberg_marquardt(errors, start)
+        res = float(r @ r)
         if res < best_res:
-            best_res, best = res, unpack(out.x)
+            best_res, best = res, unpack(x)
     if best_res > seed_res:
         return seed, seed_res
     return best, best_res

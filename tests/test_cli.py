@@ -220,9 +220,75 @@ def modules_loaded_by(module: str, prefixes: tuple[str, ...]) -> list[str]:
     return proc.stdout.split()
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize serves only fit_fbg, which imports it when called
-    assert modules_loaded_by("cwhom.cli", ("scipy.optimize",)) == []
+def test_cli_import_leaves_scipy_unloaded():
+    assert modules_loaded_by("cwhom.cli", ("scipy",)) == []
+
+
+def test_every_subcommand_runs_without_scipy(tmp_path):
+    # with scipy blocked in sys.modules, any import of it, at start-up or
+    # inside a call, raises ImportError out of main
+    vismap = tmp_path / "vismap.json"
+    vismap.write_text(json.dumps({
+        "vismap": {"tc_values_ps": [250.0], "tau14_values_ps": [250.0, 125.0],
+                   "jitter_ps": 50.0, "tau23_factor": 8.0},
+    }))
+    calls = [
+        (["fbg", "fit"], "fbg_fit.json"),
+        (["coherence"], "identical_165.json"),
+        (["homdip"], "identical_165.json"),
+        (["visibility"], "identical_165.json"),
+        (["oracle-check"], "appendix_shape.json"),
+        (["optimize-rate"], "optimize.json"),
+        (["vismap"], str(vismap)),
+        (["pulsed-rate"], "pulsed.json"),
+        (["pass-swaps"], "swap.json"),
+        (["tags", "simulate"], "tags_demo.json"),
+        (["tags", "count"], "tags_demo.json"),
+    ]
+    argvs = [sub + ["--scenario", scenario_path(sc), "--out", str(tmp_path / f"out{i}")]
+             for i, (sub, sc) in enumerate(calls)]
+    script = (
+        "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from cwhom.cli import main\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps(codes))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == [0] * len(calls), proc.stderr
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_exit_code_2_non_finite_scenario_number(capsys, tmp_path, constant):
+    # json.load reads these literals and the schema's number type admits them
+    text = open(scenario_path("identical_165.json")).read()
+    sc = tmp_path / "bad.json"
+    sc.write_text(text.replace("[17.0,", f"[{constant},", 1))
+    assert json.loads(sc.read_text(), parse_constant=lambda c: c)["detectors"]["jitter_fwhm_ps"][0] == constant
+    out = tmp_path / "v.json"
+    code, _, stderr = run(capsys, ["visibility", "--scenario", str(sc), "--out", str(out)])
+    assert code == 2
+    err = json.loads(stderr)
+    assert err["error"] == "validation"
+    assert constant in err["message"]
+    assert not out.exists()
+
+
+def test_fbg_fit_refuses_a_nan_seed(capsys, tmp_path):
+    doc = json.loads(open(scenario_path("fbg_fit.json")).read())
+    doc["fbg_fit"]["table_csv"] = os.path.join(REPO, "data", "filter_signal_a.csv")
+    doc["fbg_fit"]["seed"]["peak_kappa"] = float("nan")
+    doc["fbg_fit"]["n_restarts"] = 0
+    sc = tmp_path / "fit.json"
+    sc.write_text(json.dumps(doc))
+    out = tmp_path / "m.json"
+    code, _, stderr = run(capsys, ["fbg", "fit", "--scenario", str(sc), "--out", str(out)])
+    assert code == 2
+    assert json.loads(stderr)["error"] == "validation"
+    assert not out.exists()
 
 
 def test_spectral_import_leaves_engine_and_scipy_unloaded():

@@ -86,8 +86,9 @@ def test_detector_model_validation():
     DetectorModel((17e-12, 13e-12, 11e-12, 16e-12))
     with pytest.raises(ValueError):
         DetectorModel((17e-12, 13e-12, 11e-12))
-    with pytest.raises(ValueError):
-        DetectorModel((17e-12, -13e-12, 11e-12, 16e-12))
+    for bad in (-13e-12, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            DetectorModel((17e-12, bad, 11e-12, 16e-12))
 
 
 def test_sigma_time_rejects_negative():

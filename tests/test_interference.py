@@ -12,6 +12,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from scipy.special import erf
 
 from cwhom.detection import DetectorModel, jitter_kernel
 from cwhom.interference import (
@@ -20,10 +23,12 @@ from cwhom.interference import (
     GridResolutionError,
     InterferenceSetup,
     NumericalError,
+    _fast_len,
     _identical_source_setup,
     _lag_frequencies,
     _lag_sum_over_delays,
     _pair_amplitude,
+    _window_weights,
     analytic_jsa,
     build_setup,
     coherence_function,
@@ -437,6 +442,48 @@ def test_lag_sum_matches_dense_sum(count, start):
         for lo in range(0, count, 512)
     ])
     assert np.max(np.abs(fast - dense)) <= 1e-9 * np.max(np.abs(dense))
+
+
+def _is_5_smooth(k: int) -> bool:
+    for p in (2, 3, 5):
+        while k % p == 0:
+            k //= p
+    return k == 1
+
+
+# every 2^a 3^b 5^c up to 2^41, sorted; a power of two >= n lies below 2n
+SMOOTH = sorted(
+    2**a * 3**b * 5**c
+    for a in range(42)
+    for b in range(26)
+    for c in range(18)
+    if 2**a * 3**b * 5**c <= 2**41
+)
+
+
+@given(st.integers(min_value=1, max_value=2**40))
+@example(1)
+@example(7)
+@example(2**40)
+@example(3**20 - 1)
+def test_fast_len_is_the_least_5_smooth_bound(n):
+    size = _fast_len(n)
+    assert size >= n
+    assert _is_5_smooth(size)
+    # no 5-smooth number lies in [n, size)
+    assert size == next(k for k in SMOOTH if k >= n)
+
+
+def test_window_weights_erf_matches_scipy():
+    # the oracle's lattice around a 40 ps window with 17 ps FWHM jitter
+    sigma = 17 * PS / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+    lo, hi, step = -20 * PS, 20 * PS, sigma / 3.0
+    u = np.arange(math.floor((lo - 5 * sigma) / step), math.ceil((hi + 5 * sigma) / step) + 1) * step
+    rt2 = sigma * math.sqrt(2.0)
+    ref = 0.5 * (erf((hi - u) / rt2) - erf((lo - u) / rt2))
+    w = _window_weights(u, 1.0, lo, hi, sigma)
+    assert w.dtype == float
+    assert np.max(np.abs(w - ref)) <= 1e-15
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,12 @@ from scipy.integrate import solve_ivp
 from cwhom.presets import FILTER_SIGNAL_A, REFERENCE_FILTERS
 from cwhom.spectral import (
     FBG_EFFECTIVE_INDEX,
+    LM_MAX_EVALS,
     FbgModel,
     FrequencyGrid,
     JointSpectralAmplitude,
     SpectralAmplitude,
+    _levenberg_marquardt,
     _reflection,
     fbg_reflectivity_fwhm,
     fbg_response,
@@ -217,6 +219,12 @@ def test_fbg_model_validation():
         dict(good, order=0.5),
         dict(good, width=0.0),
         dict(good, width=1.2),
+        dict(good, length=math.nan),
+        dict(good, peak_kappa=math.nan),
+        dict(good, order=math.nan),
+        dict(good, width=math.nan),
+        dict(good, detuning_offset=math.nan),
+        dict(good, detuning_offset=math.inf),
     ):
         with pytest.raises(ValueError):
             FbgModel(**bad)
@@ -544,6 +552,47 @@ def test_fit_validation():
     bad[3] = np.inf
     with pytest.raises(ValueError, match="finite"):
         fit_fbg(om, bad, seed)
+
+
+def test_fit_refuses_a_seed_the_model_refuses():
+    # kappa L too large: the transfer matrix overflows on the seed itself
+    seed = FbgModel(length=0.05, n_sections=64, peak_kappa=3e4, order=2.0, width=0.8)
+    om, r2 = dense_table(TEST_MODEL, n=41)
+    with pytest.raises(ValueError, match="overflow"):
+        fit_fbg(om, r2, seed, n_restarts=0)
+
+
+def test_levenberg_marquardt_matches_lstsq_on_a_linear_problem():
+    rng = np.random.default_rng(RNG_SEED)
+    a = rng.standard_normal((40, 4))
+    b = rng.standard_normal(40)
+    x, r = _levenberg_marquardt(lambda x: a @ x - b, np.zeros(4))
+    x_ref = np.linalg.lstsq(a, b, rcond=None)[0]
+    assert np.allclose(x, x_ref, rtol=1e-7, atol=1e-9)
+    assert r @ r == pytest.approx(np.sum((a @ x_ref - b) ** 2), rel=1e-12)
+
+
+def test_levenberg_marquardt_survives_a_zero_jacobian_column():
+    # x[1] never reaches the residual, as a clamped order or width does not
+    a = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+    b = np.array([1.0, 2.0, 2.0])
+    x, r = _levenberg_marquardt(lambda x: a @ x - b, np.array([0.0, 0.7]))
+    assert x[0] == pytest.approx(11.0 / 14.0, rel=1e-9)
+    assert x[1] == 0.7
+
+
+def test_levenberg_marquardt_stops_at_the_evaluation_cap():
+    # exp(-x) has no minimizer: each Gauss-Newton step lowers the cost by
+    # e^2 and moves x by 1, so only the cap ends the search
+    calls = []
+
+    def fun(x):
+        calls.append(x)
+        return np.exp(-x)
+
+    x, _ = _levenberg_marquardt(fun, np.zeros(1))
+    assert len(calls) <= LM_MAX_EVALS
+    assert x[0] > 100.0
 
 
 def test_model_json_roundtrip(tmp_path):
