@@ -30,6 +30,7 @@ import numpy as np
 from .detection import DetectorModel
 from .interference import (
     GRID_FLOOR,
+    SOURCE_CHANNELS,
     SPAN_FACTOR,
     CoherenceCurve,
     CoincidenceConfig,
@@ -38,6 +39,7 @@ from .interference import (
     InterferenceSetup,
     NumericalError,
     _check_resolution,
+    _plateau_reach,
     analytic_jsa,
     build_setup,
     coherence_function,
@@ -57,7 +59,7 @@ from .presets import (
     tagger_composed_jitters,
 )
 from .rates import LossProfile, RateQuery, optimize_window, pass_swaps, pulsed_rate
-from .spectral import FbgModel, fit_fbg, load_filter_table, save_fbg_model
+from .spectral import FbgModel, fit_fbg, load_filter_table
 from .timetags import (
     SimScenario,
     count_fourfolds,
@@ -80,13 +82,16 @@ _PRESET_SOURCES = {"a": reference_source_a, "b": reference_source_b}
 
 
 @lru_cache(maxsize=None)
-def _schema(name: str) -> dict:
+def _validator(name: str) -> jsonschema.Draft7Validator:
     text = resources.files("cwhom").joinpath(f"schemas/{name}.schema.json").read_text()
-    return json.loads(text)
+    return jsonschema.Draft7Validator(json.loads(text))
 
 
 def _validate(instance, schema_name: str) -> None:
-    jsonschema.validate(instance, _schema(schema_name), cls=jsonschema.Draft7Validator)
+    # what jsonschema.validate raises, without its per-call metaschema check
+    error = jsonschema.exceptions.best_match(_validator(schema_name).iter_errors(instance))
+    if error is not None:
+        raise error
 
 
 def _fmt(v) -> str:
@@ -97,8 +102,10 @@ def _fmt(v) -> str:
 
 def _write_json(path: str, obj: dict, schema_name: str) -> None:
     _validate(obj, schema_name)
+    # serialized before the file opens, so a non-finite number leaves no file
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
     with open(path, "w", newline="") as fh:
-        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+        fh.write(text)
 
 
 def _write_csv(path: str, header: str, rows) -> int:
@@ -107,11 +114,6 @@ def _write_csv(path: str, header: str, rows) -> int:
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
     return len(lines) - 1
-
-
-def _emit_meta(meta: dict) -> None:
-    _validate(meta, "csv_meta")
-    print(json.dumps(meta, sort_keys=True))
 
 
 def _fail(code: int, kind: str, message: str, **extra) -> int:
@@ -204,10 +206,10 @@ def _build_setup(scenario: dict, delays: np.ndarray) -> InterferenceSetup:
     jit = _jitters(scenario)
     span_factor, n_override = _grid_overrides(scenario)
     max_delay = float(np.max(np.abs(delays))) if delays.size else 0.0
-    # the plateau sample sits at up to 6x the largest coherence time; an
-    # unknown one is estimated once the sources are sampled, so rebuild
-    # on a finer grid whenever that estimate shows the reach short
-    reach = max(max_delay, 3.0 * max(jit), PS, 6.0 * max(known or (0.0,)))
+    # the plateau sample sits at up to _plateau_reach; an unknown coherence
+    # time is estimated once the sources are sampled, so rebuild on a
+    # finer grid whenever that estimate shows the reach short
+    reach = max(max_delay, PS, _plateau_reach(known or (0.0,), jit))
     for _ in range(3):
         setup = build_setup(
             lambda grid: (jsa_a(grid), jsa_b(grid)),
@@ -219,7 +221,7 @@ def _build_setup(scenario: dict, delays: np.ndarray) -> InterferenceSetup:
             n_points=n_override,
             coherence_times=known,
         )
-        need = 6.0 * max(setup.coherence_times)
+        need = _plateau_reach(setup.coherence_times, jit)
         if need <= max(reach, cfg.tau_14, cfg.tau_23) or n_override is not None:
             break
         reach = need
@@ -239,29 +241,21 @@ def _coherence_jsa(scenario: dict, which: str, delays: np.ndarray):
 # Subcommand handlers
 
 
-def _cmd_coherence(args, scenario: dict, base: str) -> None:
+def _cmd_coherence(args, scenario: dict, base: str) -> dict:
     delays = _delays(scenario)
     which = scenario.get("coherence", {}).get("source", "a")
     jit = _jitters(scenario)
-    # source A feeds channels 1 and 2, source B channels 4 and 3
-    pair = {"a": (jit[0], jit[1]), "b": (jit[3], jit[2])}[which]
+    pair = [jit[c - 1] for c in SOURCE_CHANNELS[which]]
     jsa = _coherence_jsa(scenario, which, delays)
-    curve = coherence_function(jsa, pair[0], pair[1], delays)
+    curve = coherence_function(jsa, *pair, delays)
     peak = float(np.max(curve.density))
     if not peak > 0:
         raise ValueError("coherence density vanished over the requested delays")
     n = _write_csv(args.out, "tau_ps,value", zip(delays / PS, curve.density / peak))
-    _emit_meta(
-        {
-            "subcommand": "coherence",
-            "out": args.out,
-            "t_c_fwhm_ps": curve.t_c_fwhm / PS,
-            "n_rows": n,
-        }
-    )
+    return {"t_c_fwhm_ps": curve.t_c_fwhm / PS, "n_rows": n}
 
 
-def _cmd_homdip(args, scenario: dict, base: str) -> None:
+def _cmd_homdip(args, scenario: dict, base: str) -> dict:
     delays = _delays(scenario)
     setup = _build_setup(scenario, delays)
     curve = hom_curve(setup, delays)
@@ -269,16 +263,12 @@ def _cmd_homdip(args, scenario: dict, base: str) -> None:
         raise ValueError("plateau probability vanished; cannot normalize the dip")
     rows = zip(delays / PS, curve.values / curve.plateau, curve.values)
     n = _write_csv(args.out, "tau_ps,value,raw", rows)
-    _emit_meta(
-        {
-            "subcommand": "homdip",
-            "out": args.out,
-            "plateau": curve.plateau,
-            "dip": curve.dip,
-            "plateau_reliable": curve.plateau_reliable,
-            "n_rows": n,
-        }
-    )
+    return {
+        "plateau": curve.plateau,
+        "dip": curve.dip,
+        "plateau_reliable": curve.plateau_reliable,
+        "n_rows": n,
+    }
 
 
 def _cmd_visibility(args, scenario: dict, base: str) -> None:
@@ -294,7 +284,7 @@ def _cmd_visibility(args, scenario: dict, base: str) -> None:
     _write_json(args.out, out, "visibility")
 
 
-def _cmd_vismap(args, scenario: dict, base: str) -> None:
+def _cmd_vismap(args, scenario: dict, base: str) -> dict:
     vm = _section(scenario, "vismap")
     tcs = np.asarray(vm["tc_values_ps"], dtype=float) * PS
     t14s = np.asarray(vm["tau14_values_ps"], dtype=float) * PS
@@ -302,7 +292,7 @@ def _cmd_vismap(args, scenario: dict, base: str) -> None:
     v = visibility_map(tcs, t14s, vm["jitter_ps"] * PS, **kwargs)
     header = ",".join(["tc_ps"] + [_fmt(t / PS) for t in t14s])
     n = _write_csv(args.out, header, ([tc / PS, *v[i]] for i, tc in enumerate(tcs)))
-    _emit_meta({"subcommand": "vismap", "out": args.out, "n_rows": n})
+    return {"n_rows": n}
 
 
 def _cmd_optimize_rate(args, scenario: dict, base: str) -> None:
@@ -343,7 +333,7 @@ def _cmd_pass_swaps(args, scenario: dict, base: str) -> None:
     _write_json(args.out, {"swaps": n}, "swaps")
 
 
-def _cmd_tags_simulate(args, scenario: dict, base: str) -> None:
+def _cmd_tags_simulate(args, scenario: dict, base: str) -> dict:
     tg = _section(scenario, "tags")
     dens = tg["density"]
     t_c = dens["t_c_ps"] * PS
@@ -382,7 +372,7 @@ def _cmd_tags_simulate(args, scenario: dict, base: str) -> None:
     )
     stream = simulate_streams(sim)
     save_tags_csv(stream, args.out)
-    _emit_meta({"subcommand": "tags simulate", "out": args.out, "n_events": stream.n_events})
+    return {"n_events": stream.n_events}
 
 
 def _cmd_tags_count(args, scenario: dict, base: str) -> None:
@@ -403,16 +393,15 @@ def _cmd_tags_count(args, scenario: dict, base: str) -> None:
     _write_json(args.out, out, "counts")
 
 
-def _cmd_fbg_fit(args, scenario: dict, base: str) -> None:
+def _cmd_fbg_fit(args, scenario: dict, base: str) -> dict:
     ff = _section(scenario, "fbg_fit")
     omega, refl, _phase = load_filter_table(_resolve(base, ff["table_csv"]))
     seed_model = FbgModel(**ff["seed"])
     rng_seed = args.seed if args.seed is not None else ff.get("rng_seed", 0)
     restarts = {"n_restarts": int(ff["n_restarts"])} if "n_restarts" in ff else {}
     model, residual = fit_fbg(omega, refl, seed_model, rng_seed=int(rng_seed), **restarts)
-    _validate(asdict(model), "fbg_model")
-    save_fbg_model(model, args.out)
-    _emit_meta({"subcommand": "fbg fit", "out": args.out, "residual": residual})
+    _write_json(args.out, asdict(model), "fbg_model")
+    return {"residual": residual}
 
 
 def _cmd_oracle_check(args, scenario: dict, base: str) -> None:
@@ -436,29 +425,28 @@ def _cmd_oracle_check(args, scenario: dict, base: str) -> None:
     _write_json(args.out, out, "oracle_report")
 
 
-_HANDLERS = {
-    "coherence": _cmd_coherence,
-    "homdip": _cmd_homdip,
-    "visibility": _cmd_visibility,
-    "vismap": _cmd_vismap,
-    "optimize-rate": _cmd_optimize_rate,
-    "pulsed-rate": _cmd_pulsed_rate,
-    "pass-swaps": _cmd_pass_swaps,
-    "tags simulate": _cmd_tags_simulate,
-    "tags count": _cmd_tags_count,
-    "fbg fit": _cmd_fbg_fit,
-    "oracle-check": _cmd_oracle_check,
+# Subcommand name -> (handler, help). A handler writes --out and returns
+# the fields of its stdout status line, or None when it prints none.
+_COMMANDS = {
+    "coherence": (_cmd_coherence, "signal-idler arrival-delay density CSV and its FWHM"),
+    "homdip": (_cmd_homdip, "coincidence probability over a delay scan, normalized and raw"),
+    "visibility": (_cmd_visibility, "interference visibility at zero delay, JSON"),
+    "vismap": (_cmd_vismap, "visibility matrix over coherence time and herald window"),
+    "optimize-rate": (_cmd_optimize_rate, "best window/coherence-time pair under a visibility floor"),
+    "pulsed-rate": (_cmd_pulsed_rate, "fourfold rate of the pulsed reference scheme"),
+    "pass-swaps": (_cmd_pass_swaps, "swaps integrated over a time-dependent loss profile"),
+    "oracle-check": (_cmd_oracle_check, "engine versus time-lattice oracle agreement report"),
+    "tags simulate": (_cmd_tags_simulate, "generate a tag stream CSV"),
+    "tags count": (_cmd_tags_count, "fourfolds with shifted-window accidentals"),
+    "fbg fit": (_cmd_fbg_fit, "fit a grating model to a reflectance table"),
 }
+
+# help of each group of two-word subcommands
+_GROUPS = {"tags": "time-tag stream simulation and counting", "fbg": "grating model utilities"}
 
 
 # ---------------------------------------------------------------------------
 # Argument parsing and entry point
-
-
-def _add_io_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scenario", required=True, help="scenario JSON file")
-    parser.add_argument("--out", required=True, help="output artifact path")
-    parser.add_argument("--seed", type=int, default=None, help="override the scenario RNG seed")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -467,43 +455,29 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Asynchronous four-photon interference: scenario in, CSV/JSON out.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    plain = [
-        ("coherence", "signal-idler arrival-delay density CSV and its FWHM"),
-        ("homdip", "coincidence probability over a delay scan, normalized and raw"),
-        ("visibility", "interference visibility at zero delay, JSON"),
-        ("vismap", "visibility matrix over coherence time and herald window"),
-        ("optimize-rate", "best window/coherence-time pair under a visibility floor"),
-        ("pulsed-rate", "fourfold rate of the pulsed reference scheme"),
-        ("pass-swaps", "swaps integrated over a time-dependent loss profile"),
-        ("oracle-check", "engine versus time-lattice oracle agreement report"),
-    ]
-    for name, help_txt in plain:
-        _add_io_flags(sub.add_parser(name, help=help_txt))
-
-    tags = sub.add_parser("tags", help="time-tag stream simulation and counting")
-    tsub = tags.add_subparsers(dest="tags_command", required=True)
-    _add_io_flags(tsub.add_parser("simulate", help="generate a tag stream CSV"))
-    _add_io_flags(tsub.add_parser("count", help="fourfolds with shifted-window accidentals"))
-
-    fbg = sub.add_parser("fbg", help="grating model utilities")
-    fsub = fbg.add_subparsers(dest="fbg_command", required=True)
-    _add_io_flags(fsub.add_parser("fit", help="fit a grating model to a reflectance table"))
+    parents = {"": sub}
+    for name, (_, help_txt) in _COMMANDS.items():
+        group, _, leaf = name.rpartition(" ")
+        if group not in parents:
+            parent = sub.add_parser(group, help=_GROUPS[group])
+            parents[group] = parent.add_subparsers(dest=f"{group}_command", required=True)
+        parser = parents[group].add_parser(leaf, help=help_txt)
+        parser.add_argument("--scenario", required=True, help="scenario JSON file")
+        parser.add_argument("--out", required=True, help="output artifact path")
+        parser.add_argument("--seed", type=int, default=None, help="override the scenario RNG seed")
+        parser.set_defaults(subcommand=name)
     return ap
-
-
-def _dispatch_name(args: argparse.Namespace) -> str:
-    if args.command == "tags":
-        return f"tags {args.tags_command}"
-    if args.command == "fbg":
-        return f"fbg {args.fbg_command}"
-    return args.command
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         scenario, base = _load_scenario(args.scenario)
-        _HANDLERS[_dispatch_name(args)](args, scenario, base)
+        status = _COMMANDS[args.subcommand][0](args, scenario, base)
+        if status is not None:
+            status = {"subcommand": args.subcommand, "out": args.out, **status}
+            _validate(status, "csv_meta")
+            print(json.dumps(status, sort_keys=True, allow_nan=False))
     except GridResolutionError as exc:
         extra = {}
         if exc.required_n_points is not None:

@@ -39,11 +39,11 @@ def effective_jitter(components_fwhm=(), components_rms=()) -> float:
     """
     total_sq = 0.0
     for j in components_fwhm:
-        if j < 0:
+        if not j >= 0:
             raise ValueError("jitter components must be nonnegative")
         total_sq += j * j
     for r in components_rms:
-        if r < 0:
+        if not r >= 0:
             raise ValueError("jitter components must be nonnegative")
         j = r * RMS_TO_FWHM
         total_sq += j * j
@@ -52,7 +52,7 @@ def effective_jitter(components_fwhm=(), components_rms=()) -> float:
 
 def jitter_sigma_time(jitter_fwhm: float) -> float:
     """Gaussian sigma (seconds) for a jitter FWHM."""
-    if jitter_fwhm < 0:
+    if not jitter_fwhm >= 0:
         raise ValueError("jitter FWHM must be nonnegative")
     return jitter_fwhm / RMS_TO_FWHM
 

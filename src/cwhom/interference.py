@@ -87,6 +87,10 @@ class CoincidenceConfig:
             raise ValueError("coincidence windows must be positive")
 
 
+# (herald, BS input) channel of each source, as InterferenceSetup states
+SOURCE_CHANNELS = {"a": (1, 2), "b": (4, 3)}
+
+
 @dataclass(frozen=True)
 class InterferenceSetup:
     """Everything the coincidence probability depends on.
@@ -615,22 +619,26 @@ def fourfold_probability_oracle(setup: InterferenceSetup, tau: float) -> float:
 # Dip curves, visibility, maps
 
 
+def _plateau_reach(coherence_times, jitters) -> float:
+    """Nominal plateau delay: max(6 x max coherence time, 3 x max jitter)."""
+    return max(6.0 * max(coherence_times), 3.0 * max(jitters))
+
+
 def _plateau_delay(setup: InterferenceSetup) -> tuple[float, bool]:
     """Delay used as the P(infinity) estimate, and its reliability.
 
-    Nominal rule: max(6 x max coherence time, 3 x max jitter), clamped
-    into [t_lo, t_hi]: past the dip, and with the delayed wave packet
-    inside the half BS window tau_23/2. That does not keep the sample
-    off the capture roll-off: on the criterion-2 setup it sits at
-    t_hi = 790 ps, where P is 0.9646 of the direct-term baseline.
-    Outside the tau_23 >= 4 T_c regime (or when the clamp interval is
-    empty) no plateau exists and the flag is False.
+    Nominal rule: ``_plateau_reach``, clamped into [t_lo, t_hi]: past
+    the dip, and with the delayed wave packet inside the half BS window
+    tau_23/2. That does not keep the sample off the capture roll-off: on
+    the criterion-2 setup it sits at t_hi = 790 ps, where P is 0.9646 of
+    the direct-term baseline. Outside the tau_23 >= 4 T_c regime (or when
+    the clamp interval is empty) no plateau exists and the flag is False.
     """
     cfg = setup.windows
     tc_max = max(setup.coherence_times)
     j_max = max(setup.detectors.jitter_fwhm)
     sigma_max = jitter_sigma_time(j_max)
-    nominal = max(6.0 * tc_max, 3.0 * j_max)
+    nominal = _plateau_reach(setup.coherence_times, setup.detectors.jitter_fwhm)
     t_lo = max(2.0 * tc_max + cfg.tau_14 / 2.0 + 3.0 * sigma_max, 3.0 * j_max)
     t_hi = cfg.tau_23 / 2.0 - tc_max - cfg.tau_14 / 2.0 - 3.0 * sigma_max
     reliable = cfg.tau_23 >= 4.0 * tc_max and t_hi >= t_lo

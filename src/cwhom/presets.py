@@ -11,7 +11,13 @@ the frozen expectations).
 from __future__ import annotations
 
 from .detection import effective_jitter
-from .interference import SPAN_FACTOR, CoincidenceConfig, InterferenceSetup, build_setup
+from .interference import (
+    SOURCE_CHANNELS,
+    SPAN_FACTOR,
+    CoincidenceConfig,
+    InterferenceSetup,
+    build_setup,
+)
 from .spectral import (
     FbgModel,
     FrequencyGrid,
@@ -86,11 +92,10 @@ REFERENCE_SOURCES = {
 }
 
 # Jitter FWHM pairs (signal channel, idler channel) used when measuring
-# each source's two-photon coherence curve: source A on channels (1, 2'),
-# source B on channels (4, 3').
+# each source's two-photon coherence curve, on the channels it feeds.
 COHERENCE_JITTER_PAIRS = {
-    "a": (REFERENCE_JITTERS_FWHM[0], REFERENCE_JITTERS_FWHM[1]),
-    "b": (REFERENCE_JITTERS_FWHM[3], REFERENCE_JITTERS_FWHM[2]),
+    src: tuple(REFERENCE_JITTERS_FWHM[c - 1] for c in channels)
+    for src, channels in SOURCE_CHANNELS.items()
 }
 
 

@@ -39,13 +39,14 @@ class RateQuery:
     filter_kind: str = "rect"
 
     def __post_init__(self) -> None:
+        # each test is written so that NaN fails it
         if not 0.0 < self.mu <= 0.2:
             raise ValueError("mu must lie in (0, 0.2]")
-        if self.jitter < 0:
+        if not self.jitter >= 0:
             raise ValueError("jitter must be nonnegative")
         if not 0.0 < self.v_target < 1.0:
             raise ValueError("v_target must lie in (0, 1)")
-        if self.tc_max <= 0:
+        if not self.tc_max > 0:
             raise ValueError("tc_max must be positive")
         lo, hi = self.tau_w_range
         if not 0.0 < lo < hi:
@@ -92,6 +93,8 @@ class LossProfile:
             raise ValueError("losses_db must have shape (n_times, 4)")
         if np.any(ldb < 0):
             raise ValueError("losses must be nonnegative dB")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(ldb))):
+            raise ValueError("times and losses must be finite")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "losses_db", ldb)
 
@@ -124,7 +127,7 @@ def cw_fourfold_rate(
     R = (mu / T_c)^2 * tau_w, optionally times the 1/2 Bell-state
     projection factor and the product of channel efficiencies.
     """
-    if mu <= 0 or t_c <= 0 or tau_w <= 0:
+    if not (mu > 0 and t_c > 0 and tau_w > 0):
         raise ValueError("mu, t_c and tau_w must be positive")
     if tau_w > t_c:
         warnings.warn(
@@ -144,7 +147,7 @@ def cw_fourfold_rate(
 
 def pulsed_rate(mu_p: float, tau_p: float, t_c: float, f_rep: float) -> float:
     """Fourfold rate of pulsed sources: (mu_p * tau_p / T_c)^2 * f_rep."""
-    if mu_p < 0 or tau_p <= 0 or t_c <= 0 or f_rep <= 0:
+    if not (mu_p >= 0 and tau_p > 0 and t_c > 0 and f_rep > 0):
         raise ValueError("mu_p nonnegative; tau_p, t_c, f_rep positive")
     return (mu_p * tau_p / t_c) ** 2 * f_rep
 

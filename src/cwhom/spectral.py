@@ -13,11 +13,10 @@ shapes the biphoton joint spectral amplitude.
 
 from __future__ import annotations
 
-import csv
 import functools
-import json
 import math
-from dataclasses import dataclass, asdict, replace
+import warnings
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -165,26 +164,19 @@ def load_filter_table(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
 
     Returns (omega [rad/s], reflectance, phase or None) sorted by omega.
     """
-    wl_pm, refl, phase = [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n").split(",")
         cols = [c.strip().lower() for c in header]
         if cols[:2] != ["wavelength_pm", "reflectance"]:
             raise ValueError(f"unexpected filter table header: {header}")
         has_phase = len(cols) > 2 and cols[2] == "phase_rad"
-        for row in reader:
-            if not row:
-                continue
-            wl_pm.append(float(row[0]))
-            refl.append(float(row[1]))
-            if has_phase:
-                phase.append(float(row[2]))
-    omega = np.array([wavelength_pm_to_angular(w) for w in wl_pm])
-    refl = np.asarray(refl, dtype=float)
-    ph = np.asarray(phase, dtype=float) if phase else None
+        # a header-only table reads as zero rows; the caller judges the count
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            rows = np.loadtxt(fh, delimiter=",", ndmin=2, usecols=range(3 if has_phase else 2))
+    omega = wavelength_pm_to_angular(rows[:, 0])
     order = np.argsort(omega)
-    return omega[order], refl[order], (ph[order] if ph is not None else None)
+    return omega[order], rows[order, 1], (rows[order, 2] if has_phase else None)
 
 
 # ---------------------------------------------------------------------------
@@ -438,18 +430,6 @@ def fit_fbg(
     if best_res > seed_res:
         return seed, seed_res
     return best, best_res
-
-
-def load_fbg_model(path) -> FbgModel:
-    with open(path) as fh:
-        data = json.load(fh)
-    return FbgModel(**data)
-
-
-def save_fbg_model(model: FbgModel, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(asdict(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------

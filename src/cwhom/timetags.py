@@ -59,7 +59,7 @@ class TagStream:
             raise ValueError("channel labels must be in {1, 2, 3, 4}")
         if not _integral(t):
             raise ValueError("timestamps must be integer femtoseconds")
-        if self.duration <= 0:
+        if not self.duration > 0:
             raise ValueError("duration must be positive")
         if t.size and np.any(t[1:] < t[:-1]):
             raise ValueError("timestamps must be sorted ascending")
@@ -134,17 +134,18 @@ class SimScenario:
     pairing_horizon: float | None = None
 
     def __post_init__(self) -> None:
-        if self.pair_rate_a < 0 or self.pair_rate_b < 0:
+        # each test is written so that NaN fails it
+        if not (self.pair_rate_a >= 0 and self.pair_rate_b >= 0):
             raise ValueError("pair rates must be nonnegative")
         if not callable(self.gamma) and not 0.0 <= float(self.gamma) <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")
-        if len(self.noise_rates) != 4 or any(r < 0 for r in self.noise_rates):
+        if len(self.noise_rates) != 4 or any(not r >= 0 for r in self.noise_rates):
             raise ValueError("noise_rates must be four nonnegative rates")
         if len(self.etas) != 4 or any(not 0.0 <= e <= 1.0 for e in self.etas):
             raise ValueError("etas must be four efficiencies in [0, 1]")
-        if self.duration <= 0:
+        if not self.duration > 0:
             raise ValueError("duration must be positive")
-        if self.pairing_horizon is not None and self.pairing_horizon <= 0:
+        if self.pairing_horizon is not None and not self.pairing_horizon > 0:
             raise ValueError("pairing_horizon must be positive")
 
     def gamma_of(self, delta: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ exit-code contract, and the schema validity of every emitted artifact.
 from __future__ import annotations
 
 import json
+import math
 import os
 import runpy
 import subprocess
@@ -16,7 +17,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from cwhom.cli import _schema, main
+from cwhom.cli import _validate, _validator, _write_json, main
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCENARIOS = os.path.join(REPO, "scenarios")
@@ -31,7 +32,7 @@ def run(capsys, argv):
 
 def meta_of(out: str) -> dict:
     meta = json.loads(out.strip().splitlines()[-1])
-    jsonschema.validate(meta, _schema("csv_meta"))
+    _validator("csv_meta").validate(meta)
     return meta
 
 
@@ -51,7 +52,7 @@ def test_pulsed_rate(capsys, tmp_path):
                               "--out", str(out)])
     assert code == 0
     doc = json.loads(out.read_text())
-    jsonschema.validate(doc, _schema("rate"))
+    _validator("rate").validate(doc)
     assert doc["rate_hz"] == 1e5
 
 
@@ -61,7 +62,7 @@ def test_pass_swaps(capsys, tmp_path):
                               "--out", str(out)])
     assert code == 0
     doc = json.loads(out.read_text())
-    jsonschema.validate(doc, _schema("swaps"))
+    _validator("swaps").validate(doc)
     assert doc["swaps"] == pytest.approx(0.8509641908674247, rel=1e-12)
 
 
@@ -71,7 +72,7 @@ def test_visibility_identical_sources(capsys, tmp_path):
                               "--out", str(out)])
     assert code == 0
     doc = json.loads(out.read_text())
-    jsonschema.validate(doc, _schema("visibility"))
+    _validator("visibility").validate(doc)
     assert doc["plateau_reliable"] is True
     assert doc["visibility"] == pytest.approx(0.9753996266532972, rel=1e-9)
     assert doc["inputs"] == json.loads(open(scenario_path("identical_165.json")).read())
@@ -148,7 +149,7 @@ def test_optimize_rate(capsys, tmp_path):
                               "--out", str(out)])
     assert code == 0
     doc = json.loads(out.read_text())
-    jsonschema.validate(doc, _schema("optresult"))
+    _validator("optresult").validate(doc)
     curve = np.asarray(doc["curve"])
     assert curve.shape[1] == 3
     assert doc["rate_opt_hz"] == curve[:, 2].max()
@@ -173,9 +174,19 @@ def test_vismap(capsys, tmp_path):
     assert np.all(rows[:, 1] > rows[:, 2])
 
 
-def test_fbg_fit_recovers_calibrated_model(capsys, tmp_path):
+def test_fbg_fit_recovers_calibrated_model(capsys, tmp_path, monkeypatch):
+    import cwhom.cli
     from cwhom.presets import FILTER_SIGNAL_A
+    from cwhom.spectral import FbgModel
 
+    fits = []
+    fit = cwhom.cli.fit_fbg
+
+    def recording_fit(*args, **kwargs):
+        fits.append(fit(*args, **kwargs))
+        return fits[-1]
+
+    monkeypatch.setattr(cwhom.cli, "fit_fbg", recording_fit)
     out = tmp_path / "fit.json"
     code, stdout, _ = run(capsys, ["fbg", "fit", "--scenario", scenario_path("fbg_fit.json"),
                                    "--out", str(out)])
@@ -183,9 +194,12 @@ def test_fbg_fit_recovers_calibrated_model(capsys, tmp_path):
     meta = meta_of(stdout)
     assert meta["residual"] < 1e-6
     doc = json.loads(out.read_text())
-    jsonschema.validate(doc, _schema("fbg_model"))
+    _validator("fbg_model").validate(doc)
     assert doc["peak_kappa"] == pytest.approx(FILTER_SIGNAL_A.peak_kappa, rel=5e-3)
     assert doc["length"] == FILTER_SIGNAL_A.length
+    # the artifact reads back as exactly the model the fit returned
+    with open(out) as fh:
+        assert FbgModel(**json.load(fh)) == fits[0][0]
 
 
 def test_fbg_fit_passes_restarts_only_when_set(capsys, tmp_path, monkeypatch):
@@ -327,7 +341,7 @@ def test_tags_simulate_count_roundtrip(capsys, tmp_path):
     code, _, _ = run(capsys, ["tags", "count", "--scenario", str(count_sc), "--out", str(out)])
     assert code == 0
     doc = json.loads(out.read_text())
-    jsonschema.validate(doc, _schema("counts"))
+    _validator("counts").validate(doc)
     assert doc["corrected"] == doc["raw"] - doc["shifted_2"] - doc["shifted_3"]
     assert doc["raw"] >= 0
 
@@ -379,6 +393,64 @@ def test_exit_code_3_when_grid_too_coarse(capsys, tmp_path):
     err = json.loads(stderr)
     assert err["error"] == "resolution"
     assert err["required_n_points"] == 551
+
+
+@pytest.mark.parametrize("row", ["300,nan,30,2.2,2.2", "inf,30,30,2.2,2.2"])
+def test_pass_swaps_refuses_a_non_finite_loss_file(capsys, tmp_path, row):
+    # np.loadtxt reads nan and inf, which used to end as NaN or Infinity
+    # in the artifact, neither of them JSON
+    (tmp_path / "loss.csv").write_text(f"t_s,loss1_db,loss2_db,loss3_db,loss4_db\n0,30,30,2.2,2.2\n{row}\n")
+    with open(scenario_path("swap.json")) as fh:
+        doc = json.load(fh)
+    doc["swap"]["loss_csv"] = "loss.csv"
+    sc = tmp_path / "swap.json"
+    sc.write_text(json.dumps(doc))
+    out = tmp_path / "swaps.json"
+    code, _, stderr = run(capsys, ["pass-swaps", "--scenario", str(sc), "--out", str(out)])
+    assert code == 2
+    err = json.loads(stderr)
+    assert err["error"] == "validation"
+    assert "must be finite" in err["message"]
+    assert not out.exists()
+
+
+def test_write_json_refuses_non_finite_numbers(tmp_path):
+    # the artifact is serialized before its file opens, so none is left behind
+    out = tmp_path / "swaps.json"
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="JSON compliant"):
+            _write_json(str(out), {"swaps": value}, "swaps")
+        assert not out.exists()
+
+
+def test_homdip_preset_regrids_until_the_plateau_reach_resolves(capsys, tmp_path, monkeypatch):
+    # the first grid resolves the 800 ps delays and tau_23 = 1000 ps; the
+    # coherence times estimated on it put the plateau reach at 1.46 ns, so
+    # the setup is rebuilt once, on a finer grid
+    import cwhom.cli
+    from cwhom.interference import _check_resolution, _plateau_reach
+
+    setups = []
+    build = cwhom.cli.build_setup
+
+    def recording_build(*args, **kwargs):
+        setups.append(build(*args, **kwargs))
+        return setups[-1]
+
+    monkeypatch.setattr(cwhom.cli, "build_setup", recording_build)
+    with open(scenario_path("reference_sources.json")) as fh:
+        doc = json.load(fh)
+    doc["windows"]["tau_23_ps"] = 1000.0
+    doc["delays"]["count"] = 5
+    sc = tmp_path / "dip.json"
+    sc.write_text(json.dumps(doc))
+    code, _, _ = run(capsys, ["homdip", "--scenario", str(sc), "--out", str(tmp_path / "dip.csv")])
+    assert code == 0
+    assert [s.jsa_a.grid.n_points for s in setups] == [705, 1027]
+    final = setups[-1]
+    reach = _plateau_reach(final.coherence_times, final.detectors.jitter_fwhm)
+    assert reach > 1.4e-9
+    _check_resolution(final.jsa_a.grid, reach, "the plateau reach")
 
 
 def test_exit_code_2_mixed_preset_and_analytic_sources(capsys, tmp_path):
@@ -509,7 +581,26 @@ def test_bundled_scenarios_validate():
     assert len(names) >= 8
     for name in names:
         doc = json.loads(open(os.path.join(SCENARIOS, name)).read())
-        jsonschema.validate(doc, _schema("scenario"))
+        _validator("scenario").validate(doc)
+
+
+def test_packaged_schemas_are_valid_draft7():
+    # the cached validators skip the metaschema check that
+    # jsonschema.validate makes on every call
+    names = os.listdir(SCHEMAS)
+    assert len(names) >= 8
+    for name in names:
+        with open(os.path.join(SCHEMAS, name)) as fh:
+            jsonschema.Draft7Validator.check_schema(json.load(fh))
+
+
+def test_validate_raises_what_jsonschema_validate_raises():
+    bad = {"pulsed": {"mu_p": -1.0, "tau_p_ps": 0.0}, "bogus": 1}
+    with pytest.raises(jsonschema.ValidationError) as want:
+        jsonschema.validate(bad, _validator("scenario").schema, cls=jsonschema.Draft7Validator)
+    with pytest.raises(jsonschema.ValidationError) as got:
+        _validate(bad, "scenario")
+    assert (got.value.message, got.value.path) == (want.value.message, want.value.path)
 
 
 def test_packaged_schemas_match_generator():

@@ -33,10 +33,11 @@ def test_quadrature_composition():
 
 
 def test_effective_jitter_rejects_negative():
-    with pytest.raises(ValueError):
-        effective_jitter(components_fwhm=(-1e-12,))
-    with pytest.raises(ValueError):
-        effective_jitter(components_rms=(-1e-12,))
+    for bad in (-1e-12, math.nan):
+        with pytest.raises(ValueError):
+            effective_jitter(components_fwhm=(bad,))
+        with pytest.raises(ValueError):
+            effective_jitter(components_rms=(bad,))
 
 
 def test_kernel_limits():
@@ -92,5 +93,6 @@ def test_detector_model_validation():
 
 
 def test_sigma_time_rejects_negative():
-    with pytest.raises(ValueError):
-        jitter_sigma_time(-1e-12)
+    for bad in (-1e-12, math.nan):
+        with pytest.raises(ValueError):
+            jitter_sigma_time(bad)

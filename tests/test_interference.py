@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
@@ -52,11 +52,11 @@ PS = 1e-12
 JITTERS = (17e-12, 13e-12, 11e-12, 16e-12)
 
 
-def two_source_setup(tc_a, tc_b, tau_14, tau_23, jitters):
-    """Rect sources with possibly different coherence times, left to the numeric estimate."""
+def two_source_setup(tc_a, tc_b, tau_14, tau_23, jitters, kind="rect"):
+    """Analytic sources with possibly different coherence times, left to the numeric estimate."""
     return build_setup(
-        lambda grid: (analytic_jsa(grid, "rect", tc_a), analytic_jsa(grid, "rect", tc_b)),
-        8.0 * max(filter_width("rect", tc_a), filter_width("rect", tc_b)),
+        lambda grid: (analytic_jsa(grid, kind, tc_a), analytic_jsa(grid, kind, tc_b)),
+        8.0 * max(filter_width(kind, tc_a), filter_width(kind, tc_b)),
         CoincidenceConfig(tau_14=tau_14, tau_23=tau_23),
         jitters,
         reach=max(tc_a, tc_b),
@@ -145,6 +145,20 @@ def off_centre_setup():
     )
 
 
+# Random small setups for the engine's property tests. Every time scale
+# stays within 2 x the shortest coherence time, so a sized grid holds at
+# most 229 points (rect) and each example takes milliseconds.
+PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
+KINDS = st.sampled_from(["rect", "gaussian"])
+COHERENCE_TIMES = st.floats(100 * PS, 150 * PS)
+HERALD_WINDOWS = st.floats(10 * PS, 100 * PS)
+BS_WINDOWS = st.floats(150 * PS, 200 * PS)
+
+
+def jitter_tuples(lowest):
+    return st.tuples(*[st.floats(lowest, 30 * PS)] * 4)
+
+
 # ---------------------------------------------------------------------------
 # Engine vs time-domain oracle
 
@@ -165,24 +179,36 @@ def test_engine_matches_time_domain_oracle(jitter, tau):
     assert engine == pytest.approx(oracle, rel=1e-3)
 
 
-def test_engine_matches_oracle_with_unequal_sources():
-    setup = two_source_setup(120 * PS, 80 * PS, 40 * PS, 280 * PS, JITTERS)
-    engine = FourfoldEngine(setup)
-    for tau in (0.0, 120e-12):
-        assert engine.probability(tau) == pytest.approx(
-            fourfold_probability_oracle(setup, tau), rel=1e-3
-        )
+UNEQUAL_RECT = dict(kind="rect", tc_a=120 * PS, tc_b=80 * PS, tau_14=40 * PS, tau_23=280 * PS,
+                    jitters=JITTERS)
+
+
+# every jitter is at least 5 ps: zero-jitter dips are excluded, as above
+@PROPERTY_SETTINGS
+@given(kind=KINDS, tc_a=COHERENCE_TIMES, tc_b=COHERENCE_TIMES, tau_14=HERALD_WINDOWS,
+       tau_23=BS_WINDOWS, jitters=jitter_tuples(5 * PS), tau=st.floats(-100 * PS, 100 * PS))
+@example(**UNEQUAL_RECT, tau=0.0)
+@example(**UNEQUAL_RECT, tau=120 * PS)
+def test_engine_matches_oracle_with_unequal_sources(kind, tc_a, tc_b, tau_14, tau_23, jitters, tau):
+    setup = two_source_setup(tc_a, tc_b, tau_14, tau_23, jitters, kind)
+    assert FourfoldEngine(setup).probability(tau) == pytest.approx(
+        fourfold_probability_oracle(setup, tau), rel=1e-3
+    )
 
 
 # ---------------------------------------------------------------------------
 # Structural symmetries
 
 
-def test_probability_even_in_delay():
-    setup = two_source_setup(120 * PS, 80 * PS, 40 * PS, 600 * PS, JITTERS)
-    engine = FourfoldEngine(setup)
-    for tau in (60e-12, 150e-12, 280e-12):
-        assert engine.probability(tau) == pytest.approx(engine.probability(-tau), rel=1e-9)
+@PROPERTY_SETTINGS
+@given(kind=KINDS, tc_a=COHERENCE_TIMES, tc_b=COHERENCE_TIMES, tau_14=HERALD_WINDOWS,
+       tau_23=BS_WINDOWS, jitters=jitter_tuples(0.0), tau=st.floats(1 * PS, 150 * PS))
+@example(**dict(UNEQUAL_RECT, tau_23=600 * PS), tau=60 * PS)
+@example(**dict(UNEQUAL_RECT, tau_23=600 * PS), tau=150 * PS)
+@example(**dict(UNEQUAL_RECT, tau_23=600 * PS), tau=280 * PS)
+def test_probability_even_in_delay(kind, tc_a, tc_b, tau_14, tau_23, jitters, tau):
+    engine = FourfoldEngine(two_source_setup(tc_a, tc_b, tau_14, tau_23, jitters, kind))
+    assert engine.probability(tau) == pytest.approx(engine.probability(-tau), rel=1e-9)
 
 
 def test_exchange_symmetry_at_zero_delay():
@@ -300,10 +326,17 @@ def test_dense_jsa_contracts_over_the_full_grid():
     assert np.array_equal(FourfoldEngine(setup).omega, setup.jsa_a.grid.omega)
 
 
-def test_visibility_scale_invariance():
-    base = _identical_source_setup(165 * PS, 40 * PS, 2000 * PS, 17e-12, "rect")
-    s = 2.7
-    scaled = _identical_source_setup(165 * s * PS, 40 * s * PS, 2000 * s * PS, 17e-12 * s, "rect")
+@PROPERTY_SETTINGS
+@given(kind=KINDS, t_c=COHERENCE_TIMES, tau_14=HERALD_WINDOWS, tau_23=BS_WINDOWS,
+       jitters=jitter_tuples(0.0), scale=st.floats(0.3, 3.0))
+@example(kind="rect", t_c=165 * PS, tau_14=40 * PS, tau_23=2000 * PS, jitters=(17e-12,) * 4,
+         scale=2.7)
+def test_visibility_scale_invariance(kind, t_c, tau_14, tau_23, jitters, scale):
+    # T_c, both windows and every jitter scaled together leave V unchanged
+    base = _identical_source_setup(t_c, tau_14, tau_23, jitters, kind)
+    scaled = _identical_source_setup(
+        t_c * scale, tau_14 * scale, tau_23 * scale, tuple(j * scale for j in jitters), kind
+    )
     assert visibility_at_zero_delay(scaled) == pytest.approx(
         visibility_at_zero_delay(base), rel=1e-6
     )

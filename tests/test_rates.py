@@ -69,6 +69,9 @@ def test_cw_rate_validation_and_warning():
         cw_fourfold_rate(0.01, 1e-10, 0.0)
     with pytest.raises(ValueError):
         cw_fourfold_rate(0.01, 1e-10, 1e-11, etas=(0.9, 0.9))
+    for args in ((math.nan, 1e-10, 1e-11), (0.01, math.nan, 1e-11), (0.01, 1e-10, math.nan)):
+        with pytest.raises(ValueError):
+            cw_fourfold_rate(*args)
     with pytest.warns(UserWarning, match="tau_w"):
         cw_fourfold_rate(0.01, 1e-10, 2e-10)
 
@@ -80,6 +83,11 @@ def test_pulsed_rate_validation():
         pulsed_rate(0.01, 0.0, 1e-10, 1e9)
     with pytest.raises(ValueError):
         pulsed_rate(0.01, 1e-10, 1e-10, 0.0)
+    for i in range(4):
+        args = [0.01, 1e-10, 1e-10, 1e9]
+        args[i] = math.nan
+        with pytest.raises(ValueError):
+            pulsed_rate(*args)
 
 
 def test_rate_query_validation():
@@ -91,6 +99,10 @@ def test_rate_query_validation():
         RateQuery(mu=0.01, jitter=0.0, v_target=1.0, tc_max=1e-10)
     with pytest.raises(ValueError):
         RateQuery(mu=0.01, jitter=0.0, v_target=0.9, tc_max=0.0)
+    with pytest.raises(ValueError, match="jitter"):
+        RateQuery(mu=0.01, jitter=math.nan, v_target=0.9, tc_max=1e-10)
+    with pytest.raises(ValueError, match="tc_max"):
+        RateQuery(mu=0.01, jitter=0.0, v_target=0.9, tc_max=math.nan)
     with pytest.raises(ValueError):
         RateQuery(mu=0.01, jitter=0.0, v_target=0.9, tc_max=1e-10,
                   tau_w_range=(1e-10, 1e-11))
@@ -121,6 +133,14 @@ def test_loss_profile_validation():
         LossProfile(times=t, losses_db=np.full((2, 3), 3.0))
     with pytest.raises(ValueError, match="nonnegative"):
         LossProfile(times=t, losses_db=np.full((2, 4), -1.0))
+    # a NaN fails every comparison, so finiteness is checked on its own
+    for value in (math.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            LossProfile(times=np.array([0.0, value]), losses_db=ok)
+        bad = ok.copy()
+        bad[1, 0] = value
+        with pytest.raises(ValueError, match="finite"):
+            LossProfile(times=t, losses_db=bad)
 
 
 def test_loss_profile_efficiencies():

@@ -35,10 +35,8 @@ from cwhom.spectral import (
     fit_fbg,
     fwhm_from_samples,
     joint_spectral_amplitude,
-    load_fbg_model,
     load_filter_table,
     make_filter,
-    save_fbg_model,
     tabulated_filter,
 )
 from cwhom.units import C_M_PER_S, wavelength_pm_to_angular
@@ -593,19 +591,6 @@ def test_levenberg_marquardt_stops_at_the_evaluation_cap():
     x, _ = _levenberg_marquardt(fun, np.zeros(1))
     assert len(calls) <= LM_MAX_EVALS
     assert x[0] > 100.0
-
-
-def test_model_json_roundtrip(tmp_path):
-    model = FbgModel(
-        length=0.0456, n_sections=64, peak_kappa=71.25, order=8.0, width=1.0,
-        detuning_offset=7.84e9,
-    )
-    path = tmp_path / "model.json"
-    save_fbg_model(model, path)
-    back = load_fbg_model(path)
-    assert back == model
-    payload = json.loads(path.read_text())
-    assert payload["length"] == model.length
 
 
 # ---------------------------------------------------------------------------

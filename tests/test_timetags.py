@@ -169,6 +169,8 @@ def test_tag_stream_validation():
         TagStream(channels=np.array([5]), times_fs=np.array([100]), duration=1e-9)
     with pytest.raises(ValueError, match="duration"):
         TagStream(channels=np.array([1]), times_fs=np.array([100]), duration=0.0)
+    with pytest.raises(ValueError, match="duration"):
+        TagStream(channels=np.zeros(0), times_fs=np.zeros(0), duration=np.nan)
     with pytest.raises(ValueError, match="parallel"):
         TagStream(channels=np.array([1, 2]), times_fs=np.array([100]), duration=1e-9)
     # labels and times are checked as given: 257 must not wrap to channel 1,
@@ -324,6 +326,12 @@ def test_scenario_validation():
         SimScenario(**dict(good, duration=0.0))
     with pytest.raises(ValueError):
         SimScenario(**dict(good, pairing_horizon=0.0))
+    nan = float("nan")
+    for field in ("pair_rate_a", "pair_rate_b", "duration", "pairing_horizon"):
+        with pytest.raises(ValueError):
+            SimScenario(**dict(good, **{field: nan}))
+    with pytest.raises(ValueError, match="noise_rates"):
+        SimScenario(**dict(good, noise_rates=(1.0, nan, 1.0, 1.0)))
 
 
 # ---------------------------------------------------------------------------
