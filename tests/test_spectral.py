@@ -593,6 +593,23 @@ def test_levenberg_marquardt_stops_at_the_evaluation_cap():
     assert x[0] > 100.0
 
 
+def test_model_json_roundtrip(tmp_path):
+    from dataclasses import asdict
+
+    from cwhom.cli import _write_json
+
+    model = FbgModel(
+        length=0.0456, n_sections=64, peak_kappa=71.25, order=8.0, width=1.0,
+        detuning_offset=7.84e9,
+    )
+    path = tmp_path / "model.json"
+    # the fbg_model artifact that `cwhom fbg fit` writes
+    _write_json(str(path), asdict(model), "fbg_model")
+    payload = json.loads(path.read_text())
+    assert FbgModel(**payload) == model
+    assert payload["length"] == model.length
+
+
 # ---------------------------------------------------------------------------
 # Joint spectral amplitude
 
