@@ -129,10 +129,18 @@ def _refuse_constant(name: str):
     raise ValueError(f"scenario holds {name}; scenario numbers must be finite")
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"scenario holds {text}, which overflows a float; scenario numbers must be finite")
+    return value
+
+
 def _load_scenario(path: str) -> tuple[dict, str]:
     with open(path) as fh:
-        # json.load reads NaN and +-Infinity, which the schema's number type admits
-        scenario = json.load(fh, parse_constant=_refuse_constant)
+        # json.load reads NaN and +-Infinity, and an overflowing literal such
+        # as 1e400 as inf, all of which the schema's number type admits
+        scenario = json.load(fh, parse_constant=_refuse_constant, parse_float=_finite_float)
     _validate(scenario, "scenario")
     return scenario, os.path.dirname(os.path.abspath(path))
 

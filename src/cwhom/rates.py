@@ -9,6 +9,7 @@ yield under time-varying channel loss.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -149,7 +150,13 @@ def pulsed_rate(mu_p: float, tau_p: float, t_c: float, f_rep: float) -> float:
     """Fourfold rate of pulsed sources: (mu_p * tau_p / T_c)^2 * f_rep."""
     if not (mu_p >= 0 and tau_p > 0 and t_c > 0 and f_rep > 0):
         raise ValueError("mu_p nonnegative; tau_p, t_c, f_rep positive")
-    return (mu_p * tau_p / t_c) ** 2 * f_rep
+    try:
+        rate = (mu_p * tau_p / t_c) ** 2 * f_rep
+    except OverflowError:  # a float ** raises where * would give inf
+        rate = math.inf
+    if not math.isfinite(rate):
+        raise ValueError("pulsed rate (mu_p * tau_p / t_c)^2 * f_rep is not a finite float")
+    return rate
 
 
 @functools.lru_cache(maxsize=4096)

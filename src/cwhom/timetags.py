@@ -498,6 +498,23 @@ def save_tags_csv(stream: TagStream, path: str) -> None:
             fh.write(_csv_rows(ch[lo:hi], t[lo:hi]).tobytes())
 
 
+# bytes hashed per read when load_tags_csv keys a file by its content
+_DIGEST_CHUNK = 1 << 20
+# the stream load_tags_csv parsed last, keyed by (file digest, duration)
+_last_load: tuple[tuple[bytes, float | None], TagStream] | None = None
+
+
+def _file_digest(path: str) -> bytes:
+    """SHA-256 of a file's bytes, read in fixed-size chunks."""
+    import hashlib  # here, not at the top: importing cwhom.cli does not load it
+
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_DIGEST_CHUNK):
+            h.update(chunk)
+    return h.digest()
+
+
 def load_tags_csv(path: str, duration: float | None = None) -> TagStream:
     """Read a `channel,timestamp_fs` file back into a TagStream.
 
@@ -505,7 +522,21 @@ def load_tags_csv(path: str, duration: float | None = None) -> TagStream:
     order, as `save_tags_csv` writes it, passes an O(n) check and is not
     re-sorted; any other order is sorted by `np.lexsort`.  Labels and
     timestamps are validated as read, before they are narrowed.
+
+    A load of a file whose bytes are identical to those of the last
+    stream loaded in the process, with the same `duration`, returns that
+    stream itself, without parsing again: the key is the file's SHA-256,
+    never its path or modification time.  Streams are therefore shared,
+    read-only objects.  One stream stays in memory until a different file
+    is loaded (~66 MB at 3.84 M events); a file that fails its checks is
+    never kept.
     """
+    global _last_load
+    key = (_file_digest(path), duration)
+    if _last_load is not None and _last_load[0] == key:
+        return _last_load[1]
+    # dropped before parsing: the old stream is not kept alive beside the new
+    _last_load = None
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
     if header != "channel,timestamp_fs":
@@ -526,4 +557,6 @@ def load_tags_csv(path: str, duration: float | None = None) -> TagStream:
         ch, t = ch[order], t[order]
     if duration is None:
         duration = float(t[-1] * FS) if t.size else FS
-    return TagStream(channels=ch, times_fs=t, duration=duration)
+    stream = TagStream(channels=ch, times_fs=t, duration=duration)
+    _last_load = key, stream
+    return stream

@@ -17,6 +17,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from cwhom import timetags
 from cwhom.cli import _validate, _validator, _write_json, main
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -235,7 +236,8 @@ def modules_loaded_by(module: str, prefixes: tuple[str, ...]) -> list[str]:
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    assert modules_loaded_by("cwhom.cli", ("scipy",)) == []
+    # hashlib, which keys tag files by content, loads only when a tag file does
+    assert modules_loaded_by("cwhom.cli", ("scipy", "hashlib")) == []
 
 
 def test_every_subcommand_runs_without_scipy(tmp_path):
@@ -288,6 +290,27 @@ def test_exit_code_2_non_finite_scenario_number(capsys, tmp_path, constant):
     err = json.loads(stderr)
     assert err["error"] == "validation"
     assert constant in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sub, text, needle", [
+    # json.load reads 1e400 as inf, past the schema's exclusiveMinimum
+    ("pulsed-rate", '{"pulsed": {"mu_p": 0.01, "tau_p_ps": 800.0, "t_c_ps": 800.0, "f_rep_hz": 1e400}}',
+     "1e400"),
+    ("optimize-rate", '{"rate_query": {"mu": 0.01, "jitter_ps": 15.0, "v_target": 0.9, "tc_max_ps": 1e400}}',
+     "1e400"),
+    # finite inputs whose rate overflows
+    ("pulsed-rate", '{"pulsed": {"mu_p": 1e200, "tau_p_ps": 800.0, "t_c_ps": 800.0, "f_rep_hz": 1e9}}',
+     "finite"),
+])
+def test_exit_code_2_when_a_number_overflows(capsys, tmp_path, sub, text, needle):
+    sc = tmp_path / "big.json"
+    sc.write_text(text)
+    out = tmp_path / "out.json"
+    code, _, stderr = run(capsys, [sub, "--scenario", str(sc), "--out", str(out)])
+    assert code == 2
+    err = json.loads(stderr)
+    assert err["error"] == "validation" and needle in err["message"]
     assert not out.exists()
 
 
@@ -359,6 +382,34 @@ def test_tags_count_empty_stream(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc == {"raw": 0, "shifted_2": 0, "shifted_3": 0, "corrected": 0}
+
+
+def test_tags_count_delay_scan_parses_the_file_once(capsys, tmp_path, monkeypatch):
+    # counts at three delays of one file in one process: one parse, and the
+    # artifacts of a fresh load and count at each delay
+    parsed = []
+    real = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda fname, *a, **k: parsed.append(fname) or real(fname, *a, **k))
+    monkeypatch.setattr(timetags, "_last_load", None)
+    tags = os.path.join(REPO, "data", "tags_demo.csv")
+
+    def count(tau: float, name: str) -> bytes:
+        sc = tmp_path / f"count_{tau:g}.json"
+        sc.write_text(json.dumps({
+            "windows": {"tau_14_ps": 100.0, "tau_23_ps": 2000.0},
+            "count": {"tag_csv": tags, "tau_ps": tau, "delta_ps": 40000.0},
+        }))
+        out = tmp_path / name
+        assert run(capsys, ["tags", "count", "--scenario", str(sc), "--out", str(out)]) == (0, "", "")
+        return out.read_bytes()
+
+    taus = (0.0, 150.0, 600.0)
+    scan = [count(tau, f"scan_{tau:g}.json") for tau in taus]
+    assert parsed == [tags]
+    for tau, artifact in zip(taus, scan):
+        monkeypatch.setattr(timetags, "_last_load", None)
+        assert count(tau, f"fresh_{tau:g}.json") == artifact
+    assert parsed == [tags] * 4
 
 
 @pytest.mark.parametrize("row", ["257,5", "-252,7", "1,1.9"])

@@ -88,6 +88,11 @@ def test_pulsed_rate_validation():
         args[i] = math.nan
         with pytest.raises(ValueError):
             pulsed_rate(*args)
+    # a rate past the float range: the square overflows, the product after
+    # it overflows, or f_rep is infinite
+    for args in ([1e200, 1e-10, 1e-10, 1e9], [1e150, 1e-10, 1e-10, 1e9], [0.01, 1e-10, 1e-10, math.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            pulsed_rate(*args)
 
 
 def test_rate_query_validation():

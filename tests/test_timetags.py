@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import os
 import warnings
 
 import numpy as np
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cwhom import timetags
 from cwhom.detection import DetectorModel
 from cwhom.interference import CoherenceCurve, CoincidenceConfig
 from cwhom.timetags import (
@@ -498,6 +500,83 @@ def test_tags_csv_saves_ties_in_channel_order(tmp_path):
     path = tmp_path / "ties.csv"
     save_tags_csv(stream, path)
     assert path.read_text() == "channel,timestamp_fs\n2,5\n4,5\n1,8\n3,8\n"
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """Paths np.loadtxt reads from, one entry per tag file actually parsed."""
+    paths = []
+    real = np.loadtxt
+
+    def counted(fname, *args, **kwargs):
+        paths.append(fname)
+        return real(fname, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counted)
+    # no stream loaded by an earlier test is reused
+    monkeypatch.setattr(timetags, "_last_load", None)
+    return paths
+
+
+def rewrite_keeping_times(path, text):
+    """New bytes at the same path with the old mtime, as a coarse clock would leave it."""
+    st = os.stat(path)
+    path.write_text(text)
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+
+
+def test_tags_csv_load_reuses_the_stream_of_identical_bytes(tmp_path, parses):
+    stream = four_tag_stream()
+    path = tmp_path / "tags.csv"
+    save_tags_csv(stream, path)
+    first = load_tags_csv(path, duration=stream.duration)
+    first.channel_times(1)
+    assert load_tags_csv(path, duration=stream.duration) is first
+    # the same bytes under another path and another mtime are the same stream
+    copy = tmp_path / "copy.csv"
+    copy.write_bytes(path.read_bytes())
+    os.utime(copy, ns=(0, 0))
+    again = load_tags_csv(copy, duration=stream.duration)
+    assert again is first and len(parses) == 1
+    assert "_by_channel" in vars(again)
+    assert not again.channels.flags.writeable and not again.times_fs.flags.writeable
+
+
+def test_tags_csv_load_reads_new_bytes_at_the_same_path(tmp_path, parses):
+    path = tmp_path / "tags.csv"
+    path.write_text("channel,timestamp_fs\n1,5\n2,7\n")
+    first = load_tags_csv(path, duration=1e-12)
+    rewrite_keeping_times(path, "channel,timestamp_fs\n3,5\n4,8\n")
+    back = load_tags_csv(path, duration=1e-12)
+    assert back.channels.tolist() == [3, 4] and back.times_fs.tolist() == [5, 8]
+    assert first.channels.tolist() == [1, 2] and len(parses) == 2
+
+
+def test_tags_csv_load_with_another_duration_parses_again(tmp_path, parses):
+    path, copy = tmp_path / "tags.csv", tmp_path / "copy.csv"
+    path.write_text("channel,timestamp_fs\n1,5\n2,7\n")
+    copy.write_bytes(path.read_bytes())
+    assert load_tags_csv(path, duration=1e-12).duration == 1e-12
+    longer = load_tags_csv(copy, duration=2e-12)
+    assert longer.duration == 2e-12
+    assert load_tags_csv(path, duration=2e-12) is longer
+    # the default duration is its own key, the last timestamp
+    assert load_tags_csv(copy).duration == 7 * FS
+    assert len(parses) == 3
+
+
+@pytest.mark.parametrize("body, message", [
+    ("channel,timestamp_ps\n1,5\n2,7\n", "header"),
+    ("channel,timestamp_fs\n1,5\n9,7\n", "channel"),
+])
+def test_tags_csv_load_never_keeps_a_file_that_fails(tmp_path, parses, body, message):
+    path = tmp_path / "tags.csv"
+    path.write_text("channel,timestamp_fs\n1,5\n2,7\n")
+    load_tags_csv(path, duration=1e-12)
+    rewrite_keeping_times(path, body)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            load_tags_csv(path, duration=1e-12)
 
 
 MAX_FS = 2**63 - 1
