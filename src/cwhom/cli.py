@@ -63,7 +63,7 @@ from .spectral import FbgModel, fit_fbg, load_filter_table
 from .timetags import (
     SimScenario,
     count_fourfolds,
-    load_tags_csv,
+    load_tags_csv_shared,
     save_tags_csv,
     shifted_accidentals,
     simulate_streams,
@@ -387,7 +387,7 @@ def _cmd_tags_count(args, scenario: dict, base: str) -> None:
     ct = _section(scenario, "count")
     cfg = _windows(scenario)
     duration = ct.get("duration_ps")
-    stream = load_tags_csv(
+    stream = load_tags_csv_shared(
         _resolve(base, ct["tag_csv"]),
         duration=duration * PS if duration is not None else None,
     )

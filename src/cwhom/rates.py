@@ -150,12 +150,13 @@ def pulsed_rate(mu_p: float, tau_p: float, t_c: float, f_rep: float) -> float:
     """Fourfold rate of pulsed sources: (mu_p * tau_p / T_c)^2 * f_rep."""
     if not (mu_p >= 0 and tau_p > 0 and t_c > 0 and f_rep > 0):
         raise ValueError("mu_p nonnegative; tau_p, t_c, f_rep positive")
+    message = "pulsed rate (mu_p * tau_p / t_c)^2 * f_rep is not a finite float"
     try:
         rate = (mu_p * tau_p / t_c) ** 2 * f_rep
-    except OverflowError:  # a float ** raises where * would give inf
-        rate = math.inf
+    except OverflowError:  # a float ** raises where * gives inf
+        raise ValueError(message) from None
     if not math.isfinite(rate):
-        raise ValueError("pulsed rate (mu_p * tau_p / t_c)^2 * f_rep is not a finite float")
+        raise ValueError(message)
     return rate
 
 

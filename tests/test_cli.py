@@ -236,8 +236,7 @@ def modules_loaded_by(module: str, prefixes: tuple[str, ...]) -> list[str]:
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # hashlib, which keys tag files by content, loads only when a tag file does
-    assert modules_loaded_by("cwhom.cli", ("scipy", "hashlib")) == []
+    assert modules_loaded_by("cwhom.cli", ("scipy",)) == []
 
 
 def test_every_subcommand_runs_without_scipy(tmp_path):
@@ -390,7 +389,7 @@ def test_tags_count_delay_scan_parses_the_file_once(capsys, tmp_path, monkeypatc
     parsed = []
     real = np.loadtxt
     monkeypatch.setattr(np, "loadtxt", lambda fname, *a, **k: parsed.append(fname) or real(fname, *a, **k))
-    monkeypatch.setattr(timetags, "_last_load", None)
+    monkeypatch.setattr(timetags, "_last_shared", None)
     tags = os.path.join(REPO, "data", "tags_demo.csv")
 
     def count(tau: float, name: str) -> bytes:
@@ -407,7 +406,7 @@ def test_tags_count_delay_scan_parses_the_file_once(capsys, tmp_path, monkeypatc
     scan = [count(tau, f"scan_{tau:g}.json") for tau in taus]
     assert parsed == [tags]
     for tau, artifact in zip(taus, scan):
-        monkeypatch.setattr(timetags, "_last_load", None)
+        monkeypatch.setattr(timetags, "_last_shared", None)
         assert count(tau, f"fresh_{tau:g}.json") == artifact
     assert parsed == [tags] * 4
 
