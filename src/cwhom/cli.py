@@ -61,9 +61,9 @@ from .presets import (
 from .rates import LossProfile, RateQuery, optimize_window, pass_swaps, pulsed_rate
 from .spectral import FbgModel, fit_fbg, load_filter_table
 from .timetags import (
+    SharedTagLoader,
     SimScenario,
     count_fourfolds,
-    load_tags_csv_shared,
     save_tags_csv,
     shifted_accidentals,
     simulate_streams,
@@ -383,11 +383,16 @@ def _cmd_tags_simulate(args, scenario: dict, base: str) -> dict:
     return {"n_events": stream.n_events}
 
 
+# kept across main calls: a delay scan run as several `tags count` calls in
+# one process parses its file once
+_TAG_FILES = SharedTagLoader()
+
+
 def _cmd_tags_count(args, scenario: dict, base: str) -> None:
     ct = _section(scenario, "count")
     cfg = _windows(scenario)
     duration = ct.get("duration_ps")
-    stream = load_tags_csv_shared(
+    stream = _TAG_FILES.load(
         _resolve(base, ct["tag_csv"]),
         duration=duration * PS if duration is not None else None,
     )

@@ -541,33 +541,33 @@ def _last_tag_time(times_fs: np.ndarray) -> float:
     return float(times_fs[-1] * FS) if times_fs.size else FS
 
 
-# the stream load_tags_csv_shared returned last
-_last_shared: TagStream | None = None
-
-
-def load_tags_csv_shared(path: str, duration: float | None = None) -> TagStream:
-    """`load_tags_csv`, reusing the stream it returned last when the file is unchanged.
+class SharedTagLoader:
+    """Loads tag files as `load_tags_csv` does, reusing the last stream it returned.
 
     For a process that reads one file many times, such as a delay scan run
     as several `tags count` calls through `cwhom.cli.main`.  When the file's
-    bytes are exactly those `save_tags_csv` writes for the stream this
-    function returned last, and `duration` resolves to that stream's
-    duration, the same stream comes back without a parse: the check
-    compares content, never the path or modification time, and costs a
-    re-serialisation (~0.25 s at 3.84 M events against ~0.6 s to parse).
-    Any other file, including one written in another row format, is
-    parsed as `load_tags_csv` parses it; the first load in a process does
-    no more than that.  Streams returned are shared, read-only objects,
-    and the last one stays in memory until a different file is loaded
-    (~66 MB at 3.84 M events); a file that fails its checks is never kept.
+    bytes are exactly those `save_tags_csv` writes for the stream `load`
+    returned last, and `duration` resolves to that stream's duration, the
+    same stream comes back without a parse: the check compares content,
+    never the path or modification time, and costs a re-serialisation
+    (~0.2 s at 3.84 M events against ~0.6 s to parse).  Any other file,
+    including one written in another row format, is parsed; the first load
+    does no more than `load_tags_csv`.  Streams returned are shared,
+    read-only objects, and the last one stays in memory until a different
+    file is loaded (~66 MB at 3.84 M events); a file that fails its checks
+    is never kept.
     """
-    global _last_shared
-    if _last_shared is not None and _holds(path, _last_shared, duration):
-        return _last_shared
-    # dropped before parsing: the old stream is not kept alive beside the new
-    _last_shared = None
-    _last_shared = load_tags_csv(path, duration)
-    return _last_shared
+
+    def __init__(self) -> None:
+        self._last: TagStream | None = None
+
+    def load(self, path: str, duration: float | None = None) -> TagStream:
+        if self._last is not None and _holds(path, self._last, duration):
+            return self._last
+        # dropped before parsing: the old stream is not kept alive beside the new
+        self._last = None
+        self._last = load_tags_csv(path, duration)
+        return self._last
 
 
 def _holds(path: str, stream: TagStream, duration: float | None) -> bool:

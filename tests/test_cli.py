@@ -17,8 +17,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from cwhom import timetags
 from cwhom.cli import _validate, _validator, _write_json, main
+from cwhom.timetags import SharedTagLoader
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCENARIOS = os.path.join(REPO, "scenarios")
@@ -389,7 +389,7 @@ def test_tags_count_delay_scan_parses_the_file_once(capsys, tmp_path, monkeypatc
     parsed = []
     real = np.loadtxt
     monkeypatch.setattr(np, "loadtxt", lambda fname, *a, **k: parsed.append(fname) or real(fname, *a, **k))
-    monkeypatch.setattr(timetags, "_last_shared", None)
+    monkeypatch.setattr("cwhom.cli._TAG_FILES", SharedTagLoader())
     tags = os.path.join(REPO, "data", "tags_demo.csv")
 
     def count(tau: float, name: str) -> bytes:
@@ -406,7 +406,7 @@ def test_tags_count_delay_scan_parses_the_file_once(capsys, tmp_path, monkeypatc
     scan = [count(tau, f"scan_{tau:g}.json") for tau in taus]
     assert parsed == [tags]
     for tau, artifact in zip(taus, scan):
-        monkeypatch.setattr(timetags, "_last_shared", None)
+        monkeypatch.setattr("cwhom.cli._TAG_FILES", SharedTagLoader())
         assert count(tau, f"fresh_{tau:g}.json") == artifact
     assert parsed == [tags] * 4
 

@@ -26,13 +26,13 @@ from cwhom.interference import CoherenceCurve, CoincidenceConfig
 from cwhom.timetags import (
     _CSV_CHUNK,
     AccidentalParams,
+    SharedTagLoader,
     SimScenario,
     TagStream,
     accidental_params_from,
     analytic_accidentals,
     count_fourfolds,
     load_tags_csv,
-    load_tags_csv_shared,
     save_tags_csv,
     shifted_accidentals,
     simulate_streams,
@@ -516,8 +516,6 @@ def parses(monkeypatch):
         return real(fname, *args, **kwargs)
 
     monkeypatch.setattr(np, "loadtxt", counted)
-    # no stream loaded by an earlier test is reused
-    monkeypatch.setattr(timetags, "_last_shared", None)
     return paths
 
 
@@ -533,18 +531,19 @@ def same_events(a, b):
         b.channels.tolist(), b.times_fs.tolist(), b.duration)
 
 
-def test_tags_csv_shared_load_reuses_the_stream_of_identical_bytes(tmp_path, parses):
+def test_shared_tag_loader_reuses_the_stream_of_identical_bytes(tmp_path, parses):
+    loader = SharedTagLoader()
     stream = four_tag_stream()
     path = tmp_path / "tags.csv"
     save_tags_csv(stream, path)
-    first = load_tags_csv_shared(path, duration=stream.duration)
+    first = loader.load(path, duration=stream.duration)
     first.channel_times(1)
-    assert load_tags_csv_shared(path, duration=stream.duration) is first
+    assert loader.load(path, duration=stream.duration) is first
     # the same bytes under another path and another mtime are the same stream
     copy = tmp_path / "copy.csv"
     copy.write_bytes(path.read_bytes())
     os.utime(copy, ns=(0, 0))
-    again = load_tags_csv_shared(copy, duration=stream.duration)
+    again = loader.load(copy, duration=stream.duration)
     assert again is first and len(parses) == 1
     assert "_by_channel" in vars(again)
     assert not again.channels.flags.writeable and not again.times_fs.flags.writeable
@@ -555,30 +554,32 @@ def test_tags_csv_shared_load_reuses_the_stream_of_identical_bytes(tmp_path, par
     "channel,timestamp_fs\n1,5\n2,7\n3,9\n",  # a row appended
     "channel,timestamp_fs\n1,5\n",  # the last row cut
 ])
-def test_tags_csv_shared_load_reads_new_bytes_at_the_same_path(tmp_path, parses, text):
+def test_shared_tag_loader_reads_new_bytes_at_the_same_path(tmp_path, parses, text):
+    loader = SharedTagLoader()
     path = tmp_path / "tags.csv"
     path.write_text("channel,timestamp_fs\n1,5\n2,7\n")
-    first = load_tags_csv_shared(path, duration=1e-12)
+    first = loader.load(path, duration=1e-12)
     rewrite_keeping_times(path, text)
-    back = load_tags_csv_shared(path, duration=1e-12)
+    back = loader.load(path, duration=1e-12)
     fresh = load_tags_csv(path, duration=1e-12)
     assert back is not first and same_events(back, fresh)
     assert first.channels.tolist() == [1, 2] and first.times_fs.tolist() == [5, 7]
     assert len(parses) == 3
 
 
-def test_tags_csv_shared_load_with_another_duration_parses_again(tmp_path, parses):
+def test_shared_tag_loader_with_another_duration_parses_again(tmp_path, parses):
+    loader = SharedTagLoader()
     path, copy = tmp_path / "tags.csv", tmp_path / "copy.csv"
     path.write_text("channel,timestamp_fs\n1,5\n2,7\n")
     copy.write_bytes(path.read_bytes())
-    assert load_tags_csv_shared(path, duration=1e-12).duration == 1e-12
-    longer = load_tags_csv_shared(copy, duration=2e-12)
+    assert loader.load(path, duration=1e-12).duration == 1e-12
+    longer = loader.load(copy, duration=2e-12)
     assert longer.duration == 2e-12
-    assert load_tags_csv_shared(path, duration=2e-12) is longer
+    assert loader.load(path, duration=2e-12) is longer
     # no duration means the last timestamp's, here 7 fs
-    default = load_tags_csv_shared(copy)
+    default = loader.load(copy)
     assert default.duration == 7 * FS
-    assert load_tags_csv_shared(path, duration=7 * FS) is default
+    assert loader.load(path, duration=7 * FS) is default
     assert len(parses) == 3
 
 
@@ -587,20 +588,22 @@ def test_tags_csv_shared_load_with_another_duration_parses_again(tmp_path, parse
     "channel,timestamp_fs\n1, 5\n2, 7\n",  # spaces
     "channel,timestamp_fs\r\n1,5\r\n2,7\r\n",  # CRLF line ends
 ])
-def test_tags_csv_shared_load_parses_another_row_format_each_time(tmp_path, parses, text):
+def test_shared_tag_loader_parses_another_row_format_each_time(tmp_path, parses, text):
     # the reuse test compares with save_tags_csv's bytes, which these are not
+    loader = SharedTagLoader()
     path = tmp_path / "tags.csv"
     path.write_bytes(text.encode())
-    first = load_tags_csv_shared(path, duration=1e-12)
-    again = load_tags_csv_shared(path, duration=1e-12)
+    first = loader.load(path, duration=1e-12)
+    again = loader.load(path, duration=1e-12)
     assert again is not first and same_events(again, first)
     assert first.channels.tolist() == [1, 2] and first.times_fs.tolist() == [5, 7]
     assert len(parses) == 2
 
 
-def test_tags_csv_shared_load_keeps_the_bytes_it_parsed(tmp_path, parses, monkeypatch):
+def test_shared_tag_loader_keeps_the_bytes_it_parsed(tmp_path, parses, monkeypatch):
     # a writer that replaces the file just after the parse: the stream kept
     # is the parsed one, so each later load sees the file's current rows
+    loader = SharedTagLoader()
     path = tmp_path / "tags.csv"
     old, new = "channel,timestamp_fs\n1,5\n2,7\n", "channel,timestamp_fs\n3,5\n4,8\n"
     path.write_text(old)
@@ -612,12 +615,12 @@ def test_tags_csv_shared_load_keeps_the_bytes_it_parsed(tmp_path, parses, monkey
         return stream
 
     monkeypatch.setattr(timetags, "load_tags_csv", racing)
-    first = load_tags_csv_shared(path, duration=1e-12)
+    first = loader.load(path, duration=1e-12)
     assert first.channels.tolist() == [1, 2]
     monkeypatch.setattr(timetags, "load_tags_csv", real)
-    assert load_tags_csv_shared(path, duration=1e-12).channels.tolist() == [3, 4]
+    assert loader.load(path, duration=1e-12).channels.tolist() == [3, 4]
     rewrite_keeping_times(path, old)
-    assert load_tags_csv_shared(path, duration=1e-12).channels.tolist() == [1, 2]
+    assert loader.load(path, duration=1e-12).channels.tolist() == [1, 2]
     assert len(parses) == 3
 
 
@@ -625,19 +628,20 @@ def test_tags_csv_shared_load_keeps_the_bytes_it_parsed(tmp_path, parses, monkey
     ("channel,timestamp_ps\n1,5\n2,7\n", "header"),
     ("channel,timestamp_fs\n1,5\n9,7\n", "channel"),
 ])
-def test_tags_csv_shared_load_never_keeps_a_file_that_fails(tmp_path, parses, body, message):
+def test_shared_tag_loader_never_keeps_a_file_that_fails(tmp_path, parses, body, message):
+    loader = SharedTagLoader()
     path = tmp_path / "tags.csv"
     path.write_text("channel,timestamp_fs\n1,5\n2,7\n")
-    load_tags_csv_shared(path, duration=1e-12)
+    loader.load(path, duration=1e-12)
     rewrite_keeping_times(path, body)
     for _ in range(2):
         with pytest.raises(ValueError, match=message):
-            load_tags_csv_shared(path, duration=1e-12)
-    assert timetags._last_shared is None
+            loader.load(path, duration=1e-12)
+    assert loader._last is None
 
 
 def test_tags_csv_load_keeps_no_stream(tmp_path, parses):
-    # only load_tags_csv_shared keeps a stream; a caller's dropped stream is freed
+    # only a SharedTagLoader keeps a stream; a caller's dropped stream is freed
     path = tmp_path / "tags.csv"
     save_tags_csv(four_tag_stream(), path)
     stream = load_tags_csv(path)
@@ -645,7 +649,7 @@ def test_tags_csv_load_keeps_no_stream(tmp_path, parses):
     gone = weakref.ref(stream)
     del stream
     gc.collect()
-    assert gone() is None and timetags._last_shared is None and len(parses) == 2
+    assert gone() is None and len(parses) == 2
 
 
 MAX_FS = 2**63 - 1
