@@ -440,7 +440,6 @@ _DIGIT_PAIRS = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), dtype=np
 _POWERS_OF_TEN = np.array([10**k for k in range(1, 19)], dtype=np.int64)
 # rows formatted per block: small enough that the scratch arrays stay in cache
 _CSV_CHUNK = 1 << 14
-_CSV_HEADER = b"channel,timestamp_fs\n"
 
 
 def _digit_counts(times: np.ndarray) -> np.ndarray:
@@ -499,7 +498,7 @@ def save_tags_csv(stream: TagStream, path: str) -> None:
 
 def _csv_blocks(channels: np.ndarray, times: np.ndarray) -> Iterator[bytes]:
     """The bytes of a tag file, header first, for events already in tag order."""
-    yield _CSV_HEADER
+    yield b"channel,timestamp_fs\n"
     for lo in range(0, times.size, _CSV_CHUNK):
         hi = lo + _CSV_CHUNK
         yield _csv_rows(channels[lo:hi], times[lo:hi]).tobytes()
