@@ -1,7 +1,7 @@
 """Scenario-driven command line emitting CSV and JSON artifacts.
 
 Each subcommand reads one JSON scenario file, validated against the
-schema shipped with the package, runs the requested computation, and
+scenario schema of ``cwhom.schemas``, runs the requested computation, and
 writes a single artifact to ``--out``.  All durations in scenario files
 are picoseconds; columns and keys that carry times say so in their
 names.  CSV-emitting subcommands print one JSON metadata line on
@@ -22,7 +22,6 @@ import os
 import sys
 from dataclasses import asdict
 from functools import lru_cache
-from importlib import resources
 
 import jsonschema
 import numpy as np
@@ -59,6 +58,7 @@ from .presets import (
     tagger_composed_jitters,
 )
 from .rates import LossProfile, RateQuery, optimize_window, pass_swaps, pulsed_rate
+from .schemas import SCHEMAS
 from .spectral import FbgModel, fit_fbg, load_filter_table
 from .timetags import (
     SharedTagLoader,
@@ -83,8 +83,7 @@ _PRESET_SOURCES = {"a": reference_source_a, "b": reference_source_b}
 
 @lru_cache(maxsize=None)
 def _validator(name: str) -> jsonschema.Draft7Validator:
-    text = resources.files("cwhom").joinpath(f"schemas/{name}.schema.json").read_text()
-    return jsonschema.Draft7Validator(json.loads(text))
+    return jsonschema.Draft7Validator(SCHEMAS[name])
 
 
 def _validate(instance, schema_name: str) -> None:
@@ -136,11 +135,26 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _finite_int(text: str) -> int:
+    value = int(text)
+    try:
+        float(value)
+    except OverflowError:
+        raise ValueError(
+            f"scenario holds an integer of {len(text.lstrip('-'))} digits, which overflows a float; "
+            "scenario numbers must be finite"
+        ) from None
+    return value
+
+
 def _load_scenario(path: str) -> tuple[dict, str]:
     with open(path) as fh:
         # json.load reads NaN and +-Infinity, and an overflowing literal such
-        # as 1e400 as inf, all of which the schema's number type admits
-        scenario = json.load(fh, parse_constant=_refuse_constant, parse_float=_finite_float)
+        # as 1e400 as inf, all of which the schema's number type admits; an
+        # integer past the float range passes the schema and overflows later
+        scenario = json.load(
+            fh, parse_constant=_refuse_constant, parse_float=_finite_float, parse_int=_finite_int
+        )
     _validate(scenario, "scenario")
     return scenario, os.path.dirname(os.path.abspath(path))
 

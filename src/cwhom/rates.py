@@ -22,6 +22,9 @@ N_WINDOW_SAMPLES = 40
 DEFAULT_WINDOW_RANGE = (5e-12, 1e-9)
 TC_TIGHTNESS = 1.05
 
+# first line of a loss profile file
+_LOSS_CSV_HEADER = "t_s,loss1_db,loss2_db,loss3_db,loss4_db"
+
 
 @dataclass(frozen=True)
 class RateQuery:
@@ -108,10 +111,8 @@ class LossProfile:
         """Read `t_s,loss1_db,loss2_db,loss3_db,loss4_db` rows."""
         with open(path, "r", encoding="ascii") as fh:
             header = fh.readline().strip()
-            if header != "t_s,loss1_db,loss2_db,loss3_db,loss4_db":
-                raise ValueError(
-                    "loss file must have header t_s,loss1_db,loss2_db,loss3_db,loss4_db"
-                )
+            if header != _LOSS_CSV_HEADER:
+                raise ValueError(f"loss file must have header {_LOSS_CSV_HEADER}")
             rows = np.loadtxt(fh, delimiter=",", ndmin=2)
         return cls(times=rows[:, 0], losses_db=rows[:, 1:5])
 

@@ -440,6 +440,8 @@ _DIGIT_PAIRS = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), dtype=np
 _POWERS_OF_TEN = np.array([10**k for k in range(1, 19)], dtype=np.int64)
 # rows formatted per block: small enough that the scratch arrays stay in cache
 _CSV_CHUNK = 1 << 14
+# first line of every tag file
+_CSV_HEADER = "channel,timestamp_fs"
 
 
 def _digit_counts(times: np.ndarray) -> np.ndarray:
@@ -498,7 +500,7 @@ def save_tags_csv(stream: TagStream, path: str) -> None:
 
 def _csv_blocks(channels: np.ndarray, times: np.ndarray) -> Iterator[bytes]:
     """The bytes of a tag file, header first, for events already in tag order."""
-    yield b"channel,timestamp_fs\n"
+    yield _CSV_HEADER.encode("ascii") + b"\n"
     for lo in range(0, times.size, _CSV_CHUNK):
         hi = lo + _CSV_CHUNK
         yield _csv_rows(channels[lo:hi], times[lo:hi]).tobytes()
@@ -514,8 +516,8 @@ def load_tags_csv(path: str, duration: float | None = None) -> TagStream:
     """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
-    if header != "channel,timestamp_fs":
-        raise ValueError("tag file must have header channel,timestamp_fs")
+    if header != _CSV_HEADER:
+        raise ValueError(f"tag file must have header {_CSV_HEADER}")
     # numpy reads a named file in blocks, faster than line by line from a
     # handle; a header-only file is an empty stream, not a malformed one
     with warnings.catch_warnings():

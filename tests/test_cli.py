@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import runpy
 import subprocess
 import sys
 
@@ -18,11 +17,11 @@ import numpy as np
 import pytest
 
 from cwhom.cli import _validate, _validator, _write_json, main
+from cwhom.schemas import SCHEMAS
 from cwhom.timetags import SharedTagLoader
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCENARIOS = os.path.join(REPO, "scenarios")
-SCHEMAS = os.path.join(REPO, "src", "cwhom", "schemas")
 
 
 def run(capsys, argv):
@@ -38,7 +37,8 @@ def meta_of(out: str) -> dict:
 
 
 def read_csv(path):
-    lines = open(path).read().splitlines()
+    with open(path) as fh:
+        lines = fh.read().splitlines()
     rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
     return lines[0], rows
 
@@ -76,7 +76,8 @@ def test_visibility_identical_sources(capsys, tmp_path):
     _validator("visibility").validate(doc)
     assert doc["plateau_reliable"] is True
     assert doc["visibility"] == pytest.approx(0.9753996266532972, rel=1e-9)
-    assert doc["inputs"] == json.loads(open(scenario_path("identical_165.json")).read())
+    with open(scenario_path("identical_165.json")) as fh:
+        assert doc["inputs"] == json.load(fh)
 
 
 def test_homdip_identical_sources(capsys, tmp_path):
@@ -214,7 +215,8 @@ def test_fbg_fit_passes_restarts_only_when_set(capsys, tmp_path, monkeypatch):
         return seed, 0.0
 
     monkeypatch.setattr(cwhom.cli, "fit_fbg", fake_fit)
-    doc = json.loads(open(scenario_path("fbg_fit.json")).read())
+    with open(scenario_path("fbg_fit.json")) as fh:
+        doc = json.load(fh)
     doc["fbg_fit"]["table_csv"] = os.path.join(REPO, "data", "filter_signal_a.csv")
     sc = tmp_path / "fit.json"
     argv = ["fbg", "fit", "--scenario", str(sc), "--out", str(tmp_path / "m.json")]
@@ -279,7 +281,8 @@ def test_every_subcommand_runs_without_scipy(tmp_path):
 @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
 def test_exit_code_2_non_finite_scenario_number(capsys, tmp_path, constant):
     # json.load reads these literals and the schema's number type admits them
-    text = open(scenario_path("identical_165.json")).read()
+    with open(scenario_path("identical_165.json")) as fh:
+        text = fh.read()
     sc = tmp_path / "bad.json"
     sc.write_text(text.replace("[17.0,", f"[{constant},", 1))
     assert json.loads(sc.read_text(), parse_constant=lambda c: c)["detectors"]["jitter_fwhm_ps"][0] == constant
@@ -298,6 +301,9 @@ def test_exit_code_2_non_finite_scenario_number(capsys, tmp_path, constant):
      "1e400"),
     ("optimize-rate", '{"rate_query": {"mu": 0.01, "jitter_ps": 15.0, "v_target": 0.9, "tc_max_ps": 1e400}}',
      "1e400"),
+    # json.load reads an integer literal as an exact int, which float() refuses
+    pytest.param("optimize-rate", '{"rate_query": {"mu": 0.01, "jitter_ps": 15.0, "v_target": 0.9, '
+                 '"tc_max_ps": 1' + "0" * 400 + "}}", "integer of 401 digits", id="optimize-rate-10**400"),
     # finite inputs whose rate overflows
     ("pulsed-rate", '{"pulsed": {"mu_p": 1e200, "tau_p_ps": 800.0, "t_c_ps": 800.0, "f_rep_hz": 1e9}}',
      "finite"),
@@ -314,7 +320,8 @@ def test_exit_code_2_when_a_number_overflows(capsys, tmp_path, sub, text, needle
 
 
 def test_fbg_fit_refuses_a_nan_seed(capsys, tmp_path):
-    doc = json.loads(open(scenario_path("fbg_fit.json")).read())
+    with open(scenario_path("fbg_fit.json")) as fh:
+        doc = json.load(fh)
     doc["fbg_fit"]["table_csv"] = os.path.join(REPO, "data", "filter_signal_a.csv")
     doc["fbg_fit"]["seed"]["peak_kappa"] = float("nan")
     doc["fbg_fit"]["n_restarts"] = 0
@@ -341,7 +348,8 @@ def test_tags_simulate_count_roundtrip(capsys, tmp_path):
     assert meta["n_events"] > 1000
     first = sim.read_bytes()
     # the bundled stream is this scenario's output
-    assert first == open(os.path.join(REPO, "data", "tags_demo.csv"), "rb").read()
+    with open(os.path.join(REPO, "data", "tags_demo.csv"), "rb") as fh:
+        assert first == fh.read()
 
     # identical scenario, identical bytes; a new seed changes the stream
     code, _, _ = run(capsys, ["tags", "simulate", "--scenario",
@@ -519,7 +527,8 @@ def test_exit_code_2_mixed_preset_and_analytic_sources(capsys, tmp_path):
 
 
 def preset_coherence_scenario(tmp_path, grid: dict) -> str:
-    doc = json.loads(open(scenario_path("reference_sources.json")).read())
+    with open(scenario_path("reference_sources.json")) as fh:
+        doc = json.load(fh)
     doc["grid"] = grid
     sc = tmp_path / "preset_coherence.json"
     sc.write_text(json.dumps(doc))
@@ -626,22 +635,65 @@ def test_exit_code_2_missing_section(capsys, tmp_path):
     assert "pulsed" in err["message"]
 
 
+PULSED = {"mu_p": 0.01, "tau_p_ps": 800.0, "t_c_ps": 800.0, "f_rep_hz": 1e9}
+RATE_QUERY = {"mu": 0.01, "jitter_ps": 15.0, "v_target": 0.9, "tc_max_ps": 500.0}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"pulsed": PULSED, "bogus": 1}, "Additional properties are not allowed ('bogus' was unexpected)"),
+    ({"pulsed": PULSED, "windows": {"tau_14_ps": 40.0}}, "'tau_23_ps' is a required property"),
+    ({"rate_query": {**RATE_QUERY, "filter_kind": "sinc"}},
+     "'sinc' is not one of ['rect', 'gaussian', 'lorentzian']"),
+    ({"pulsed": PULSED, "sources": {"a": {"kind": "sinc", "t_c_ps": 165.0}, "b": {"preset": "b"}}},
+     "'sinc' is not one of ['rect', 'gaussian', 'lorentzian']"),
+    ({"pulsed": PULSED, "sources": {"a": {"preset": "c"}, "b": {"preset": "b"}}},
+     "'c' is not one of ['a', 'b']"),
+    ({"pulsed": PULSED, "coherence": {"source": "c"}}, "'c' is not one of ['a', 'b']"),
+    ({"pulsed": {**PULSED, "tau_p_ps": "800"}}, "'800' is not of type 'number'"),
+    ({"pulsed": {**PULSED, "mu_p": 0.0}}, "0.0 is less than or equal to the minimum of 0"),
+    # both the type and the minimum refuse 2.5; the schema's key order picks the message
+    ({"pulsed": PULSED, "grid": {"n_points": 2.5}}, "2.5 is less than the minimum of 3"),
+], ids=["unknown-key", "missing-key", "filter-kind", "source-kind", "preset", "coherence-source",
+        "type", "range", "type-and-range"])
+def test_validation_message_is_pinned(capsys, tmp_path, doc, message):
+    sc = tmp_path / "bad.json"
+    sc.write_text(json.dumps(doc))
+    out = tmp_path / "rate.json"
+    code, stdout, stderr = run(capsys, ["pulsed-rate", "--scenario", str(sc), "--out", str(out)])
+    assert (code, stdout) == (2, "")
+    assert stderr == json.dumps({"error": "validation", "message": message}) + "\n"
+    assert not out.exists()
+
+
+def test_refused_artifact_message_is_pinned(capsys, tmp_path, monkeypatch):
+    import cwhom.cli
+
+    monkeypatch.setattr(cwhom.cli, "pulsed_rate", lambda *args: -1.0)
+    out = tmp_path / "rate.json"
+    code, stdout, stderr = run(capsys, ["pulsed-rate", "--scenario", scenario_path("pulsed.json"),
+                                        "--out", str(out)])
+    assert (code, stdout) == (2, "")
+    assert stderr == '{"error": "validation", "message": "-1.0 is less than the minimum of 0"}\n'
+    assert not out.exists()
+
+
 def test_bundled_scenarios_validate():
     names = sorted(os.listdir(SCENARIOS))
     assert len(names) >= 8
     for name in names:
-        doc = json.loads(open(os.path.join(SCENARIOS, name)).read())
+        with open(os.path.join(SCENARIOS, name)) as fh:
+            doc = json.load(fh)
         _validator("scenario").validate(doc)
 
 
 def test_packaged_schemas_are_valid_draft7():
     # the cached validators skip the metaschema check that
     # jsonschema.validate makes on every call
-    names = os.listdir(SCHEMAS)
-    assert len(names) >= 8
-    for name in names:
-        with open(os.path.join(SCHEMAS, name)) as fh:
-            jsonschema.Draft7Validator.check_schema(json.load(fh))
+    assert len(SCHEMAS) == 9
+    for name, schema in SCHEMAS.items():
+        jsonschema.Draft7Validator.check_schema(schema)
+        # key order picks among equally relevant errors, see cwhom.schemas
+        assert json.dumps(schema) == json.dumps(schema, sort_keys=True), name
 
 
 def test_validate_raises_what_jsonschema_validate_raises():
@@ -652,11 +704,3 @@ def test_validate_raises_what_jsonschema_validate_raises():
         _validate(bad, "scenario")
     assert (got.value.message, got.value.path) == (want.value.message, want.value.path)
 
-
-def test_packaged_schemas_match_generator():
-    # the packaged schemas are exactly what scripts/make_schemas.py writes
-    gen = runpy.run_path(os.path.join(REPO, "scripts", "make_schemas.py"))
-    assert sorted(os.listdir(SCHEMAS)) == sorted(gen["SCHEMAS"])
-    for name, schema in gen["SCHEMAS"].items():
-        with open(os.path.join(SCHEMAS, name), newline="") as fh:
-            assert fh.read() == gen["serialize"](schema), name

@@ -11,7 +11,8 @@ README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))
 
 
 def test_readme_quick_start_runs():
-    blocks = re.findall(r"```python\n(.*?)```", open(README).read(), re.S)
+    with open(README) as fh:
+        blocks = re.findall(r"```python\n(.*?)```", fh.read(), re.S)
     assert len(blocks) == 1
     printed = io.StringIO()
     with contextlib.redirect_stdout(printed):
