@@ -63,9 +63,8 @@ from .spectral import FbgModel, fit_fbg, load_filter_table
 from .timetags import (
     SharedTagLoader,
     SimScenario,
-    count_fourfolds,
+    fourfold_counts,
     save_tags_csv,
-    shifted_accidentals,
     simulate_streams,
 )
 from .units import PS
@@ -413,9 +412,7 @@ def _cmd_tags_count(args, scenario: dict, base: str) -> None:
     tau = ct.get("tau_ps", 0.0) * PS
     delta_ps = ct.get("delta_ps")
     delta = delta_ps * PS if delta_ps is not None else 20.0 * cfg.tau_23
-    raw = count_fourfolds(stream, cfg, tau)
-    s2 = shifted_accidentals(stream, cfg, delta, 2, tau)
-    s3 = shifted_accidentals(stream, cfg, delta, 3, tau)
+    raw, s2, s3 = fourfold_counts(stream, cfg, tau, delta)
     out = {"raw": raw, "shifted_2": s2, "shifted_3": s3, "corrected": raw - s2 - s3}
     _write_json(args.out, out, "counts")
 

@@ -27,11 +27,12 @@ from .units import FS
 
 # Channel labels: 1 and 4 are the heralding channels of the two sources,
 # 2 and 3 are the beam-splitter output channels (2', 3').
-CHANNEL_TRIGGER = 1
-CHANNEL_BS_EARLY = 2
-CHANNEL_BS_LATE = 3
-CHANNEL_PARTNER = 4
 CHANNELS = (1, 2, 3, 4)
+
+# Times are int64 femtoseconds.  A simulated stream ends before 2**60 fs
+# (~1153 s), so its events sort as one int64 key (t << 3) | channel; a
+# window, delay or shift below 2**60 fs keeps every window edge inside int64.
+MAX_TIME_FS = 2**60
 
 
 @dataclass(frozen=True)
@@ -70,8 +71,12 @@ class TagStream:
 
     @functools.cached_property
     def _by_channel(self) -> tuple[np.ndarray, ...]:
-        # split once per stream: every count reads these four arrays
-        return tuple(_read_only(self.times_fs[self.channels == c]) for c in CHANNELS)
+        # split once per stream: every count reads these four arrays.  A
+        # stable sort of the labels groups the channels and keeps each one's
+        # times in order; the label counts mark where each group ends
+        grouped = self.times_fs[np.argsort(self.channels, kind="stable")]
+        ends = np.cumsum(np.bincount(self.channels, minlength=len(CHANNELS) + 1)[1:len(CHANNELS)])
+        return tuple(_read_only(part) for part in np.split(grouped, ends))
 
     def channel_times(self, channel: int) -> np.ndarray:
         """Sorted int64 femtosecond timestamps of one channel, read-only."""
@@ -119,7 +124,7 @@ class SimScenario:
     efficiencies applied to pair photons.  pairing_horizon bounds the
     arrival-time difference within which photons from opposite sources
     are treated as one interfering duo; by default it spans the internal
-    delay density grid.
+    delay density grid.  duration must be below 2**60 fs (~1153 s).
     """
 
     pair_rate_a: float
@@ -145,6 +150,9 @@ class SimScenario:
             raise ValueError("etas must be four efficiencies in [0, 1]")
         if not self.duration > 0:
             raise ValueError("duration must be positive")
+        # floats just below 2**60 are whole, so this is round(duration / FS) < 2**60
+        if not self.duration / FS < MAX_TIME_FS:
+            raise ValueError(f"duration must be below 2**60 fs ({MAX_TIME_FS * FS:.6g} s)")
         if self.pairing_horizon is not None and not self.pairing_horizon > 0:
             raise ValueError("pairing_horizon must be positive")
 
@@ -274,39 +282,36 @@ def simulate_streams(scenario: SimScenario) -> TagStream:
         port_a[ia] = joint
         port_b[ib] = np.where(same, joint, 1 - joint)
 
-    channels: list[np.ndarray] = []
-    times: list[np.ndarray] = []
+    # per channel, in channel order: the detected pair photons, then strays
+    ports = [np.concatenate([bs_a[port_a == p], bs_b[port_b == p]]) for p in (0, 1)]
+    pairs = [
+        t[rng.random(t.size) < eta] if t.size and eta < 1.0 else t
+        for t, eta in zip((emit_a, *ports, emit_b), scenario.etas)
+    ]
+    strays = [rng.random(rng.poisson(rate * t_total)) * t_total for rate in scenario.noise_rates]
 
-    def _admit(ch: int, t: np.ndarray, eta: float) -> None:
-        if t.size and eta < 1.0:
-            t = t[rng.random(t.size) < eta]
-        channels.append(np.full(t.size, ch, dtype=np.uint8))
-        times.append(t)
-
-    _admit(CHANNEL_TRIGGER, emit_a, scenario.etas[0])
-    _admit(CHANNEL_BS_EARLY, np.concatenate([bs_a[port_a == 0], bs_b[port_b == 0]]), scenario.etas[1])
-    _admit(CHANNEL_BS_LATE, np.concatenate([bs_a[port_a == 1], bs_b[port_b == 1]]), scenario.etas[2])
-    _admit(CHANNEL_PARTNER, emit_b, scenario.etas[3])
-
-    for ch, rate in zip(CHANNELS, scenario.noise_rates):
-        n_noise = rng.poisson(rate * t_total)
-        channels.append(np.full(n_noise, ch, dtype=np.uint8))
-        times.append(rng.random(n_noise) * t_total)
-
-    ch_all = np.concatenate(channels)
-    t_all = np.concatenate(times)
-    sigmas = [jitter_sigma_time(j) for j in scenario.detectors.jitter_fwhm]
-    for ch, sigma in zip(CHANNELS, sigmas):
+    # one jitter draw per channel, split over its two blocks; emit_a and
+    # emit_b are not read again, so they take theirs in place
+    t_max = round(t_total / FS)
+    keys = []
+    for ch, fwhm, pair, stray in zip(CHANNELS, scenario.detectors.jitter_fwhm, pairs, strays):
+        sigma = jitter_sigma_time(fwhm)
         if sigma > 0.0:
-            mask = ch_all == ch
-            t_all[mask] += rng.normal(0.0, sigma, int(mask.sum()))
-
-    keep = (t_all >= 0.0) & (t_all <= t_total)
-    ch_all = ch_all[keep]
-    t_fs = np.rint(t_all[keep] / FS).astype(np.int64)
-    t_fs = np.minimum(t_fs, round(t_total / FS))
-    order = np.lexsort((ch_all, t_fs))
-    return TagStream(channels=ch_all[order], times_fs=t_fs[order], duration=t_total)
+            jitter = rng.normal(0.0, sigma, pair.size + stray.size)
+            pair += jitter[: pair.size]
+            stray += jitter[pair.size :]
+        for t in (pair, stray):
+            t_fs = np.rint(t[(t >= 0.0) & (t <= t_total)] / FS).astype(np.int64)
+            np.minimum(t_fs, t_max, out=t_fs)
+            t_fs <<= 3
+            t_fs |= ch
+            keys.append(t_fs)
+    # t_max < 2**60 (SimScenario checks), so the key orders by time, then channel
+    key = np.concatenate(keys)
+    key.sort()
+    channels = (key & 7).astype(np.uint8)
+    key >>= 3
+    return TagStream(channels=channels, times_fs=key, duration=t_total)
 
 
 def _window_hits(tags: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -329,26 +334,7 @@ def count_fourfolds(stream: TagStream, cfg: CoincidenceConfig, tau: float) -> in
     and at least one channel-4 tag within [t1 + tau - tau_14/2,
     t1 + tau + tau_14/2]; each trigger contributes at most one count.
     """
-    return _count_triggers(stream._by_channel, cfg, tau)
-
-
-def _count_triggers(times: Sequence[np.ndarray], cfg: CoincidenceConfig, tau: float) -> int:
-    """Fourfolds over the sorted femtosecond tags of channels 1 to 4.
-
-    The herald window tau_14 is the narrowest, so it is tested first: only
-    the channel-1 triggers with a channel-4 tag in [t1 + tau - tau_14/2,
-    t1 + tau + tau_14/2] go on to the channel-2 and channel-3 tests.  A
-    shifted channel 2 or 3 leaves that first test unchanged.
-    """
-    t1, t2, t3, t4 = times
-    h23 = round(cfg.tau_23 / 2.0 / FS)
-    h14 = round(cfg.tau_14 / 2.0 / FS)
-    off = round(tau / FS)
-    lo = t1 + (off - h14)
-    t1 = t1[_window_hits(t4, lo, lo + 2 * h14)]
-    lo = t1 - h23
-    hi = t1 + h23
-    return int(np.count_nonzero(_window_hits(t2, lo, hi) & _window_hits(t3, lo, hi)))
+    return _count_triggers(stream._by_channel, cfg, tau, [(0.0, 0.0)])[0]
 
 
 def shifted_accidentals(
@@ -362,15 +348,72 @@ def shifted_accidentals(
 
     Adds delta to every tag of shift_channel (2 or 3) and re-counts
     fourfolds; the surviving events must contain an uncorrelated photon
-    in that channel. A constant shift keeps the channel's tags sorted.
+    in that channel.
     """
     if shift_channel not in (2, 3):
         raise ValueError("shift_channel must be 2 or 3")
+    _check_shift(cfg, delta)
+    shift = (delta, 0.0) if shift_channel == 2 else (0.0, delta)
+    return _count_triggers(stream._by_channel, cfg, tau, [shift])[0]
+
+
+def fourfold_counts(
+    stream: TagStream, cfg: CoincidenceConfig, tau: float, delta: float
+) -> tuple[int, int, int]:
+    """The raw fourfolds and both shifted accidentals, from one herald test.
+
+    Returns what count_fourfolds(stream, cfg, tau) and
+    shifted_accidentals(stream, cfg, delta, c, tau) for c = 2 and 3 return,
+    in that order.
+    """
+    _check_shift(cfg, delta)
+    raw, s2, s3 = _count_triggers(stream._by_channel, cfg, tau, [(0.0, 0.0), (delta, 0.0), (0.0, delta)])
+    return raw, s2, s3
+
+
+def _check_shift(cfg: CoincidenceConfig, delta: float) -> None:
     if delta < 10.0 * cfg.tau_23:
         raise ValueError("delta must be at least 10 times tau_23")
-    times = list(stream._by_channel)
-    times[shift_channel - 1] = times[shift_channel - 1] + round(delta / FS)
-    return _count_triggers(times, cfg, tau)
+
+
+def _count_triggers(
+    times: Sequence[np.ndarray],
+    cfg: CoincidenceConfig,
+    tau: float,
+    shifts: Sequence[tuple[float, float]],
+) -> list[int]:
+    """Fourfolds over the sorted femtosecond tags of channels 1 to 4, one count per shift.
+
+    Each shift is a pair of delays [s] added to every tag of channel 2 and
+    of channel 3; (0, 0) counts the stream as it is.  The herald window
+    tau_14 is the narrowest, so it is tested first, and once: only the
+    channel-1 triggers with a channel-4 tag in [t1 + tau - tau_14/2,
+    t1 + tau + tau_14/2] go on to the channel-2 and channel-3 tests.  No
+    shift changes that first test, so only these are repeated per shift.
+    A tag shifted by d lies in [lo, hi] exactly when the unshifted tag lies
+    in [lo - d, hi - d], so the windows move instead of the tags.
+    """
+    spans = [("tau_14", cfg.tau_14), ("tau_23", cfg.tau_23), ("tau", tau)]
+    spans += [("delta", d) for pair in shifts for d in pair]
+    for name, value in spans:
+        # checked before conversion: a larger span leaves int64 (NaN fails too)
+        if not abs(value) / FS < MAX_TIME_FS:
+            limit = f"2**60 fs ({MAX_TIME_FS * FS:.6g} s)"
+            raise ValueError(f"{name} must lie within {limit} of zero, not {value:g} s")
+    t1, t2, t3, t4 = times
+    h23 = round(cfg.tau_23 / 2.0 / FS)
+    h14 = round(cfg.tau_14 / 2.0 / FS)
+    off = round(tau / FS)
+    lo = t1 + (off - h14)
+    t1 = t1[_window_hits(t4, lo, lo + 2 * h14)]
+    lo = t1 - h23
+    hi = t1 + h23
+    counts = []
+    for d2, d3 in shifts:
+        d2, d3 = round(d2 / FS), round(d3 / FS)
+        both = _window_hits(t2, lo - d2, hi - d2) & _window_hits(t3, lo - d3, hi - d3)
+        counts.append(int(np.count_nonzero(both)))
+    return counts
 
 
 def analytic_accidentals(p: AccidentalParams) -> dict[str, float]:
@@ -551,12 +594,13 @@ class SharedTagLoader:
     returned last, and `duration` resolves to that stream's duration, the
     same stream comes back without a parse: the check compares content,
     never the path or modification time, and costs a re-serialisation
-    (~0.2 s at 3.84 M events against ~0.6 s to parse).  Any other file,
-    including one written in another row format, is parsed; the first load
-    does no more than `load_tags_csv`.  Streams returned are shared,
-    read-only objects, and the last one stays in memory until a different
-    file is loaded (~66 MB at 3.84 M events); a file that fails its checks
-    is never kept.
+    (0.19-0.22 s at 3.84 M events against 0.49-0.56 s to parse, on a
+    shared 2-core host).  Any other file, including one written in another
+    row format, is parsed; the first load does no more than
+    `load_tags_csv`.  Streams returned are shared, read-only objects, and
+    the last one stays in memory until a different file is loaded (~65 MB
+    at 3.84 M events, with the channel split the counts make); a file that
+    fails its checks is never kept.
     """
 
     def __init__(self) -> None:

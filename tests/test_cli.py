@@ -436,6 +436,46 @@ def test_tags_count_rejects_bad_rows(capsys, tmp_path, row):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("section, key, needle", [
+    ("windows", "tau_14_ps", "tau_14"),
+    # without delta_ps the shift is 20 tau_23, so tau_23 itself is refused
+    ("windows", "tau_23_ps", "tau_23"),
+    ("count", "tau_ps", "tau"),
+    ("count", "delta_ps", "delta"),
+])
+def test_tags_count_refuses_a_span_past_int64_femtoseconds(capsys, tmp_path, section, key, needle):
+    (tmp_path / "tags.csv").write_text("channel,timestamp_fs\n1,3\n4,5\n")
+    doc = {
+        "windows": {"tau_14_ps": 100.0, "tau_23_ps": 2000.0},
+        "count": {"tag_csv": "tags.csv", "tau_ps": 0.0},
+    }
+    doc[section][key] = 1e300
+    sc = tmp_path / "count.json"
+    sc.write_text(json.dumps(doc))
+    out = tmp_path / "counts.json"
+    code, _, stderr = run(capsys, ["tags", "count", "--scenario", str(sc), "--out", str(out)])
+    assert code == 2
+    err = json.loads(stderr)
+    assert err["error"] == "validation" and err["message"].startswith(f"{needle} must lie within 2**60 fs")
+    assert not out.exists()
+
+
+def test_tags_simulate_refuses_a_duration_past_the_sort_key(capsys, tmp_path):
+    # no pairs and no strays, so a refusal is the only way to exit non-zero
+    with open(scenario_path("tags_demo.json")) as fh:
+        doc = json.load(fh)
+    doc["tags"].update(pair_rate_a_hz=0.0, pair_rate_b_hz=0.0, noise_rates_hz=[0.0] * 4,
+                       duration_ps=2e15)
+    sc = tmp_path / "long.json"
+    sc.write_text(json.dumps(doc))
+    out = tmp_path / "tags.csv"
+    code, stdout, stderr = run(capsys, ["tags", "simulate", "--scenario", str(sc), "--out", str(out)])
+    assert (code, stdout) == (2, "")
+    err = json.loads(stderr)
+    assert err["error"] == "validation" and "duration must be below 2**60 fs" in err["message"]
+    assert not out.exists()
+
+
 def test_exit_code_3_when_grid_too_coarse(capsys, tmp_path):
     sc = tmp_path / "coarse.json"
     sc.write_text(json.dumps({

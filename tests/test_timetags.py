@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import hashlib
 import itertools
 import math
 import os
@@ -32,6 +33,7 @@ from cwhom.timetags import (
     accidental_params_from,
     analytic_accidentals,
     count_fourfolds,
+    fourfold_counts,
     load_tags_csv,
     save_tags_csv,
     shifted_accidentals,
@@ -137,29 +139,36 @@ def brute_fourfolds(times: dict, cfg: CoincidenceConfig, tau: float) -> int:
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(h23=st.integers(1, 10), h14=st.integers(1, 10), tau=st.integers(-10, 10),
-       shift_channel=st.sampled_from([2, 3]), data=st.data())
-def test_counts_match_brute_force(h23, h14, tau, shift_channel, data):
+       missing=st.one_of(st.none(), st.integers(1, 4)), data=st.data())
+def test_counts_match_brute_force(h23, h14, tau, missing, data):
     # picosecond lattice: each trigger gets one partner per channel on, just
     # inside or just outside a window edge, or at the window centre, and one
-    # more in the shifted channel that the shift of 10 tau_23 = 20 h23 ps
-    # moves onto such a place; strays land anywhere
+    # more in channels 2 and 3 each that the shift of 10 tau_23 = 20 h23 ps
+    # moves onto such a place; strays land anywhere, and one channel may
+    # then be emptied
     tags = data.draw(st.lists(st.tuples(st.integers(1, 4), st.integers(0, 350)), max_size=10))
     for t1 in data.draw(st.lists(st.integers(220, 320), min_size=1, max_size=4)):
         tags.append((1, t1))
         for c, centre, h in ((2, t1, h23), (3, t1, h23), (4, t1 + tau, h14),
-                             (shift_channel, t1 - 20 * h23, h23)):
+                             (2, t1 - 20 * h23, h23), (3, t1 - 20 * h23, h23)):
             tags.append((c, centre + data.draw(st.sampled_from([-h - 1, -h, 0, h, h + 1]))))
+    tags = [(c, p) for c, p in tags if c != missing]
     ch = np.array([c for c, _ in tags], dtype=np.uint8)
     t = np.array([p for _, p in tags], dtype=np.int64) * PS_FS
     order = np.lexsort((ch, t))
     stream = TagStream(channels=ch[order], times_fs=t[order], duration=1e-9)
     cfg = CoincidenceConfig(tau_14=2 * h14 * 1e-12, tau_23=2 * h23 * 1e-12)
-    times = {c: t[ch == c].tolist() for c in (1, 2, 3, 4)}
-    assert count_fourfolds(stream, cfg, tau * 1e-12) == brute_fourfolds(times, cfg, tau * 1e-12)
     delta = 10 * cfg.tau_23
-    times[shift_channel] = [x + round(delta / FS) for x in times[shift_channel]]
-    got = shifted_accidentals(stream, cfg, delta, shift_channel, tau * 1e-12)
-    assert got == brute_fourfolds(times, cfg, tau * 1e-12)
+    times = {c: t[ch == c].tolist() for c in (1, 2, 3, 4)}
+    want = [brute_fourfolds(times, cfg, tau * 1e-12)]
+    for c in (2, 3):
+        shifted = dict(times)
+        shifted[c] = [x + round(delta / FS) for x in times[c]]
+        want.append(brute_fourfolds(shifted, cfg, tau * 1e-12))
+    singles = [count_fourfolds(stream, cfg, tau * 1e-12),
+               shifted_accidentals(stream, cfg, delta, 2, tau * 1e-12),
+               shifted_accidentals(stream, cfg, delta, 3, tau * 1e-12)]
+    assert list(fourfold_counts(stream, cfg, tau * 1e-12, delta)) == singles == want
 
 
 def test_tag_stream_validation():
@@ -208,6 +217,55 @@ def test_channel_times_are_split_once_and_read_only():
         stream.times_fs[0] = 0
     with pytest.raises(ValueError, match="read-only"):
         stream.channels[0] = 4
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), labels=st.sets(st.integers(1, 4), min_size=1))
+@example(data=None, labels=None)
+def test_channel_split_matches_masks(data, labels):
+    # streams over any subset of the channels, one channel alone included;
+    # the explicit example is the empty stream
+    rows = [] if labels is None else data.draw(
+        st.lists(st.tuples(st.sampled_from(sorted(labels)), st.integers(0, 40)), max_size=30))
+    ch = np.array([c for c, _ in rows], dtype=np.uint8)
+    t = np.array([p for _, p in rows], dtype=np.int64)
+    order = np.lexsort((ch, t))
+    stream = TagStream(channels=ch[order], times_fs=t[order], duration=1e-12)
+    for c in (1, 2, 3, 4):
+        part = stream.channel_times(c)
+        assert part.dtype == np.int64 and not part.flags.writeable
+        assert part.tolist() == stream.times_fs[stream.channels == c].tolist()
+
+
+def test_fourfold_counts_refuses_a_short_shift():
+    cfg = CoincidenceConfig(tau_14=40e-12, tau_23=100e-12)
+    with pytest.raises(ValueError, match="10 times"):
+        fourfold_counts(four_tag_stream(), cfg, 0.0, 5 * 100e-12)
+
+
+@pytest.mark.parametrize("field", ["tau_14", "tau_23", "tau", "delta"])
+def test_counts_refuse_spans_past_int64_femtoseconds(field):
+    # 2**60 fs, ~1153 s: past it, a window edge could leave int64
+    big = 2**60 * FS
+    spans = {"tau_14": 40e-12, "tau_23": 100e-12, "tau": 0.0, "delta": 1e-9, field: big}
+    if field == "tau_23":
+        spans["delta"] = 20 * big
+    cfg = CoincidenceConfig(tau_14=spans["tau_14"], tau_23=spans["tau_23"])
+    stream = four_tag_stream()
+    calls = [lambda: fourfold_counts(stream, cfg, spans["tau"], spans["delta"]),
+             lambda: shifted_accidentals(stream, cfg, spans["delta"], 2, spans["tau"])]
+    if field != "delta":
+        calls.append(lambda: count_fourfolds(stream, cfg, spans["tau"]))
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^{field} must lie within 2\\*\\*60 fs"):
+            call()
+    # just inside the limit the count runs
+    spans[field] = (2**60 - 256) * FS
+    cfg = CoincidenceConfig(tau_14=spans["tau_14"], tau_23=spans["tau_23"])
+    if field == "delta":
+        assert shifted_accidentals(stream, cfg, spans["delta"], 2) == 0
+    else:
+        assert count_fourfolds(stream, cfg, spans["tau"]) in (0, 1)
 
 
 def test_count_order_does_not_change_the_counts():
@@ -259,6 +317,54 @@ def test_simulation_is_deterministic():
     s2 = simulate_streams(sc)
     assert np.array_equal(s1.channels, s2.channels)
     assert np.array_equal(s1.times_fs, s2.times_fs)
+
+
+def smooth_gamma(delta):
+    return 0.5 + 0.45 * np.exp(-((delta / 50e-9) ** 2))
+
+
+# small scenarios over the generator's branches, each overriding the base below
+PINNED_CASES = {
+    # constant gamma, every efficiency below 1, noise and jitter on every channel
+    "constant": dict(gamma=0.4, noise_rates=(2e5, 1e5, 3e5, 1.5e5), etas=(0.9, 0.8, 0.85, 0.95),
+                     detectors=DetectorModel(jitter_fwhm=(17e-12, 13e-12, 11e-12, 16e-12))),
+    # delay-dependent gamma over ~60 duos, eta = 1 on channels 1 and 3, no
+    # noise on channel 3, no jitter on channel 1
+    "callable": dict(gamma=smooth_gamma, pairing_horizon=2e-7, noise_rates=(2e5, 1e5, 0.0, 1.5e5),
+                     etas=(1.0, 0.8, 1.0, 0.9),
+                     detectors=DetectorModel(jitter_fwhm=(0.0, 13e-12, 11e-12, 16e-12))),
+    # gamma 0, no noise, eta = 1 and no jitter anywhere
+    "defaults": dict(),
+    # one source silent, channel 1 blanked, noise on channel 4 only
+    "one_source": dict(pair_rate_b=0.0, etas=(0.0, 1.0, 1.0, 1.0), noise_rates=(0.0, 0.0, 0.0, 2e5),
+                       detectors=DetectorModel(jitter_fwhm=(17e-12, 0.0, 11e-12, 16e-12))),
+}
+
+# SHA-256 of the saved CSV of each case and seed: a change in the draw
+# order or in the event order shows here
+PINNED_DIGESTS = {
+    ("constant", 1): "0f0c60ded43d4b0276c7f8e0e817f73c243b5ea098c11a7cd7b8087937c6ecad",
+    ("constant", 2): "994eb8426747888d1574f802a7e700a5ee8fe3984aadeecd52c9de19e2f731a2",
+    ("constant", 3): "ae9a8e6e38b2bd6d3191c312321da6626e9439404e09ddd6a6a74a932ad7077d",
+    ("callable", 1): "76d3c0867992ccccfeb97b0a3050e396274982dc0332659e76bb5a0d0e19e9e3",
+    ("callable", 2): "1c721b3eccf91c49463911d4963a30224d340ecb3cb1e9140eb44d0ed67e88ef",
+    ("callable", 3): "460b7da6750a2acc074793f6d4677cbe5513b5785a19ab7cf1f55f9b83cda156",
+    ("defaults", 1): "cb251c569977c208d9d9b8d38551195243b5da22241c05ed27031cebcebe5208",
+    ("defaults", 2): "a1a1a8f2b443c75ec947a1d97cbfe7dec06ec2793178070816e078832dbb2c51",
+    ("defaults", 3): "65e9c89853e58ca0b1745d344984ad1b3d2f4345814fac53c49e68c5e774f17c",
+    ("one_source", 1): "67948f761ff984f2e3b6e2fa8a6c8a35fbf33ed1f0a64209f2e689ae481bf55d",
+    ("one_source", 2): "12c775d14d37aafa8e96114183c08b4213f478116532f5d392d84d13a68fa1f1",
+    ("one_source", 3): "69e97cb645f455c478e04abd87cfa7c4c34dceec620011cfa16d5149d3af2d87",
+}
+
+
+@pytest.mark.parametrize("case, seed", sorted(PINNED_DIGESTS))
+def test_simulated_bytes_are_pinned(tmp_path, case, seed):
+    base = dict(pair_rate_a=2e6, pair_rate_b=1.5e6, internal_delay_density=gaussian_density(),
+                duration=1e-4, rng_seed=seed, pairing_horizon=1.6e-9)
+    path = tmp_path / "tags.csv"
+    save_tags_csv(simulate_streams(SimScenario(**{**base, **PINNED_CASES[case]})), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_DIGESTS[(case, seed)]
 
 
 def test_seed_changes_the_stream():
@@ -337,6 +443,20 @@ def test_scenario_validation():
             SimScenario(**dict(good, **{field: nan}))
     with pytest.raises(ValueError, match="noise_rates"):
         SimScenario(**dict(good, noise_rates=(1.0, nan, 1.0, 1.0)))
+
+
+def test_scenario_duration_keeps_the_sort_key_exact():
+    # events sort as one int64 key (t_fs << 3) | channel, exact below 2**60 fs
+    good = dict(pair_rate_a=0.0, pair_rate_b=0.0, internal_delay_density=gaussian_density(),
+                noise_rates=(1.0, 0.0, 0.0, 1.0))
+    for duration in (2**60 * FS, (2**60 - 64) * FS, float("inf"), 1e300):
+        with pytest.raises(ValueError, match="duration must be below 2\\*\\*60 fs"):
+            SimScenario(**good, duration=duration)
+    # the largest duration admitted: its stream ends just below 2**60 fs
+    longest = SimScenario(**good, duration=(2**60 - 128) * FS, rng_seed=4)
+    stream = simulate_streams(longest)
+    assert stream.n_events > 0 and stream.times_fs[-1] < 2**60
+    assert set(stream.channels.tolist()) <= {1, 4}
 
 
 # ---------------------------------------------------------------------------
