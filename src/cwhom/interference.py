@@ -4,16 +4,19 @@ Two independent computational routes to the same physical quantity:
 
 * ``FourfoldEngine`` sums the frequency-domain coincidence
   expression over the grid, with the window sinc kernels and jitter
-  kernels attached to index differences. The four-term interference
-  bracket splits into two factorized direct terms (autocorrelation
-  sums) and two cross terms evaluated as chained matrix contractions,
-  never as a literal four-nested loop. The kernels are even on the
-  symmetric lag axis, so the second cross core is the conjugate
-  transpose of the first (``w4 = w3^H``) and costs nothing extra;
+  kernels attached to index differences. Each of the four terms of the
+  interference bracket becomes a lag sum sum_d c[d] exp(i x_d tau) on
+  one uniform lag axis: the two direct terms factorize onto
+  autocorrelations, and each cross term, a chained matrix contraction
+  done once at build (never a literal four-nested loop), reduces to the
+  diagonal sums of its core. The kernels are even on the symmetric lag
+  axis, so the second cross core is the conjugate transpose of the first
+  (``w4 = w3^H``) and its coefficients cost nothing extra. The engine
+  keeps only the 4 x (2m - 1) coefficient block, and
   ``FourfoldEngine.probabilities`` evaluates a whole delay scan with one
-  phase block and one matrix product per bracket term. Every sum runs
-  over the contiguous span of grid points where either JSA is nonzero
-  (a rect JSA fills a few percent of its grid); the points outside it
+  phase block and one product with it. Every sum runs over the
+  contiguous span of m grid points where either JSA is nonzero (a rect
+  JSA fills a few percent of its grid); the points outside it
   contribute exact zeros.
 
 * ``fourfold_probability_oracle`` works in the time domain: it builds
@@ -359,27 +362,46 @@ def _check_resolution(grid: FrequencyGrid, t_max: float, context: str) -> None:
         )
 
 
-class FourfoldEngine:
-    """Precomputed contraction state for one setup; cheap evaluation per delay.
+def _diagonal_sums(a: np.ndarray) -> np.ndarray:
+    """Sum of each diagonal of a square array, over lags d = l - k from -(m - 1) to m - 1.
 
-    Direct bracket terms collapse onto JSA autocorrelations over the
-    lag axis; cross terms reduce to bilinear forms u^H M u with
-    u = exp(i tau W) after matrix products done once. The jitter and
-    window kernels are even on the symmetric lag axis, so the Toeplitz
-    kernel matrices k_phi2 and k_phi3 are real and symmetric and the
-    1-2 link k12 is Hermitian. The second cross core
-    w4 = k_phi2 k12 k_phi3 is then exactly w3^H for w3 = k_phi3 k12 k_phi2,
-    whatever the jitters, and w3 takes two real products per part of k12.
+    Entry d + m - 1 is the sum of a[k, k + d]. The rows go in reversed
+    into an m x 2m zero-padded buffer; read with a row stride of 2m - 1,
+    that buffer puts a[m - 1 - k, j - k] in column j of row k, so each
+    column holds one diagonal and one sum over rows gives all of them.
+    """
+    m = a.shape[0]
+    padded = np.zeros((m, 2 * m), dtype=a.dtype)
+    padded[:, :m] = a[::-1]
+    return padded.ravel()[: m * (2 * m - 1)].reshape(m, 2 * m - 1).sum(axis=0)
+
+
+class FourfoldEngine:
+    """Lag coefficients of the four bracket terms for one setup; cheap evaluation per delay.
+
+    Every bracket term is a lag sum sum_d c[d] exp(i x_d tau) on the
+    symmetric lag axis x, so the engine keeps one 4 x (2m - 1) block of
+    coefficients c. The direct terms collapse onto JSA autocorrelations
+    over the lags. Each cross term is a bilinear form u^H M u with
+    u = exp(i tau W), and since W is uniform, conj(u_k) u_l depends only
+    on l - k: its coefficient c[d] is the sum of M's d-th diagonal.
+    The jitter and window kernels are even on the lag axis, so the
+    Toeplitz kernel matrices k_phi2 and k_phi3 are real and symmetric
+    and the 1-2 and 3-4 links k12 and k34 are Hermitian. The second
+    cross core w4 = k_phi2 k12 k_phi3 is then exactly w3^H for
+    w3 = k_phi3 k12 k_phi2, whatever the jitters, and its coefficients
+    are the first cross term's reversed and conjugated; w3 takes two
+    real products per part of k12, and no m x m array outlives the build.
 
     Only the span [lo, hi) from the first to the last grid point where
-    either JSA is nonzero enters: the JSAs, ``omega`` and the m = hi - lo
-    point lag axis are cut to it, so the cores are m x m rather than
-    n x n. The span is contiguous, so the lag axis stays uniform and
-    every identity above holds on it; the grid resolution checks still
-    use the full grid's step. Dense JSAs give the whole grid.
+    either JSA is nonzero enters: the JSAs and the lag axis are cut to
+    it, so the lag axis has 2m - 1 points for m = hi - lo, not 2n - 1.
+    The span is contiguous, so the lag axis stays uniform and every
+    identity above holds on it; the grid resolution checks still use the
+    full grid's step. Dense JSAs give the whole grid.
 
     ``probabilities`` evaluates a delay scan with one phase block and one
-    matrix product per bracket term, checking every delay;
+    product with the coefficient block, checking every delay;
     ``probability`` and ``baseline`` are its one-delay case.
     """
 
@@ -397,7 +419,6 @@ class FourfoldEngine:
         nz = np.flatnonzero((ja != 0) | (jb != 0))
         lo, hi = int(nz[0]), int(nz[-1]) + 1
         ja, jb = ja[lo:hi], jb[lo:hi]
-        self.omega = grid.omega[lo:hi]
         m = hi - lo
 
         j1, j2, j3, j4 = setup.detectors.jitter_fwhm
@@ -411,17 +432,17 @@ class FourfoldEngine:
         ra = np.correlate(ja, ja, mode="full")
         rb = np.correlate(jb, jb, mode="full")
 
-        # Direct terms: a-side scalars, b-side lag coefficients with the
-        # delay phase applied at evaluation time.
-        self._a_phi2 = complex(np.sum(np.conj(ra) * (g1 * phi2)))
-        self._a_phi3 = complex(np.sum(np.conj(ra) * (g1 * phi3)))
-        self._b_phi3 = np.conj(rb) * (s14 * phi3)
-        self._b_phi2 = np.conj(rb) * (s14 * phi2)
+        # Direct terms: an a-side scalar times b-side lag coefficients.
+        a_phi2 = complex(np.sum(np.conj(ra) * (g1 * phi2)))
+        a_phi3 = complex(np.sum(np.conj(ra) * (g1 * phi3)))
+        b_phi3 = np.conj(rb) * (s14 * phi3)
+        b_phi2 = np.conj(rb) * (s14 * phi2)
         self._x = x
 
         # Cross terms: chain 1-2 (g1), 2-3 (phi), 3-4 (window-14 kernel
         # with delay phase), 4-1 (other phi); trace taken against the
-        # 3-4 link leaves an m x m core per bracket term.
+        # 3-4 link leaves an m x m core per bracket term, whose diagonal
+        # sums are its lag coefficients.
         idx = np.arange(m)
         d = idx[None, :] - idx[:, None] + (m - 1)
         k12 = (ja[:, None] * np.conj(ja)[None, :]) * g1[d]
@@ -430,19 +451,27 @@ class FourfoldEngine:
         w3 = np.empty((m, m), dtype=complex)
         w3.real = k_phi3 @ k12.real @ k_phi2
         w3.imag = k_phi3 @ k12.imag @ k_phi2
+        # each m x m transient is dropped once used; together they set the
+        # build's peak memory
+        del k12, k_phi2, k_phi3
         k34 = (jb[:, None] * np.conj(jb)[None, :]) * s14[d]
-        self._m3 = k34 * w3.T
-        self._m4 = k34 * np.conj(w3)  # w4.T with w4 = w3^H
+        m3 = k34 * w3.T
         self._scale = grid.step**4
-        # Roundoff capacity of the four bilinear forms: deep in the tail
-        # the terms cancel to a value far below the magnitudes actually
-        # summed, so residues must be judged against those magnitudes.
+        # Roundoff capacity of the four terms: deep in the tail they
+        # cancel to a value far below the magnitudes actually summed, so
+        # residues must be judged against those magnitudes. The second
+        # cross core k34 * conj(w3) has the magnitudes |k34| |w3|.
         self._residue_cap = self._scale * (
-            abs(self._a_phi2) * float(np.sum(np.abs(self._b_phi3)))
-            + abs(self._a_phi3) * float(np.sum(np.abs(self._b_phi2)))
-            + float(np.sum(np.abs(self._m3)))
-            + float(np.sum(np.abs(self._m4)))
+            abs(a_phi2) * float(np.sum(np.abs(b_phi3)))
+            + abs(a_phi3) * float(np.sum(np.abs(b_phi2)))
+            + float(np.sum(np.abs(m3)))
+            + float(np.vdot(np.abs(k34), np.abs(w3)))
         )
+        del w3, k34
+        c3 = _diagonal_sums(m3)
+        # rows T1..T4; the fourth is the second cross core's diagonal sums,
+        # those of k34 * conj(w3) with k34 Hermitian
+        self._coeff = np.stack([a_phi2 * b_phi3, a_phi3 * b_phi2, c3, np.conj(c3[::-1])])
 
     def _terms(self, taus: np.ndarray) -> np.ndarray:
         """Bracket contributions T1..T4 (rows) per delay, each times step^4."""
@@ -453,12 +482,7 @@ class FourfoldEngine:
         chunk = max(1, int(4e6 // self._x.size))
         for lo in range(0, taus.size, chunk):
             t = taus[lo : lo + chunk]
-            phase = np.exp(1j * np.outer(self._x, t))
-            u = np.exp(1j * np.outer(self.omega, t))
-            out[0, lo : lo + chunk] = self._a_phi2 * (self._b_phi3 @ phase)
-            out[1, lo : lo + chunk] = self._a_phi3 * (self._b_phi2 @ phase)
-            out[2, lo : lo + chunk] = np.sum(np.conj(u) * (self._m3 @ u), axis=0)
-            out[3, lo : lo + chunk] = np.sum(np.conj(u) * (self._m4 @ u), axis=0)
+            out[:, lo : lo + chunk] = self._coeff @ np.exp(1j * np.outer(self._x, t))
         return out * self._scale
 
     def probabilities(self, taus) -> np.ndarray:

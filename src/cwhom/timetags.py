@@ -29,10 +29,20 @@ from .units import FS
 # 2 and 3 are the beam-splitter output channels (2', 3').
 CHANNELS = (1, 2, 3, 4)
 
-# Times are int64 femtoseconds.  A simulated stream ends before 2**60 fs
-# (~1153 s), so its events sort as one int64 key (t << 3) | channel; a
-# window, delay or shift below 2**60 fs keeps every window edge inside int64.
+# Times are int64 femtoseconds.  A stream ends before 2**60 fs (~1153 s),
+# so simulated events sort as one int64 key (t << 3) | channel; a window,
+# delay or shift below 2**60 fs added to such a time stays inside int64.
 MAX_TIME_FS = 2**60
+
+
+def _check_duration(duration: float) -> None:
+    """Refuse a duration [s] that is not positive or reaches 2**60 fs."""
+    # each test is written so that NaN and infinity fail it; floats just
+    # below 2**60 are whole, so the second is round(duration / FS) < 2**60
+    if not duration > 0:
+        raise ValueError("duration must be positive")
+    if not duration / FS < MAX_TIME_FS:
+        raise ValueError(f"duration must be below 2**60 fs ({MAX_TIME_FS * FS:.6g} s)")
 
 
 @dataclass(frozen=True)
@@ -40,9 +50,10 @@ class TagStream:
     """Sorted four-channel detection record.
 
     channels and times_fs are parallel arrays; times are integer
-    femtoseconds, sorted ascending, within [0, duration].  Labels and
-    times are checked as given (integer-valued, labels 1 to 4) before
-    they are stored as uint8 and int64, so no value wraps or truncates.
+    femtoseconds, sorted ascending, within [0, duration], and duration
+    is below 2**60 fs (~1153 s).  Labels and times are checked as given
+    (integer-valued, labels 1 to 4) before they are stored as uint8 and
+    int64, so no value wraps or truncates.
     The stored arrays are read-only views, which may share memory with
     the arrays passed in; those must not be written to afterwards.
     """
@@ -60,8 +71,7 @@ class TagStream:
             raise ValueError("channel labels must be in {1, 2, 3, 4}")
         if not _integral(t):
             raise ValueError("timestamps must be integer femtoseconds")
-        if not self.duration > 0:
-            raise ValueError("duration must be positive")
+        _check_duration(self.duration)
         if t.size and np.any(t[1:] < t[:-1]):
             raise ValueError("timestamps must be sorted ascending")
         if t.size and (t[0] < 0 or t[-1] > round(self.duration / FS)):
@@ -148,11 +158,7 @@ class SimScenario:
             raise ValueError("noise_rates must be four nonnegative rates")
         if len(self.etas) != 4 or any(not 0.0 <= e <= 1.0 for e in self.etas):
             raise ValueError("etas must be four efficiencies in [0, 1]")
-        if not self.duration > 0:
-            raise ValueError("duration must be positive")
-        # floats just below 2**60 are whole, so this is round(duration / FS) < 2**60
-        if not self.duration / FS < MAX_TIME_FS:
-            raise ValueError(f"duration must be below 2**60 fs ({MAX_TIME_FS * FS:.6g} s)")
+        _check_duration(self.duration)
         if self.pairing_horizon is not None and not self.pairing_horizon > 0:
             raise ValueError("pairing_horizon must be positive")
 

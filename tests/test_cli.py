@@ -460,6 +460,24 @@ def test_tags_count_refuses_a_span_past_int64_femtoseconds(capsys, tmp_path, sec
     assert not out.exists()
 
 
+def test_tags_count_refuses_timestamps_past_2_60_fs(capsys, tmp_path):
+    # these four tags make one fourfold at tau = 70 ps, but a herald-window
+    # edge of a count would pass 2**63 - 1 fs, so the file is refused
+    t = 9223372036854700000
+    (tmp_path / "late.csv").write_text(f"channel,timestamp_fs\n1,{t}\n2,{t}\n3,{t}\n4,{t + 70000}\n")
+    sc = tmp_path / "count.json"
+    sc.write_text(json.dumps({
+        "windows": {"tau_14_ps": 200.0, "tau_23_ps": 2000.0},
+        "count": {"tag_csv": "late.csv", "tau_ps": 70.0},
+    }))
+    out = tmp_path / "counts.json"
+    code, stdout, stderr = run(capsys, ["tags", "count", "--scenario", str(sc), "--out", str(out)])
+    assert (code, stdout) == (2, "")
+    err = json.loads(stderr)
+    assert err["error"] == "validation" and "duration must be below 2**60 fs" in err["message"]
+    assert not out.exists()
+
+
 def test_tags_simulate_refuses_a_duration_past_the_sort_key(capsys, tmp_path):
     # no pairs and no strays, so a refusal is the only way to exit non-zero
     with open(scenario_path("tags_demo.json")) as fh:

@@ -185,6 +185,10 @@ def test_tag_stream_validation():
         TagStream(channels=np.array([1]), times_fs=np.array([100]), duration=0.0)
     with pytest.raises(ValueError, match="duration"):
         TagStream(channels=np.zeros(0), times_fs=np.zeros(0), duration=np.nan)
+    # a duration of 2**60 fs or more would let a window edge leave int64
+    for duration in (float("inf"), 2**60 * FS, 1e300):
+        with pytest.raises(ValueError, match="duration must be below 2\\*\\*60 fs"):
+            TagStream(channels=np.array([1]), times_fs=np.array([100]), duration=duration)
     with pytest.raises(ValueError, match="parallel"):
         TagStream(channels=np.array([1, 2]), times_fs=np.array([100]), duration=1e-9)
     # labels and times are checked as given: 257 must not wrap to channel 1,
@@ -200,6 +204,16 @@ def test_tag_stream_validation():
     stream = TagStream(channels=np.array([1.0, 4.0]), times_fs=np.array([100.0, 200.0]), duration=1e-9)
     assert stream.channels.dtype == np.uint8 and stream.times_fs.dtype == np.int64
     assert stream.channels.tolist() == [1, 4] and stream.times_fs.tolist() == [100, 200]
+
+
+def test_tags_csv_refuses_timestamps_past_2_60_fs(tmp_path):
+    # channels 1, 2 and 3 at one time and channel 4 70 ps later, all within
+    # a window's reach of 2**63 fs: a herald-window edge would pass 2**63 - 1
+    t = 9223372036854700000
+    path = tmp_path / "late.csv"
+    path.write_text(f"channel,timestamp_fs\n1,{t}\n2,{t}\n3,{t}\n4,{t + 70 * PS_FS}\n")
+    with pytest.raises(ValueError, match="duration must be below 2\\*\\*60 fs"):
+        load_tags_csv(path)
 
 
 def test_channel_times_are_split_once_and_read_only():
@@ -772,8 +786,11 @@ def test_tags_csv_load_keeps_no_stream(tmp_path, parses):
     assert gone() is None and len(parses) == 2
 
 
-MAX_FS = 2**63 - 1
-# every 10**k - 1 / 10**k step in digit count that an int64 timestamp can take
+# the longest duration a stream admits, and the last timestamp it admits
+LONGEST = (2**60 - 128) * FS
+MAX_FS = round(LONGEST / FS)
+# every 10**k - 1 / 10**k step in digit count that a stream's timestamp
+# can take; 10**18 is the last below 2**60
 DIGIT_EDGES = [0] + [v for k in range(1, 19) for v in (10**k - 1, 10**k)] + [MAX_FS]
 
 
@@ -784,9 +801,9 @@ def csv_reference(channels: np.ndarray, times: np.ndarray) -> bytes:
 
 
 def check_saved_bytes(path, channels, times):
-    # a duration beyond 2**63 fs admits every int64 timestamp
+    # the longest duration admits every timestamp a stream can hold
     stream = TagStream(channels=np.array(channels, dtype=np.uint8),
-                       times_fs=np.array(times, dtype=np.int64), duration=1e4)
+                       times_fs=np.array(times, dtype=np.int64), duration=LONGEST)
     save_tags_csv(stream, path)
     assert path.read_bytes() == csv_reference(stream.channels, stream.times_fs)
     back = load_tags_csv(path, duration=stream.duration)
