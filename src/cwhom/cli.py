@@ -8,9 +8,10 @@ names.  CSV-emitting subcommands print one JSON metadata line on
 stdout.
 
 Exit codes: 0 on success, 2 on scenario or input validation failure,
-3 when the frequency grid cannot resolve the requested delays, 4 when
-a numeric guard trips (roundoff swamps the computed quantity).  On
-failure one JSON object is printed to stderr.
+3 when the frequency grid cannot resolve the requested delays or would
+hold more than ``interference.MAX_GRID_POINTS`` points, 4 when a numeric
+guard trips (roundoff swamps the computed quantity).  On failure one
+JSON object is printed to stderr.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import numpy as np
 from .detection import DetectorModel
 from .interference import (
     GRID_FLOOR,
-    SOURCE_CHANNELS,
     SPAN_FACTOR,
     CoherenceCurve,
     CoincidenceConfig,
@@ -46,6 +46,7 @@ from .interference import (
     fourfold_probability_oracle,
     hom_curve,
     sized_grid,
+    source_jitters,
     visibility,
     visibility_map,
 )
@@ -227,9 +228,11 @@ def _build_setup(scenario: dict, delays: np.ndarray) -> InterferenceSetup:
     jit = _jitters(scenario)
     span_factor, n_override = _grid_overrides(scenario)
     max_delay = float(np.max(np.abs(delays))) if delays.size else 0.0
-    # the plateau sample sits at up to _plateau_reach; an unknown coherence
-    # time is estimated once the sources are sampled, so rebuild on a
-    # finer grid whenever that estimate shows the reach short
+    # _plateau_delay clamps the plateau sample to at most tau_23 / 2, which
+    # every grid resolves; sizing for _plateau_reach as well only makes the
+    # grid finer where 6 T_c or 3x the jitter exceeds both tau_23 and the
+    # scan. An unknown coherence time is estimated once the sources are
+    # sampled, so rebuild on a finer grid whenever it shows the reach short
     reach = max(max_delay, PS, _plateau_reach(known or (0.0,), jit))
     for _ in range(3):
         setup = build_setup(
@@ -266,7 +269,7 @@ def _cmd_coherence(args, scenario: dict, base: str) -> dict:
     delays = _delays(scenario)
     which = scenario.get("coherence", {}).get("source", "a")
     jit = _jitters(scenario)
-    pair = [jit[c - 1] for c in SOURCE_CHANNELS[which]]
+    pair = source_jitters(jit, which)
     jsa = _coherence_jsa(scenario, which, delays)
     curve = coherence_function(jsa, *pair, delays)
     peak = float(np.max(curve.density))

@@ -94,6 +94,11 @@ class CoincidenceConfig:
 SOURCE_CHANNELS = {"a": (1, 2), "b": (4, 3)}
 
 
+def source_jitters(jitters, source: str) -> tuple[float, float]:
+    """The entries of four per-channel jitters on the channels a source feeds."""
+    return tuple(jitters[c - 1] for c in SOURCE_CHANNELS[source])
+
+
 @dataclass(frozen=True)
 class InterferenceSetup:
     """Everything the coincidence probability depends on.
@@ -272,15 +277,37 @@ def _lag_sum_over_delays(coeff: np.ndarray, x: np.ndarray, delays: np.ndarray) -
 # Frequency-domain coincidence probability
 
 
-def _sinc(x: np.ndarray) -> np.ndarray:
-    # sin(x)/x with sinc(0)=1; np.sinc uses the normalized convention.
-    return np.sinc(x / np.pi)
+def _window_kernel(tau: float, x: np.ndarray) -> np.ndarray:
+    # window tau on the lag axis: tau sin(tau x / 2) / (tau x / 2); np.sinc is normalized
+    return tau * np.sinc(tau * x / 2.0 / np.pi)
+
+
+# Most points of a sized grid, 8 MiB per float64 array over it and about
+# 370x the largest grid the tests and the benchmark size (2 837 points).
+# A larger count is refused before it is made an int or anything is
+# allocated. The engine's m x m build stays unbounded below it.
+MAX_GRID_POINTS = 2**20 + 1
 
 
 def _required_n_points(span: float, t_max: float) -> int:
+    """Fewest odd point count over [-span, span] resolving times up to t_max.
+
+    A count past MAX_GRID_POINTS raises GridResolutionError, naming it if
+    finite: an overflowed t_max leaves no step, an infinite span no count.
+    """
     step_max = 2.0 * math.pi / (RESOLUTION_PERIODS * t_max)
-    n = int(math.ceil(2.0 * span / step_max)) + 1
-    return n if n % 2 == 1 else n + 1
+    steps = 2.0 * span / step_max if step_max > 0 else math.inf
+    n = None
+    if math.isfinite(steps):
+        n = int(math.ceil(steps)) + 1
+        n += n % 2 == 0
+    if n is None or n > MAX_GRID_POINTS:
+        raise GridResolutionError(
+            f"resolving times up to {t_max:.3e} s over a span of {span:.3e} rad/s needs "
+            f"{n or 'more'} grid points; at most {MAX_GRID_POINTS} are allowed",
+            required_n_points=n,
+        )
+    return n
 
 
 # Intensity-FWHM x coherence-time product of each analytic filter shape:
@@ -303,9 +330,14 @@ def sized_grid(
     span: float, t_max: float, floor: int = GRID_FLOOR, n_points: int | None = None
 ) -> FrequencyGrid:
     """Grid over [-span, span] with n_points, or else the fewest points, and at
-    least floor, that resolve times up to t_max (floor when t_max is 0)."""
+    least floor, that resolve times up to t_max (floor when t_max is 0).
+
+    Either count must stay within MAX_GRID_POINTS (GridResolutionError).
+    """
     if n_points is None:
         n_points = max(floor, _required_n_points(span, t_max)) if t_max > 0 else floor
+    elif n_points > MAX_GRID_POINTS:
+        raise GridResolutionError(f"n_points {n_points} exceeds the limit of {MAX_GRID_POINTS}")
     return FrequencyGrid(n_points=n_points, span=span)
 
 
@@ -425,9 +457,10 @@ class FourfoldEngine:
         x = np.arange(-(m - 1), m) * grid.step
         g1 = jitter_kernel(j1, x)
         g4 = jitter_kernel(j4, x)
-        phi2 = cfg.tau_23 * _sinc(cfg.tau_23 * x / 2.0) * jitter_kernel(j2, x)
-        phi3 = cfg.tau_23 * _sinc(cfg.tau_23 * x / 2.0) * jitter_kernel(j3, x)
-        s14 = cfg.tau_14 * _sinc(cfg.tau_14 * x / 2.0) * g4
+        k23 = _window_kernel(cfg.tau_23, x)
+        phi2 = k23 * jitter_kernel(j2, x)
+        phi3 = k23 * jitter_kernel(j3, x)
+        s14 = _window_kernel(cfg.tau_14, x) * g4
 
         ra = np.correlate(ja, ja, mode="full")
         rb = np.correlate(jb, jb, mode="full")
@@ -456,18 +489,18 @@ class FourfoldEngine:
         del k12, k_phi2, k_phi3
         k34 = (jb[:, None] * np.conj(jb)[None, :]) * s14[d]
         m3 = k34 * w3.T
+        del w3, k34
         self._scale = grid.step**4
         # Roundoff capacity of the four terms: deep in the tail they
         # cancel to a value far below the magnitudes actually summed, so
         # residues must be judged against those magnitudes. The second
-        # cross core k34 * conj(w3) has the magnitudes |k34| |w3|.
+        # cross core k34 * conj(w3) has the magnitudes |k34| |w3|, which
+        # sum to the first core's, as |k34| is symmetric.
         self._residue_cap = self._scale * (
             abs(a_phi2) * float(np.sum(np.abs(b_phi3)))
             + abs(a_phi3) * float(np.sum(np.abs(b_phi2)))
-            + float(np.sum(np.abs(m3)))
-            + float(np.vdot(np.abs(k34), np.abs(w3)))
+            + 2.0 * float(np.sum(np.abs(m3)))
         )
-        del w3, k34
         c3 = _diagonal_sums(m3)
         # rows T1..T4; the fourth is the second cross core's diagonal sums,
         # those of k34 * conj(w3) with k34 Hermitian
@@ -643,6 +676,11 @@ def fourfold_probability_oracle(setup: InterferenceSetup, tau: float) -> float:
 # Dip curves, visibility, maps
 
 
+# tau_23 / T_c from which the BS window spans both wave packets and the dip
+# has a plateau; an int, so the schema's minimum reads 4
+TAU23_TC_FACTOR = 4
+
+
 def _plateau_reach(coherence_times, jitters) -> float:
     """Nominal plateau delay: max(6 x max coherence time, 3 x max jitter)."""
     return max(6.0 * max(coherence_times), 3.0 * max(jitters))
@@ -655,8 +693,8 @@ def _plateau_delay(setup: InterferenceSetup) -> tuple[float, bool]:
     the dip, and with the delayed wave packet inside the half BS window
     tau_23/2. That does not keep the sample off the capture roll-off: on
     the criterion-2 setup it sits at t_hi = 790 ps, where P is 0.9646 of
-    the direct-term baseline. Outside the tau_23 >= 4 T_c regime (or when
-    the clamp interval is empty) no plateau exists and the flag is False.
+    the direct-term baseline. Outside the tau_23 >= TAU23_TC_FACTOR T_c regime
+    (or when the clamp interval is empty) no plateau exists and the flag is False.
     """
     cfg = setup.windows
     tc_max = max(setup.coherence_times)
@@ -665,7 +703,7 @@ def _plateau_delay(setup: InterferenceSetup) -> tuple[float, bool]:
     nominal = _plateau_reach(setup.coherence_times, setup.detectors.jitter_fwhm)
     t_lo = max(2.0 * tc_max + cfg.tau_14 / 2.0 + 3.0 * sigma_max, 3.0 * j_max)
     t_hi = cfg.tau_23 / 2.0 - tc_max - cfg.tau_14 / 2.0 - 3.0 * sigma_max
-    reliable = cfg.tau_23 >= 4.0 * tc_max and t_hi >= t_lo
+    reliable = cfg.tau_23 >= TAU23_TC_FACTOR * tc_max and t_hi >= t_lo
     if not reliable:
         # Indicative sample only; keep it inside the capture region so the
         # curve stays computable on a grid sized for tau_23.
@@ -755,11 +793,11 @@ def visibility_map(
 ) -> np.ndarray:
     """V over a (T_c, tau_14) grid for identical sources, one jitter.
 
-    tau_23 is set to tau23_factor x T_c per cell (must stay >= 4) so the
-    BS-side windows capture the wave packets without post-filtering.
+    tau_23 is set to tau23_factor x T_c per cell (must stay >= TAU23_TC_FACTOR)
+    so the BS-side windows capture the wave packets without post-filtering.
     Returns V[i_tc, i_tau14].
     """
-    if tau23_factor < 4.0:
+    if tau23_factor < TAU23_TC_FACTOR:
         raise ValueError("tau23_factor below the reliable-plateau regime")
     tc_values = np.asarray(tc_values, dtype=float)
     tau14_values = np.asarray(tau14_values, dtype=float)

@@ -17,6 +17,7 @@ from .interference import (
     CoincidenceConfig,
     InterferenceSetup,
     build_setup,
+    source_jitters,
 )
 from .spectral import (
     FbgModel,
@@ -94,8 +95,7 @@ REFERENCE_SOURCES = {
 # Jitter FWHM pairs (signal channel, idler channel) used when measuring
 # each source's two-photon coherence curve, on the channels it feeds.
 COHERENCE_JITTER_PAIRS = {
-    src: tuple(REFERENCE_JITTERS_FWHM[c - 1] for c in channels)
-    for src, channels in SOURCE_CHANNELS.items()
+    src: source_jitters(REFERENCE_JITTERS_FWHM, src) for src in SOURCE_CHANNELS
 }
 
 

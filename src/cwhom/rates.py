@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interference import _identical_source_setup, visibility_at_zero_delay
+from .interference import TAU23_TC_FACTOR, _identical_source_setup, visibility_at_zero_delay
 
 # optimizer defaults: log-spaced window scan and bisection tightness
 N_WINDOW_SAMPLES = 40
@@ -163,11 +163,11 @@ def pulsed_rate(mu_p: float, tau_p: float, t_c: float, f_rep: float) -> float:
 
 @functools.lru_cache(maxsize=4096)
 def _visibility_model(t_c: float, tau_w: float, jitter: float, filter_kind: str) -> float:
-    """Zero-delay visibility of identical sources at tau_23 = 4 T_c."""
+    """Zero-delay visibility of identical sources at tau_23 = TAU23_TC_FACTOR T_c."""
     setup = _identical_source_setup(
         t_c=t_c,
         tau_14=tau_w,
-        tau_23=4.0 * t_c,
+        tau_23=TAU23_TC_FACTOR * t_c,
         jitter=jitter,
         filter_kind=filter_kind,
     )
@@ -212,8 +212,8 @@ def optimize_window(q: RateQuery) -> OptResult:
     """Maximize R = (mu/T_c)^2 tau_w over the window/coherence trade-off.
 
     Scans 40 log-spaced coincidence windows; for each, finds the
-    smallest coherence time whose zero-delay visibility (identical
-    sources, tau_23 = 4 T_c, accidentals excluded) still meets v_target,
+    smallest coherence time whose zero-delay visibility (identical sources,
+    tau_23 = TAU23_TC_FACTOR T_c, accidentals excluded) still meets v_target,
     then rates it.  Windows infeasible even at tc_max are skipped; if
     none is feasible this raises.
     """

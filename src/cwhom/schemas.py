@@ -3,7 +3,8 @@
 ``SCHEMAS`` maps each name that ``cli._validator`` takes to a Draft 7
 schema held as plain dicts; ``json.dumps`` of any entry gives a
 standalone schema document.  Each ``enum`` takes its names from the
-table the code looks them up in.
+table the code looks them up in, and the ``tau23_factor`` minimum is the
+rule ``visibility_map`` enforces, ``interference.TAU23_TC_FACTOR``.
 
 Every schema dict lists its keys in sorted order: of two equally
 relevant errors, jsonschema reports the one whose keyword comes first,
@@ -13,7 +14,7 @@ not the type error.
 
 from __future__ import annotations
 
-from .interference import SOURCE_CHANNELS, WIDTH_PRODUCTS
+from .interference import SOURCE_CHANNELS, TAU23_TC_FACTOR, WIDTH_PRODUCTS
 from .presets import REFERENCE_SOURCES
 
 DRAFT = "http://json-schema.org/draft-07/schema#"
@@ -22,7 +23,6 @@ DRAFT = "http://json-schema.org/draft-07/schema#"
 _FILTER_KIND = {"enum": list(WIDTH_PRODUCTS)}
 
 _FBG_MODEL_PROPS = {
-    "design_wavelength": {"exclusiveMinimum": 0, "type": "number"},
     "detuning_offset": {"type": "number"},
     "length": {"exclusiveMinimum": 0, "type": "number"},
     "n_sections": {"minimum": 16, "type": "integer"},
@@ -223,7 +223,7 @@ SCENARIO = {
                     "minItems": 1,
                     "type": "array",
                 },
-                "tau23_factor": {"minimum": 4, "type": "number"},
+                "tau23_factor": {"minimum": TAU23_TC_FACTOR, "type": "number"},
                 "tc_values_ps": {
                     "items": {"exclusiveMinimum": 0, "type": "number"},
                     "minItems": 1,
@@ -328,7 +328,6 @@ FBG_MODEL_OUT = {
         "order",
         "width",
         "detuning_offset",
-        "design_wavelength",
     ],
     "title": "fitted grating model (fbg fit output)",
     "type": "object",

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .units import C_M_PER_S, LAMBDA0_M, wavelength_pm_to_angular
+from .units import C_M_PER_S, wavelength_pm_to_angular
 
 # Effective index used to convert angular-frequency detuning to the
 # propagation detuning of the grating equations. Fixed for fused silica
@@ -198,7 +198,6 @@ class FbgModel:
     order: float
     width: float  # fraction of length
     detuning_offset: float = 0.0  # rad/s
-    design_wavelength: float = LAMBDA0_M  # m
 
     def __post_init__(self) -> None:
         # each test is written so that NaN fails it

@@ -114,12 +114,13 @@ def _integral(values: np.ndarray) -> bool:
     return bool(np.all(np.isfinite(values) & (values == np.trunc(values))))
 
 
-def _tag_ordered(channels: np.ndarray, times: np.ndarray) -> bool:
-    """True when the events are in (time, channel) order, checked in O(n)."""
-    if np.any(times[1:] < times[:-1]):
-        return False
+def _tag_order(channels: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The events in (time, channel) order; sorts only when an O(n) check fails."""
     tie = np.flatnonzero(times[1:] == times[:-1])
-    return not np.any(channels[tie + 1] < channels[tie])
+    if np.all(times[1:] >= times[:-1]) and np.all(channels[tie + 1] >= channels[tie]):
+        return channels, times
+    order = np.lexsort((channels, times))
+    return channels[order], times[order]
 
 
 @dataclass(frozen=True)
@@ -343,43 +344,18 @@ def count_fourfolds(stream: TagStream, cfg: CoincidenceConfig, tau: float) -> in
     return _count_triggers(stream._by_channel, cfg, tau, [(0.0, 0.0)])[0]
 
 
-def shifted_accidentals(
-    stream: TagStream,
-    cfg: CoincidenceConfig,
-    delta: float,
-    shift_channel: int,
-    tau: float = 0.0,
-) -> int:
-    """Accidental estimate by decorrelating one beam-splitter channel.
-
-    Adds delta to every tag of shift_channel (2 or 3) and re-counts
-    fourfolds; the surviving events must contain an uncorrelated photon
-    in that channel.
-    """
-    if shift_channel not in (2, 3):
-        raise ValueError("shift_channel must be 2 or 3")
-    _check_shift(cfg, delta)
-    shift = (delta, 0.0) if shift_channel == 2 else (0.0, delta)
-    return _count_triggers(stream._by_channel, cfg, tau, [shift])[0]
-
-
 def fourfold_counts(
     stream: TagStream, cfg: CoincidenceConfig, tau: float, delta: float
 ) -> tuple[int, int, int]:
-    """The raw fourfolds and both shifted accidentals, from one herald test.
+    """The raw fourfolds, as count_fourfolds, and both shifted accidentals.
 
-    Returns what count_fourfolds(stream, cfg, tau) and
-    shifted_accidentals(stream, cfg, delta, c, tau) for c = 2 and 3 return,
-    in that order.
+    Each shifted count adds delta (at least 10 tau_23) to every tag of
+    channel 2, then of channel 3; all three come from one herald test.
     """
-    _check_shift(cfg, delta)
-    raw, s2, s3 = _count_triggers(stream._by_channel, cfg, tau, [(0.0, 0.0), (delta, 0.0), (0.0, delta)])
-    return raw, s2, s3
-
-
-def _check_shift(cfg: CoincidenceConfig, delta: float) -> None:
     if delta < 10.0 * cfg.tau_23:
         raise ValueError("delta must be at least 10 times tau_23")
+    raw, s2, s3 = _count_triggers(stream._by_channel, cfg, tau, [(0.0, 0.0), (delta, 0.0), (0.0, delta)])
+    return raw, s2, s3
 
 
 def _count_triggers(
@@ -537,11 +513,8 @@ def save_tags_csv(stream: TagStream, path: str) -> None:
     ends and no trailing blank line.  An empty stream writes the header
     alone.
     """
-    ch, t = stream.channels, stream.times_fs
-    if not _tag_ordered(ch, t):
-        # the stream is time-sorted; only ties can be out of channel order
-        order = np.lexsort((ch, t))
-        ch, t = ch[order], t[order]
+    # the stream is time-sorted; only ties can be out of channel order
+    ch, t = _tag_order(stream.channels, stream.times_fs)
     with open(path, "wb") as fh:
         for block in _csv_blocks(ch, t):
             fh.write(block)
@@ -560,7 +533,7 @@ def load_tags_csv(path: str, duration: float | None = None) -> TagStream:
 
     Rows come back in (timestamp, channel) order.  A file already in that
     order, as `save_tags_csv` writes it, passes an O(n) check and is not
-    re-sorted; any other order is sorted by `np.lexsort`.  Labels and
+    re-sorted; any other order is sorted (`_tag_order`).  Labels and
     timestamps are validated as read, before they are narrowed.
     """
     with open(path, "r", encoding="ascii") as fh:
@@ -576,11 +549,7 @@ def load_tags_csv(path: str, duration: float | None = None) -> TagStream:
         )
     if rows.size == 0:
         rows = np.zeros((0, 2), dtype=np.int64)
-    ch = rows[:, 0]
-    t = np.ascontiguousarray(rows[:, 1])
-    if not _tag_ordered(ch, t):
-        order = np.lexsort((ch, t))
-        ch, t = ch[order], t[order]
+    ch, t = _tag_order(rows[:, 0], np.ascontiguousarray(rows[:, 1]))
     if duration is None:
         duration = _last_tag_time(t)
     return TagStream(channels=ch, times_fs=t, duration=duration)

@@ -52,7 +52,7 @@ from cwhom.timetags import (
     accidental_params_from,
     analytic_accidentals,
     count_fourfolds,
-    shifted_accidentals,
+    fourfold_counts,
     simulate_streams,
 )
 
@@ -263,8 +263,7 @@ def test_criterion_6_accidentals_match_monte_carlo():
         assert n_w >= 1e6
         stream = simulate_streams(sc)
         a0 = count_fourfolds(stream, cfg, 0.0)
-        s2 = shifted_accidentals(stream, cfg, 20 * tau_w, 2)
-        s3 = shifted_accidentals(stream, cfg, 20 * tau_w, 3)
+        _, s2, s3 = fourfold_counts(stream, cfg, 0.0, 20 * tau_w)
         a = analytic_accidentals(accidental_params_from(sc, tau_w, bs_photon_fillers=True))
         for got, key in ((a0, "A0"), (s2, "As2"), (s3, "As3")):
             exp = a[key] * n_w
@@ -301,8 +300,7 @@ def test_criterion_6_accidentals_match_monte_carlo():
     corr, var = {}, {}
     for tau in (0.0, 500 * PS):
         raw = count_fourfolds(stream, cfg, tau)
-        s2 = shifted_accidentals(stream, cfg, 20 * cfg.tau_23, 2, tau)
-        s3 = shifted_accidentals(stream, cfg, 20 * cfg.tau_23, 3, tau)
+        _, s2, s3 = fourfold_counts(stream, cfg, tau, 20 * cfg.tau_23)
         corr[tau], var[tau] = raw - s2 - s3, raw + s2 + s3
     a, b = corr[0.0], corr[500 * PS]
     v_meas = 1.0 - a / b

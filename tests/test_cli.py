@@ -334,6 +334,24 @@ def test_fbg_fit_refuses_a_nan_seed(capsys, tmp_path):
     assert not out.exists()
 
 
+def test_fbg_fit_refuses_a_seed_with_design_wavelength(capsys, tmp_path):
+    # FbgModel has no design wavelength: detuning converts through the
+    # grating's effective index alone
+    with open(scenario_path("fbg_fit.json")) as fh:
+        doc = json.load(fh)
+    doc["fbg_fit"]["table_csv"] = os.path.join(REPO, "data", "filter_signal_a.csv")
+    doc["fbg_fit"]["seed"]["design_wavelength"] = 1.55e-06
+    sc = tmp_path / "fit.json"
+    sc.write_text(json.dumps(doc))
+    out = tmp_path / "m.json"
+    code, stdout, stderr = run(capsys, ["fbg", "fit", "--scenario", str(sc), "--out", str(out)])
+    assert (code, stdout) == (2, "")
+    err = json.loads(stderr)
+    assert err == {"error": "validation",
+                   "message": "Additional properties are not allowed ('design_wavelength' was unexpected)"}
+    assert not out.exists()
+
+
 def test_spectral_import_leaves_engine_and_scipy_unloaded():
     # the package namespace imports nothing, so a leaf module loads only its own imports
     assert modules_loaded_by("cwhom.spectral", ("cwhom.interference", "scipy")) == []
@@ -509,6 +527,49 @@ def test_exit_code_3_when_grid_too_coarse(capsys, tmp_path):
     err = json.loads(stderr)
     assert err["error"] == "resolution"
     assert err["required_n_points"] == 551
+
+
+def _with_tc(t_c_ps):
+    def edit(doc):
+        for src in doc["sources"].values():
+            src["t_c_ps"] = t_c_ps
+    return edit
+
+
+@pytest.mark.parametrize("edit, required", [
+    # the span overflows to inf, whose int() is an OverflowError
+    (_with_tc(1e-300), None),
+    # t_max overflows to inf, leaving a step of 0 to divide by
+    (lambda doc: doc["detectors"].update(jitter_fwhm_ps=[1e300, 13.0, 11.0, 16.0]), None),
+    (lambda doc: doc["detectors"].update(compose_tagger_rms_ps=1e300), None),
+    # finite counts whose grids would take 1.57 EiB and 7.28 TiB
+    (_with_tc(1e-12), 226788592992999649),
+    (lambda doc: doc.update(grid={"n_points": 10**12 + 1}), None),
+], ids=["tc-1e-300", "jitter-1e300", "tagger-rms-1e300", "tc-1e-12", "n-points-1e12"])
+def test_exit_code_3_before_an_oversized_grid_is_allocated(capsys, tmp_path, edit, required):
+    import tracemalloc
+
+    from cwhom.interference import MAX_GRID_POINTS
+
+    with open(scenario_path("identical_165.json")) as fh:
+        doc = json.load(fh)
+    edit(doc)
+    sc = tmp_path / "big.json"
+    sc.write_text(json.dumps(doc))
+    out = tmp_path / "vis.json"
+    tracemalloc.start()
+    try:
+        code, stdout, stderr = run(capsys, ["visibility", "--scenario", str(sc), "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, stdout) == (3, "")
+    err = json.loads(stderr)
+    assert err["error"] == "resolution" and str(MAX_GRID_POINTS) in err["message"]
+    assert err.get("required_n_points") == required
+    # bytes: no grid array was made, one over the largest admitted grid takes 8 MiB
+    assert peak < 2**20
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("row", ["300,nan,30,2.2,2.2", "inf,30,30,2.2,2.2"])

@@ -30,6 +30,7 @@ from cwhom.interference import (
     _lag_frequencies,
     _lag_sum_over_delays,
     _pair_amplitude,
+    _plateau_delay,
     _window_weights,
     analytic_jsa,
     build_setup,
@@ -271,18 +272,27 @@ def test_probabilities_match_per_delay_evaluation():
         engine.probabilities(np.array([0.0, 1.5 * reach]))
 
 
-def test_second_cross_core_is_conjugate_transpose():
-    # Unequal BS-side jitters (j2 != j3) make the two cross cores
-    # w3 = k_phi3 k12 k_phi2 and w4 = k_phi2 k12 k_phi3 differ as
-    # products, and a chirped source A makes k12 complex, yet w4 = w3^H
-    # because the kernels are even.
+def chirped_setup():
+    """Unequal BS-side jitters (j2 != j3) and a chirped source A.
+
+    The jitters make the two cross cores w3 = k_phi3 k12 k_phi2 and
+    w4 = k_phi2 k12 k_phi3 differ as products, and the chirp makes k12
+    complex.
+    """
     jitters = (17e-12, 5e-12, 60e-12, 16e-12)
     plain = two_source_setup(120 * PS, 80 * PS, 40 * PS, 280 * PS, jitters)
     grid = plain.jsa_a.grid
     chirp = np.exp(1j * (grid.omega / (0.1 * grid.span)) ** 2)
-    setup = dataclasses.replace(
+    return dataclasses.replace(
         plain, jsa_a=JointSpectralAmplitude(grid=grid, j_amp=plain.jsa_a.j_amp * chirp)
     )
+
+
+def test_second_cross_core_is_conjugate_transpose():
+    # w4 = w3^H although the cores differ as products, because the
+    # kernels are even
+    setup = chirped_setup()
+    grid = setup.jsa_a.grid
     engine = FourfoldEngine(setup)
     ref = full_grid_reference(setup)
     w3, w4 = ref["w3"], ref["w4"]
@@ -304,6 +314,20 @@ def test_second_cross_core_is_conjugate_transpose():
             engine._coeff[row], sums[inside], rtol=0.0, atol=1e-12 * np.abs(sums).max()
         )
         assert not np.any(sums[~inside])
+
+
+def test_residue_cap_counts_the_first_cross_core_twice():
+    # |k34| is symmetric, so the magnitudes |k34| |w3| of the second cross
+    # core k34 * conj(w3) sum to those of the first, k34 * w3.T
+    setup = chirped_setup()
+    ref = full_grid_reference(setup)
+    first = np.sum(np.abs(ref["k34"] * ref["w3"].T))
+    second = np.sum(np.abs(ref["k34"]) * np.abs(ref["w3"]))
+    assert 2.0 * first == pytest.approx(first + second, rel=1e-12, abs=0.0)
+    direct = (abs(ref["a_phi2"]) * np.sum(np.abs(ref["b_phi3"]))
+              + abs(ref["a_phi3"]) * np.sum(np.abs(ref["b_phi2"])))
+    cap = setup.jsa_a.grid.step**4 * (direct + first + second)
+    assert FourfoldEngine(setup)._residue_cap == pytest.approx(cap, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("make_setup", [
@@ -646,6 +670,26 @@ def test_visibility_map_shape_and_monotonicity():
     assert np.all(vmap[:, 0] > vmap[:, 1])
     with pytest.raises(ValueError, match="reliable-plateau"):
         visibility_map(tc, t14, jitter=15e-12, tau23_factor=2.0)
+
+
+def test_tau23_regime_is_one_constant(monkeypatch):
+    import json
+
+    import cwhom.interference as interference
+    from cwhom.schemas import SCHEMAS
+
+    # an int, so the schema document states the minimum as 4
+    assert interference.TAU23_TC_FACTOR == 4 and type(interference.TAU23_TC_FACTOR) is int
+    assert '"tau23_factor": {"minimum": 4, "type": "number"}' in json.dumps(SCHEMAS["scenario"])
+    # the criterion-2 setup, tau_23 = 12.1 T_c, has a reliable plateau until
+    # the constant passes that ratio; visibility_map refuses below it
+    setup = _identical_source_setup(165 * PS, 40 * PS, 2000 * PS, 15e-12, "rect")
+    tc, t14 = np.array([80 * PS]), np.array([40 * PS])
+    for factor, reliable in ((4, True), (12, True), (13, False)):
+        monkeypatch.setattr(interference, "TAU23_TC_FACTOR", factor)
+        assert _plateau_delay(setup)[1] is reliable
+        with pytest.raises(ValueError, match="reliable-plateau"):
+            visibility_map(tc, t14, jitter=15e-12, tau23_factor=factor - 0.5)
 
 
 def test_unsupported_filter_kind_rejected():

@@ -36,7 +36,6 @@ from cwhom.timetags import (
     fourfold_counts,
     load_tags_csv,
     save_tags_csv,
-    shifted_accidentals,
     simulate_streams,
 )
 from cwhom.units import FS
@@ -165,10 +164,8 @@ def test_counts_match_brute_force(h23, h14, tau, missing, data):
         shifted = dict(times)
         shifted[c] = [x + round(delta / FS) for x in times[c]]
         want.append(brute_fourfolds(shifted, cfg, tau * 1e-12))
-    singles = [count_fourfolds(stream, cfg, tau * 1e-12),
-               shifted_accidentals(stream, cfg, delta, 2, tau * 1e-12),
-               shifted_accidentals(stream, cfg, delta, 3, tau * 1e-12)]
-    assert list(fourfold_counts(stream, cfg, tau * 1e-12, delta)) == singles == want
+    assert list(fourfold_counts(stream, cfg, tau * 1e-12, delta)) == want
+    assert count_fourfolds(stream, cfg, tau * 1e-12) == want[0]
 
 
 def test_tag_stream_validation():
@@ -266,8 +263,7 @@ def test_counts_refuse_spans_past_int64_femtoseconds(field):
         spans["delta"] = 20 * big
     cfg = CoincidenceConfig(tau_14=spans["tau_14"], tau_23=spans["tau_23"])
     stream = four_tag_stream()
-    calls = [lambda: fourfold_counts(stream, cfg, spans["tau"], spans["delta"]),
-             lambda: shifted_accidentals(stream, cfg, spans["delta"], 2, spans["tau"])]
+    calls = [lambda: fourfold_counts(stream, cfg, spans["tau"], spans["delta"])]
     if field != "delta":
         calls.append(lambda: count_fourfolds(stream, cfg, spans["tau"]))
     for call in calls:
@@ -277,7 +273,7 @@ def test_counts_refuse_spans_past_int64_femtoseconds(field):
     spans[field] = (2**60 - 256) * FS
     cfg = CoincidenceConfig(tau_14=spans["tau_14"], tau_23=spans["tau_23"])
     if field == "delta":
-        assert shifted_accidentals(stream, cfg, spans["delta"], 2) == 0
+        assert fourfold_counts(stream, cfg, spans["tau"], spans["delta"])[1] == 0
     else:
         assert count_fourfolds(stream, cfg, spans["tau"]) in (0, 1)
 
@@ -287,8 +283,8 @@ def test_count_order_does_not_change_the_counts():
     cfg = CoincidenceConfig(tau_14=TAU_W, tau_23=TAU_W)
     calls = {
         "raw": lambda s: count_fourfolds(s, cfg, 0.0),
-        "s2": lambda s: shifted_accidentals(s, cfg, 20 * TAU_W, 2),
-        "s3": lambda s: shifted_accidentals(s, cfg, 20 * TAU_W, 3),
+        "s2": lambda s: fourfold_counts(s, cfg, 0.0, 20 * TAU_W)[1],
+        "s3": lambda s: fourfold_counts(s, cfg, 0.0, 20 * TAU_W)[2],
     }
     # each count on a stream of its own is the reference
     want = {name: call(simulate_streams(sc)) for name, call in calls.items()}
@@ -306,17 +302,7 @@ def test_empty_channel_counts_zero(missing):
                        duration=stream.duration)
     cfg = CoincidenceConfig(tau_14=40e-12, tau_23=100e-12)
     assert count_fourfolds(stream, cfg, 0.0) == 0
-    assert shifted_accidentals(stream, cfg, 1e-9, 2) == 0
-    assert shifted_accidentals(stream, cfg, 1e-9, 3) == 0
-
-
-def test_shifted_accidentals_validation():
-    stream = four_tag_stream()
-    cfg = CoincidenceConfig(tau_14=40e-12, tau_23=100e-12)
-    with pytest.raises(ValueError, match="2 or 3"):
-        shifted_accidentals(stream, cfg, 1e-8, 4)
-    with pytest.raises(ValueError, match="10 times"):
-        shifted_accidentals(stream, cfg, 5 * 100e-12, 2)
+    assert fourfold_counts(stream, cfg, 0.0, 1e-9)[1:] == (0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -868,8 +854,7 @@ def test_counts_match_analytic_model():
     n_w = sc.duration / TAU_W
 
     a0 = count_fourfolds(stream, cfg, 0.0)
-    s2 = shifted_accidentals(stream, cfg, 20 * TAU_W, 2)
-    s3 = shifted_accidentals(stream, cfg, 20 * TAU_W, 3)
+    _, s2, s3 = fourfold_counts(stream, cfg, 0.0, 20 * TAU_W)
 
     a = analytic_accidentals(accidental_params_from(sc, TAU_W, bs_photon_fillers=True))
     for got, key in ((a0, "A0"), (s2, "As2"), (s3, "As3")):
@@ -884,8 +869,8 @@ def test_shift_distance_does_not_matter():
     sc = mc_scenario(seed=17)
     stream = simulate_streams(sc)
     cfg = CoincidenceConfig(tau_14=TAU_W, tau_23=TAU_W)
-    near = shifted_accidentals(stream, cfg, 20 * TAU_W, 2)
-    far = shifted_accidentals(stream, cfg, 40 * TAU_W, 2)
+    near = fourfold_counts(stream, cfg, 0.0, 20 * TAU_W)[1]
+    far = fourfold_counts(stream, cfg, 0.0, 40 * TAU_W)[1]
     assert abs(near - far) < 3.0 * math.sqrt(near + far + 1.0)
 
 
@@ -896,7 +881,6 @@ def test_clean_stream_has_few_accidentals():
     stream = simulate_streams(sc)
     cfg = CoincidenceConfig(tau_14=1e-9, tau_23=1e-9)
     a0 = count_fourfolds(stream, cfg, 0.0)
-    s2 = shifted_accidentals(stream, cfg, 1e-8, 2)
-    s3 = shifted_accidentals(stream, cfg, 1e-8, 3)
+    _, s2, s3 = fourfold_counts(stream, cfg, 0.0, 1e-8)
     assert a0 > 0
     assert s2 + s3 < 0.1 * a0
