@@ -52,8 +52,9 @@ def effective_jitter(components_fwhm=(), components_rms=()) -> float:
 
 def jitter_sigma_time(jitter_fwhm: float) -> float:
     """Gaussian sigma (seconds) for a jitter FWHM."""
-    if not jitter_fwhm >= 0:
-        raise ValueError("jitter FWHM must be nonnegative")
+    # written so that NaN, which fails every comparison, fails the check
+    if not 0.0 <= jitter_fwhm < math.inf:
+        raise ValueError("jitter FWHM must be finite and nonnegative")
     return jitter_fwhm / RMS_TO_FWHM
 
 

@@ -176,9 +176,10 @@ def coherence_function(
         raise ValueError("delays must be uniformly spaced")
     grid = jsa.grid
     _, x = _lag_frequencies(grid)
-    k = jitter_kernel(jit_s, x) * jitter_kernel(jit_i, x)
-    # an overflowing lag sum is caught by the finiteness check below
+    # an overflowing kernel exponent gives exp(-inf), the exact 0; an
+    # overflowing lag sum is caught by the finiteness check below
     with np.errstate(over="ignore", invalid="ignore"):
+        k = jitter_kernel(jit_s, x) * jitter_kernel(jit_i, x)
         r = np.correlate(jsa.j_amp, jsa.j_amp, mode="full")  # R(d) at index d+n-1
         g = _lag_sum_over_delays(r * k, x, delays) * grid.step**2
     if not np.all(np.isfinite(g)):
@@ -285,8 +286,15 @@ def _window_kernel(tau: float, x: np.ndarray) -> np.ndarray:
 # Most points of a sized grid, 8 MiB per float64 array over it and about
 # 370x the largest grid the tests and the benchmark size (2 837 points).
 # A larger count is refused before it is made an int or anything is
-# allocated. The engine's m x m build stays unbounded below it.
+# allocated.
 MAX_GRID_POINTS = 2**20 + 1
+
+# Most bytes of one complex m x m array of the engine's build, 16 m^2 for
+# a JSA support of m grid points: 128 MiB, m <= 2896, twice the largest
+# support the tests and the benchmark build (1407). The build holds a few
+# such arrays at once (a tracemalloc peak of ~72 m^2 bytes); a larger
+# support is refused before any of them is allocated.
+MAX_ENGINE_CORE_BYTES = 2**27
 
 
 def _required_n_points(span: float, t_max: float) -> int:
@@ -344,7 +352,9 @@ def sized_grid(
 def filter_width(kind: str, t_c: float) -> float:
     """Intensity FWHM [rad/s] of the analytic filter whose JSA has coherence FWHM t_c."""
     try:
-        return WIDTH_PRODUCTS[kind] / t_c
+        # a float quotient: one past the float range is inf, refused by the
+        # grid sizing, with no numpy overflow warning for a numpy t_c
+        return WIDTH_PRODUCTS[kind] / float(t_c)
     except KeyError:
         raise ValueError(f"unsupported filter kind: {kind!r}")
 
@@ -432,11 +442,14 @@ class FourfoldEngine:
     identity above holds on it; the grid resolution checks still use the
     full grid's step. Dense JSAs give the whole grid.
 
-    ``probabilities`` evaluates a delay scan with one phase block and one
-    product with the coefficient block, checking every delay;
-    ``probability`` and ``baseline`` are its one-delay case.
+    ``_terms`` evaluates a delay scan with one phase block and one product
+    with the coefficient block and checks every delay; ``probabilities``,
+    ``probability``, ``baseline`` and ``visibility_at_zero_delay`` all read
+    its checked terms.
     """
 
+    # an overflowing build is refused below, once its coefficients are known
+    @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, setup: InterferenceSetup):
         grid = setup.jsa_a.grid
         tc_a, tc_b = setup.coherence_times
@@ -452,6 +465,11 @@ class FourfoldEngine:
         lo, hi = int(nz[0]), int(nz[-1]) + 1
         ja, jb = ja[lo:hi], jb[lo:hi]
         m = hi - lo
+        if 16 * m * m > MAX_ENGINE_CORE_BYTES:
+            raise GridResolutionError(
+                f"a JSA support of {m} grid points needs {16 * m * m} bytes per m x m engine "
+                f"array; at most {MAX_ENGINE_CORE_BYTES} are allowed"
+            )
 
         j1, j2, j3, j4 = setup.detectors.jitter_fwhm
         x = np.arange(-(m - 1), m) * grid.step
@@ -466,8 +484,8 @@ class FourfoldEngine:
         rb = np.correlate(jb, jb, mode="full")
 
         # Direct terms: an a-side scalar times b-side lag coefficients.
-        a_phi2 = complex(np.sum(np.conj(ra) * (g1 * phi2)))
-        a_phi3 = complex(np.sum(np.conj(ra) * (g1 * phi3)))
+        a_phi2 = complex((np.conj(ra) * (g1 * phi2)).sum())
+        a_phi3 = complex((np.conj(ra) * (g1 * phi3)).sum())
         b_phi3 = np.conj(rb) * (s14 * phi3)
         b_phi2 = np.conj(rb) * (s14 * phi2)
         self._x = x
@@ -497,17 +515,25 @@ class FourfoldEngine:
         # cross core k34 * conj(w3) has the magnitudes |k34| |w3|, which
         # sum to the first core's, as |k34| is symmetric.
         self._residue_cap = self._scale * (
-            abs(a_phi2) * float(np.sum(np.abs(b_phi3)))
-            + abs(a_phi3) * float(np.sum(np.abs(b_phi2)))
-            + 2.0 * float(np.sum(np.abs(m3)))
+            abs(a_phi2) * float(np.abs(b_phi3).sum())
+            + abs(a_phi3) * float(np.abs(b_phi2).sum())
+            + 2.0 * float(np.abs(m3).sum())
         )
         c3 = _diagonal_sums(m3)
         # rows T1..T4; the fourth is the second cross core's diagonal sums,
         # those of k34 * conj(w3) with k34 Hermitian
         self._coeff = np.stack([a_phi2 * b_phi3, a_phi3 * b_phi2, c3, np.conj(c3[::-1])])
+        if not (math.isfinite(self._residue_cap) and np.isfinite(self._coeff).all()):
+            raise NumericalError("the engine's lag coefficients overflow the float range")
 
     def _terms(self, taus: np.ndarray) -> np.ndarray:
-        """Bracket contributions T1..T4 (rows) per delay, each times step^4."""
+        """Bracket contributions T1..T4 (rows) per delay, each times step^4.
+
+        The grid must resolve the largest |tau|. The imaginary residue of
+        the bracket T1 + T2 - T3 - T4 and the sign of its real part are
+        checked at every delay (NumericalError), so every reader of the
+        terms gets checked ones.
+        """
         t_max = max(self._static_t_max, float(np.max(np.abs(taus))))
         _check_resolution(self.grid, t_max, "the delay phase")
         out = np.empty((4, taus.size), dtype=complex)
@@ -516,32 +542,31 @@ class FourfoldEngine:
         for lo in range(0, taus.size, chunk):
             t = taus[lo : lo + chunk]
             out[:, lo : lo + chunk] = self._coeff @ np.exp(1j * np.outer(self._x, t))
-        return out * self._scale
-
-    def probabilities(self, taus) -> np.ndarray:
-        """Coincidence probability at every delay of a scan.
-
-        The grid must resolve the largest |tau|; the imaginary residue and
-        the sign of the result are checked at every delay.
-        """
-        taus = np.atleast_1d(np.asarray(taus, dtype=float))
-        t1, t2, t3, t4 = self._terms(taus)
+        out *= self._scale
+        t1, t2, t3, t4 = out
         total = t1 + t2 - t3 - t4
-        scale = np.maximum(np.abs(t1) + np.abs(t2) + np.abs(t3) + np.abs(t4), self._residue_cap)
-        judged = scale > 0
-        bad = np.flatnonzero(judged & (np.abs(total.imag) > IMAG_RESIDUE_TOL * scale))
-        if bad.size:
-            i = bad[0]
+        # where the scale is 0 so is every term, and neither test can trip
+        scale = np.maximum(np.abs(out).sum(axis=0), self._residue_cap)
+        limit = IMAG_RESIDUE_TOL * scale
+        # argmax of a boolean array is its first True
+        bad = np.abs(total.imag) > limit
+        if bad.any():
+            i = bad.argmax()
             raise NumericalError(
                 f"imaginary residue {total.imag[i]:.3e} exceeds {IMAG_RESIDUE_TOL} x "
                 f"{scale[i]:.3e} at tau={taus[i]:.3e}"
             )
-        p = total.real
-        bad = np.flatnonzero(judged & (p < -IMAG_RESIDUE_TOL * scale))
-        if bad.size:
-            i = bad[0]
-            raise NumericalError(f"negative probability {p[i]:.3e} at tau={taus[i]:.3e}")
-        return np.maximum(p, 0.0)
+        bad = total.real < -limit
+        if bad.any():
+            i = bad.argmax()
+            raise NumericalError(f"negative probability {total.real[i]:.3e} at tau={taus[i]:.3e}")
+        return out
+
+    def probabilities(self, taus) -> np.ndarray:
+        """Coincidence probability at every delay of a scan, from the checked terms."""
+        taus = np.atleast_1d(np.asarray(taus, dtype=float))
+        t1, t2, t3, t4 = self._terms(taus)
+        return np.maximum((t1 + t2 - t3 - t4).real, 0.0)
 
     def probability(self, tau: float) -> float:
         return float(self.probabilities(tau)[0])
@@ -575,11 +600,27 @@ def _window_weights(u: np.ndarray, step: float, lo: float, hi: float, sigma: flo
     return np.clip(cell_hi - cell_lo, 0.0, None)
 
 
-def _lattice(lo: float, hi: float, step: float) -> tuple[np.ndarray, int]:
-    """Integer-offset sample points covering [lo, hi] on a shared lattice."""
-    k0 = int(math.floor(lo / step))
-    k1 = int(math.ceil(hi / step))
-    return np.arange(k0, k1 + 1) * step, k0
+# Most cells of any two-dimensional array of the oracle (the lag tables
+# between two detection lattices, and each JSA's Fourier sum over the lag
+# lattice): 2**22 complex cells take 64 MiB, four times the largest the
+# tests and the benchmark use (1.02 M: 2945 lags by 1407 JSA points). The
+# sizes are compared before any lattice is allocated.
+MAX_ORACLE_CELLS = 2**22
+
+
+def _lattice_offsets(lo: float, hi: float, step: float) -> tuple[int, int]:
+    """First and last integer offset k of the lattice points k * step covering [lo, hi].
+
+    A lattice of more than MAX_ORACLE_CELLS points, or of no finite size,
+    raises GridResolutionError before its offsets are made ints.
+    """
+    k_lo, k_hi = lo / step, hi / step
+    if not k_hi - k_lo <= MAX_ORACLE_CELLS:
+        raise GridResolutionError(
+            f"a time lattice over [{lo:.3e}, {hi:.3e}] s at a step of {step:.3e} s holds more "
+            f"than {MAX_ORACLE_CELLS} points"
+        )
+    return int(math.floor(k_lo)), int(math.ceil(k_hi))
 
 
 def _pair_amplitude(jsa: JointSpectralAmplitude, v: np.ndarray) -> np.ndarray:
@@ -613,43 +654,57 @@ def fourfold_probability_oracle(setup: InterferenceSetup, tau: float) -> float:
         step = min(step, min(positive) / 3.0)
 
     pad = [5.0 * s for s in sig]
-    if sig[0] > 0:
-        u1, o1 = _lattice(-pad[0], pad[0], step)
-        g1w = np.exp(-0.5 * (u1 / sig[0]) ** 2) / (sig[0] * math.sqrt(2 * math.pi)) * step
-    else:
-        u1, o1 = np.zeros(1), 0
-        g1w = np.ones(1)
-    u2, o2 = _lattice(-cfg.tau_23 / 2 - pad[1], cfg.tau_23 / 2 + pad[1], step)
-    u3, o3 = _lattice(-cfg.tau_23 / 2 - pad[2], cfg.tau_23 / 2 + pad[2], step)
-    u4, o4 = _lattice(tau - cfg.tau_14 / 2 - pad[3], tau + cfg.tau_14 / 2 + pad[3], step)
-    w2 = _window_weights(u2, step, -cfg.tau_23 / 2, cfg.tau_23 / 2, sig[1])
-    w3 = _window_weights(u3, step, -cfg.tau_23 / 2, cfg.tau_23 / 2, sig[2])
-    w4 = _window_weights(u4, step, tau - cfg.tau_14 / 2, tau + cfg.tau_14 / 2, sig[3])
+    h14, h23 = cfg.tau_14 / 2, cfg.tau_23 / 2
+    # detection-time lattices k * step, k from o_i to e_i; channel 1 holds
+    # the single point 0 when it has no jitter
+    (o1, e1), (o2, e2), (o3, e3), (o4, e4) = (
+        _lattice_offsets(-pad[0], pad[0], step),
+        _lattice_offsets(-h23 - pad[1], h23 + pad[1], step),
+        _lattice_offsets(-h23 - pad[2], h23 + pad[2], step),
+        _lattice_offsets(tau - h14 - pad[3], tau + h14 + pad[3], step),
+    )
+    n1, n2, n3, n4 = e1 - o1 + 1, e2 - o2 + 1, e3 - o3 + 1, e4 - o4 + 1
 
     # All pairwise time differences live on the lattice; the pair
     # amplitudes are tabulated once per source over the needed lag range.
     spans = {
-        "a12": (o1 - o2 - (u2.size - 1), o1 - o2 + (u1.size - 1)),
-        "a13": (o1 - o3 - (u3.size - 1), o1 - o3 + (u1.size - 1)),
-        "b43": (o4 - o3 - (u3.size - 1), o4 - o3 + (u4.size - 1)),
-        "b42": (o4 - o2 - (u2.size - 1), o4 - o2 + (u4.size - 1)),
+        "a12": (o1 - o2 - (n2 - 1), o1 - o2 + (n1 - 1)),
+        "a13": (o1 - o3 - (n3 - 1), o1 - o3 + (n1 - 1)),
+        "b43": (o4 - o3 - (n3 - 1), o4 - o3 + (n4 - 1)),
+        "b42": (o4 - o2 - (n2 - 1), o4 - o2 + (n4 - 1)),
     }
     dmin = min(lo for lo, _ in spans.values())
     dmax = max(hi for _, hi in spans.values())
-    v = np.arange(dmin, dmax + 1) * step
+    nnz = max(np.count_nonzero(setup.jsa_a.j_amp), np.count_nonzero(setup.jsa_b.j_amp))
+    cells = max(n1 * n2, n1 * n3, n4 * n3, n4 * n2, n1 * n4, (dmax - dmin + 1) * nnz)
+    if cells > MAX_ORACLE_CELLS:
+        raise GridResolutionError(
+            f"the time-domain oracle needs an array of {cells} cells; at most "
+            f"{MAX_ORACLE_CELLS} are allowed"
+        )
+    v_need = max(abs(dmin), abs(dmax)) * step
     period = 2.0 * math.pi / grid.step
-    v_need = float(np.max(np.abs(v)))
     if v_need > 0.45 * period:
         # The tabulated pair amplitude is periodic with 2*pi/step, so
-        # the largest needed lag must stay well inside half a period.
-        step_max = 0.45 * 2.0 * math.pi / v_need
-        need = int(math.ceil(2.0 * grid.span / step_max)) + 1
-        need += need % 2 == 0
+        # the largest needed lag must stay well inside half a period:
+        # step <= 0.45 * 2 pi / v_need, the resolution rule's step for
+        # times up to v_need / (0.45 RESOLUTION_PERIODS).
+        need = _required_n_points(grid.span, v_need / (0.45 * RESOLUTION_PERIODS))
         raise GridResolutionError(
             f"time lag {v_need:.3e} s aliases on this grid (period {period:.3e} s); "
             f"increase n_points to >= {need}",
             required_n_points=need,
         )
+
+    u1, u2, u3, u4 = (np.arange(o, e + 1) * step for o, e in ((o1, e1), (o2, e2), (o3, e3), (o4, e4)))
+    if sig[0] > 0:
+        g1w = np.exp(-0.5 * (u1 / sig[0]) ** 2) / (sig[0] * math.sqrt(2 * math.pi)) * step
+    else:
+        g1w = np.ones(1)
+    w2 = _window_weights(u2, step, -h23, h23, sig[1])
+    w3 = _window_weights(u3, step, -h23, h23, sig[2])
+    w4 = _window_weights(u4, step, tau - h14, tau + h14, sig[3])
+    v = np.arange(dmin, dmax + 1) * step
 
     fa = _pair_amplitude(setup.jsa_a, v)
     fb = _pair_amplitude(setup.jsa_b, v)
@@ -659,10 +714,10 @@ def fourfold_probability_oracle(setup: InterferenceSetup, tau: float) -> float:
         ib = np.arange(nb)[None, :]
         return f[(oa + ia) - (ob + ib) - dmin]
 
-    fa12 = table(fa, o1, u1.size, o2, u2.size)
-    fa13 = table(fa, o1, u1.size, o3, u3.size)
-    fb43 = table(fb, o4, u4.size, o3, u3.size)
-    fb42 = table(fb, o4, u4.size, o2, u2.size)
+    fa12 = table(fa, o1, n1, o2, n2)
+    fa13 = table(fa, o1, n1, o3, n3)
+    fb43 = table(fb, o4, n4, o3, n3)
+    fb42 = table(fb, o4, n4, o2, n2)
 
     term1 = (g1w @ np.abs(fa12) ** 2 @ w2) * (w4 @ np.abs(fb43) ** 2 @ w3)
     term2 = (g1w @ np.abs(fa13) ** 2 @ w3) * (w4 @ np.abs(fb42) ** 2 @ w2)
@@ -676,8 +731,10 @@ def fourfold_probability_oracle(setup: InterferenceSetup, tau: float) -> float:
 # Dip curves, visibility, maps
 
 
-# tau_23 / T_c from which the BS window spans both wave packets and the dip
-# has a plateau; an int, so the schema's minimum reads 4
+# Least tau_23 / T_c of the identical-source setups that visibility_map and
+# the rate optimizer build, so the BS-side windows capture both wave
+# packets; an int, so the schema's minimum reads 4. A reliable plateau
+# needs more, see _plateau_delay.
 TAU23_TC_FACTOR = 4
 
 
@@ -693,8 +750,10 @@ def _plateau_delay(setup: InterferenceSetup) -> tuple[float, bool]:
     the dip, and with the delayed wave packet inside the half BS window
     tau_23/2. That does not keep the sample off the capture roll-off: on
     the criterion-2 setup it sits at t_hi = 790 ps, where P is 0.9646 of
-    the direct-term baseline. Outside the tau_23 >= TAU23_TC_FACTOR T_c regime
-    (or when the clamp interval is empty) no plateau exists and the flag is False.
+    the direct-term baseline. The plateau is reliable when the clamp
+    interval is not empty, which needs tau_23 >= 6 T_c + 2 tau_14 + 12 sigma
+    for the largest coherence time and jitter sigma; otherwise no plateau
+    exists and the flag is False.
     """
     cfg = setup.windows
     tc_max = max(setup.coherence_times)
@@ -703,8 +762,7 @@ def _plateau_delay(setup: InterferenceSetup) -> tuple[float, bool]:
     nominal = _plateau_reach(setup.coherence_times, setup.detectors.jitter_fwhm)
     t_lo = max(2.0 * tc_max + cfg.tau_14 / 2.0 + 3.0 * sigma_max, 3.0 * j_max)
     t_hi = cfg.tau_23 / 2.0 - tc_max - cfg.tau_14 / 2.0 - 3.0 * sigma_max
-    reliable = cfg.tau_23 >= TAU23_TC_FACTOR * tc_max and t_hi >= t_lo
-    if not reliable:
+    if not t_hi >= t_lo:
         # Indicative sample only; keep it inside the capture region so the
         # curve stays computable on a grid sized for tau_23.
         return min(nominal, cfg.tau_23 / 2.0), False
@@ -795,10 +853,14 @@ def visibility_map(
 
     tau_23 is set to tau23_factor x T_c per cell (must stay >= TAU23_TC_FACTOR)
     so the BS-side windows capture the wave packets without post-filtering.
-    Returns V[i_tc, i_tau14].
+    Each cell is the baseline visibility ``visibility_at_zero_delay``,
+    which needs no plateau. Returns V[i_tc, i_tau14].
     """
     if tau23_factor < TAU23_TC_FACTOR:
-        raise ValueError("tau23_factor below the reliable-plateau regime")
+        raise ValueError(
+            f"tau23_factor below {TAU23_TC_FACTOR}, where the BS window no longer captures "
+            "both wave packets (no reliable-plateau regime either)"
+        )
     tc_values = np.asarray(tc_values, dtype=float)
     tau14_values = np.asarray(tau14_values, dtype=float)
     out = np.empty((tc_values.size, tau14_values.size))

@@ -5,6 +5,9 @@ schema held as plain dicts; ``json.dumps`` of any entry gives a
 standalone schema document.  Each ``enum`` takes its names from the
 table the code looks them up in, and the ``tau23_factor`` minimum is the
 rule ``visibility_map`` enforces, ``interference.TAU23_TC_FACTOR``.
+The maxima of ``delays.count``, ``tags.density.n_points``,
+``fbg_fit.n_restarts`` and a grating's ``n_sections`` bound the arrays
+and loops those counts size, before anything is allocated.
 
 Every schema dict lists its keys in sorted order: of two equally
 relevant errors, jsonschema reports the one whose keyword comes first,
@@ -25,7 +28,7 @@ _FILTER_KIND = {"enum": list(WIDTH_PRODUCTS)}
 _FBG_MODEL_PROPS = {
     "detuning_offset": {"type": "number"},
     "length": {"exclusiveMinimum": 0, "type": "number"},
-    "n_sections": {"minimum": 16, "type": "integer"},
+    "n_sections": {"maximum": 4096, "minimum": 16, "type": "integer"},
     "order": {"minimum": 1, "type": "number"},
     "peak_kappa": {"minimum": 0, "type": "number"},
     "width": {"exclusiveMinimum": 0, "maximum": 1, "type": "number"},
@@ -91,7 +94,7 @@ SCENARIO = {
         "delays": {
             "additionalProperties": False,
             "properties": {
-                "count": {"minimum": 2, "type": "integer"},
+                "count": {"maximum": 100000, "minimum": 2, "type": "integer"},
                 "start_ps": {"type": "number"},
                 "stop_ps": {"type": "number"},
             },
@@ -110,7 +113,7 @@ SCENARIO = {
         "fbg_fit": {
             "additionalProperties": False,
             "properties": {
-                "n_restarts": {"minimum": 0, "type": "integer"},
+                "n_restarts": {"maximum": 100, "minimum": 0, "type": "integer"},
                 "rng_seed": {"minimum": 0, "type": "integer"},
                 "seed": {"$ref": "#/definitions/fbg_model"},
                 "table_csv": {"type": "string"},
@@ -179,7 +182,7 @@ SCENARIO = {
                 "density": {
                     "additionalProperties": False,
                     "properties": {
-                        "n_points": {"minimum": 5, "type": "integer"},
+                        "n_points": {"maximum": 100000, "minimum": 5, "type": "integer"},
                         "span_ps": {"exclusiveMinimum": 0, "type": "number"},
                         "t_c_ps": {"exclusiveMinimum": 0, "type": "number"},
                     },

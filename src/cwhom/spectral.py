@@ -219,7 +219,9 @@ def _kappa_profile(model: FbgModel) -> np.ndarray:
     n = model.n_sections
     z = (np.arange(n) + 0.5) * (model.length / n)
     u = 2.0 * (z - model.length / 2.0) / (model.width * model.length)
-    return model.peak_kappa * np.exp(-math.log(2.0) * np.abs(u) ** (2.0 * model.order))
+    # a |u|^(2 p) past the float range gives exp(-inf), the exact 0
+    with np.errstate(over="ignore"):
+        return model.peak_kappa * np.exp(-math.log(2.0) * np.abs(u) ** (2.0 * model.order))
 
 
 def _reflection(model: FbgModel, omega: np.ndarray) -> np.ndarray:

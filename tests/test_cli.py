@@ -15,6 +15,8 @@ import sys
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cwhom.cli import _validate, _validator, _write_json, main
 from cwhom.schemas import SCHEMAS
@@ -529,6 +531,19 @@ def test_exit_code_3_when_grid_too_coarse(capsys, tmp_path):
     assert err["required_n_points"] == 551
 
 
+def run_traced(capsys, argv):
+    """run(), plus the peak bytes Python allocated during it."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        result = run(capsys, argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (*result, peak)
+
+
 def _with_tc(t_c_ps):
     def edit(doc):
         for src in doc["sources"].values():
@@ -547,8 +562,6 @@ def _with_tc(t_c_ps):
     (lambda doc: doc.update(grid={"n_points": 10**12 + 1}), None),
 ], ids=["tc-1e-300", "jitter-1e300", "tagger-rms-1e300", "tc-1e-12", "n-points-1e12"])
 def test_exit_code_3_before_an_oversized_grid_is_allocated(capsys, tmp_path, edit, required):
-    import tracemalloc
-
     from cwhom.interference import MAX_GRID_POINTS
 
     with open(scenario_path("identical_165.json")) as fh:
@@ -557,12 +570,7 @@ def test_exit_code_3_before_an_oversized_grid_is_allocated(capsys, tmp_path, edi
     sc = tmp_path / "big.json"
     sc.write_text(json.dumps(doc))
     out = tmp_path / "vis.json"
-    tracemalloc.start()
-    try:
-        code, stdout, stderr = run(capsys, ["visibility", "--scenario", str(sc), "--out", str(out)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, stdout, stderr, peak = run_traced(capsys, ["visibility", "--scenario", str(sc), "--out", str(out)])
     assert (code, stdout) == (3, "")
     err = json.loads(stderr)
     assert err["error"] == "resolution" and str(MAX_GRID_POINTS) in err["message"]
@@ -570,6 +578,176 @@ def test_exit_code_3_before_an_oversized_grid_is_allocated(capsys, tmp_path, edi
     # bytes: no grid array was made, one over the largest admitted grid takes 8 MiB
     assert peak < 2**20
     assert not out.exists()
+
+
+def test_exit_code_3_before_the_engine_allocates_its_m_by_m_arrays(capsys, tmp_path):
+    from cwhom.interference import MAX_ENGINE_CORE_BYTES
+
+    # T_c = 2.5 ps sizes a grid of 90 717 points whose rect JSA spans
+    # m = 5671 of them: 0.48 GiB per complex m x m array, minutes of GEMMs
+    with open(scenario_path("identical_165.json")) as fh:
+        doc = json.load(fh)
+    doc["sources"]["a"]["t_c_ps"] = 2.5
+    sc = tmp_path / "narrow.json"
+    sc.write_text(json.dumps(doc))
+    out = tmp_path / "vis.json"
+    code, stdout, stderr, peak = run_traced(capsys, ["visibility", "--scenario", str(sc), "--out", str(out)])
+    assert (code, stdout) == (3, "")
+    err = json.loads(stderr)
+    assert err == {
+        "error": "resolution",
+        "message": f"a JSA support of 5671 grid points needs {16 * 5671**2} bytes per m x m engine "
+                   f"array; at most {MAX_ENGINE_CORE_BYTES} are allowed",
+    }
+    # the grid's few vectors, not one m x m array
+    assert peak < 16 * 2**20
+    assert not out.exists()
+
+
+def test_oracle_check_refuses_an_oversized_lattice_before_allocating(capsys, tmp_path):
+    from cwhom.interference import MAX_ORACLE_CELLS
+
+    # a 1e-9 ps channel-1 jitter sets a lattice step of 1.4e-22 s: 2.4e12
+    # lattice offsets, 17.2 TiB
+    with open(scenario_path("appendix_shape.json")) as fh:
+        doc = json.load(fh)
+    doc["detectors"]["jitter_fwhm_ps"][0] = 1e-9
+    sc = tmp_path / "sharp.json"
+    sc.write_text(json.dumps(doc))
+    out = tmp_path / "oracle.json"
+    code, stdout, stderr, peak = run_traced(capsys, ["oracle-check", "--scenario", str(sc), "--out", str(out)])
+    assert (code, stdout) == (3, "")
+    err = json.loads(stderr)
+    assert err["error"] == "resolution" and f"more than {MAX_ORACLE_CELLS} points" in err["message"]
+    assert peak < 16 * 2**20
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sub, name, edit, message", [
+    (["homdip"], "identical_165.json", lambda doc: doc["delays"].update(count=10**12),
+     "1000000000000 is greater than the maximum of 100000"),
+    (["tags", "simulate"], "tags_demo.json", lambda doc: doc["tags"]["density"].update(n_points=10**12),
+     "1000000000000 is greater than the maximum of 100000"),
+    (["fbg", "fit"], "fbg_fit.json", lambda doc: doc["fbg_fit"]["seed"].update(n_sections=10**9),
+     "1000000000 is greater than the maximum of 4096"),
+    (["fbg", "fit"], "fbg_fit.json", lambda doc: doc["fbg_fit"].update(n_restarts=10**12),
+     "1000000000000 is greater than the maximum of 100"),
+], ids=["delays-count", "density-n-points", "n-sections", "n-restarts"])
+def test_exit_code_2_for_a_count_past_its_maximum(capsys, tmp_path, sub, name, edit, message):
+    # unrefused, each count sizes an array of 7.3 TiB or 7.5 GiB, or a loop
+    # of 10**12 fits
+    with open(scenario_path(name)) as fh:
+        doc = json.load(fh)
+    edit(doc)
+    if "fbg_fit" in doc:
+        doc["fbg_fit"]["table_csv"] = os.path.join(REPO, "data", "filter_signal_a.csv")
+    sc = tmp_path / name
+    sc.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code, stdout, stderr, peak = run_traced(capsys, [*sub, "--scenario", str(sc), "--out", str(out)])
+    assert (code, stdout) == (2, "")
+    assert stderr == json.dumps({"error": "validation", "message": message}) + "\n"
+    assert peak < 16 * 2**20
+    assert not out.exists()
+
+
+# The subcommands each bundled scenario drives, for the exit-code property.
+SCENARIO_COMMANDS = {
+    "appendix_shape": [["homdip"], ["oracle-check"], ["visibility"]],
+    "fbg_fit": [["fbg", "fit"]],
+    "identical_165": [["visibility"], ["homdip"], ["coherence"], ["oracle-check"]],
+    "optimize": [["optimize-rate"]],
+    "pulsed": [["pulsed-rate"]],
+    "reference_sources": [["homdip"], ["coherence"], ["visibility"]],
+    "swap": [["pass-swaps"]],
+    "tags_demo": [["tags", "simulate"], ["tags", "count"]],
+}
+EXTREMES = (0, -1, 1e-300, 1e300, 1e12, 2.5)
+
+
+def bundled_scenario(name: str) -> dict:
+    """A bundled scenario with absolute data paths, trimmed to run in milliseconds.
+
+    Scans keep 5 delays and the fit one start, unless the property draws
+    those counts themselves.
+    """
+    with open(scenario_path(name + ".json")) as fh:
+        doc = json.load(fh)
+    for section, key in (("fbg_fit", "table_csv"), ("swap", "loss_csv"), ("count", "tag_csv")):
+        if section in doc:
+            doc[section][key] = os.path.join(REPO, "data", os.path.basename(doc[section][key]))
+    if "delays" in doc:
+        doc["delays"]["count"] = 5
+    if "fbg_fit" in doc:
+        doc["fbg_fit"]["n_restarts"] = 0
+    return doc
+
+
+def numeric_leaves(doc, path=()):
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from numeric_leaves(value, path + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from numeric_leaves(value, path + (i,))
+    elif isinstance(doc, (int, float)) and not isinstance(doc, bool):
+        yield path
+
+
+def admitted_heavy_work(path: tuple, value) -> bool:
+    """Values the CLI admits although they size seconds or GiB of work.
+
+    No refusal comes before that work, so the property does not draw
+    them (measured one subprocess each under a 3 GB address-space cap).
+    """
+    key = next(k for k in reversed(path) if isinstance(k, str))
+    # 1e12 pairs/s or strays/s, or 1 s of tags, is ~1e9 events: 7.45 GiB
+    # per event array, since no limit bounds the event count
+    if path[0] == "tags" and key in ("pair_rate_a_hz", "pair_rate_b_hz", "noise_rates_hz",
+                                     "duration_ps") and value == 1e12:
+        return True
+    # a 2.5 ps coherence time or herald window: grids of 1e4 points and
+    # fine oracle lattices, 2-17 s
+    if key in ("t_c_ps", "tau_14_ps") and value == 2.5:
+        return True
+    # subnormal window kernels run ~100x slower, up to 18 s
+    return key in ("tau_14_ps", "tau_23_ps") and value == 1e-300
+
+
+def _fuzz_cases():
+    cases = []
+    for name, commands in SCENARIO_COMMANDS.items():
+        doc = bundled_scenario(name)
+        for path in numeric_leaves(doc):
+            for value in EXTREMES:
+                if not admitted_heavy_work(path, value):
+                    cases.extend((name, sub, path, value) for sub in commands)
+    return cases
+
+
+FUZZ_CASES = _fuzz_cases()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.sampled_from(FUZZ_CASES))
+def test_every_cli_failure_keeps_the_exit_code_contract(capsys, tmp_path, case):
+    name, sub, path, value = case
+    doc = bundled_scenario(name)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    sc = tmp_path / "scenario.json"
+    sc.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    if out.exists():
+        out.unlink()
+    code, _, stderr = run(capsys, [*sub, "--scenario", str(sc), "--out", str(out)])
+    assert code in (0, 2, 3, 4)
+    if code:
+        assert stderr.endswith("\n") and stderr.count("\n") == 1
+        assert isinstance(json.loads(stderr), dict)
 
 
 @pytest.mark.parametrize("row", ["300,nan,30,2.2,2.2", "inf,30,30,2.2,2.2"])
@@ -600,21 +778,26 @@ def test_write_json_refuses_non_finite_numbers(tmp_path):
         assert not out.exists()
 
 
-def test_homdip_preset_regrids_until_the_plateau_reach_resolves(capsys, tmp_path, monkeypatch):
-    # the first grid resolves the 800 ps delays and tau_23 = 1000 ps; the
-    # coherence times estimated on it put the plateau reach at 1.46 ns, so
-    # the setup is rebuilt once, on a finer grid
+def recorded_calls(monkeypatch, module, name: str) -> list:
+    """Results of every call to module.name from here on; the calls still run."""
+    results = []
+    func = getattr(module, name)
+
+    def recording(*args, **kwargs):
+        results.append(func(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(module, name, recording)
+    return results
+
+
+def test_homdip_preset_sizes_its_grid_once(capsys, tmp_path, monkeypatch):
+    # the calibrated coherence times put the plateau reach at 1.46 ns, past
+    # tau_23 = 1000 ps and the 800 ps delays, so the one grid resolves it
     import cwhom.cli
     from cwhom.interference import _check_resolution, _plateau_reach
 
-    setups = []
-    build = cwhom.cli.build_setup
-
-    def recording_build(*args, **kwargs):
-        setups.append(build(*args, **kwargs))
-        return setups[-1]
-
-    monkeypatch.setattr(cwhom.cli, "build_setup", recording_build)
+    setups = recorded_calls(monkeypatch, cwhom.cli, "build_setup")
     with open(scenario_path("reference_sources.json")) as fh:
         doc = json.load(fh)
     doc["windows"]["tau_23_ps"] = 1000.0
@@ -623,26 +806,69 @@ def test_homdip_preset_regrids_until_the_plateau_reach_resolves(capsys, tmp_path
     sc.write_text(json.dumps(doc))
     code, _, _ = run(capsys, ["homdip", "--scenario", str(sc), "--out", str(tmp_path / "dip.csv")])
     assert code == 0
-    assert [s.jsa_a.grid.n_points for s in setups] == [705, 1027]
-    final = setups[-1]
-    reach = _plateau_reach(final.coherence_times, final.detectors.jitter_fwhm)
+    assert [s.jsa_a.grid.n_points for s in setups] == [1027]
+    reach = _plateau_reach(setups[0].coherence_times, setups[0].detectors.jitter_fwhm)
     assert reach > 1.4e-9
-    _check_resolution(final.jsa_a.grid, reach, "the plateau reach")
+    _check_resolution(setups[0].jsa_a.grid, reach, "the plateau reach")
 
 
-def test_exit_code_2_mixed_preset_and_analytic_sources(capsys, tmp_path):
+MIXED = {
+    "sources": {"a": {"preset": "a"}, "b": {"kind": "rect", "t_c_ps": 165.0}},
+    "detectors": {"jitter_fwhm_ps": [17.0, 13.0, 11.0, 16.0]},
+    "windows": {"tau_14_ps": 40.0, "tau_23_ps": 2000.0},
+    "delays": {"start_ps": -200.0, "stop_ps": 200.0, "count": 5},
+}
+
+
+def test_homdip_runs_a_preset_with_an_analytic_source(capsys, tmp_path, monkeypatch):
+    import cwhom.cli
+    from cwhom.presets import REFERENCE_COHERENCE_TIMES
+
+    setups = recorded_calls(monkeypatch, cwhom.cli, "build_setup")
     sc = tmp_path / "mixed.json"
-    sc.write_text(json.dumps({
-        "sources": {"a": {"preset": "a"}, "b": {"kind": "rect", "t_c_ps": 165.0}},
-        "windows": {"tau_14_ps": 40.0, "tau_23_ps": 2000.0},
-        "delays": {"start_ps": -200.0, "stop_ps": 200.0, "count": 5},
-    }))
-    code, _, stderr = run(capsys, ["homdip", "--scenario", str(sc),
-                                   "--out", str(tmp_path / "x.csv")])
-    assert code == 2
-    err = json.loads(stderr)
-    assert err["error"] == "validation"
-    assert "both presets or both analytic" in err["message"]
+    sc.write_text(json.dumps(MIXED))
+    out = tmp_path / "dip.csv"
+    code, stdout, stderr = run(capsys, ["homdip", "--scenario", str(sc), "--out", str(out)])
+    assert (code, stderr) == (0, "")
+    assert meta_of(stdout)["plateau_reliable"] is True
+    _, rows = read_csv(str(out))
+    assert rows.shape == (5, 3) and np.all(rows[:, 1] > 0)
+    (setup,) = setups
+    assert setup.coherence_times == (REFERENCE_COHERENCE_TIMES["a"], 165e-12)
+    # the rect filter, wider than preset A's gratings, sets the span and
+    # tau_23 the step: the grid of identical_165
+    assert setup.jsa_a.grid.n_points == 1377
+
+
+@pytest.mark.parametrize("sub", ["coherence", "homdip", "visibility", "oracle-check"])
+@pytest.mark.parametrize("sources", [
+    {"a": {"preset": "a"}, "b": {"preset": "b"}},
+    MIXED["sources"],
+    {"a": {"kind": "gaussian", "t_c_ps": 120.0}, "b": {"kind": "rect", "t_c_ps": 165.0}},
+], ids=["presets", "mixed", "analytic"])
+def test_each_command_sizes_one_grid_and_estimates_no_coherence_time(
+    capsys, tmp_path, monkeypatch, sub, sources
+):
+    import cwhom.cli
+    import cwhom.interference
+
+    setups = recorded_calls(monkeypatch, cwhom.cli, "build_setup")
+    estimates = recorded_calls(monkeypatch, cwhom.interference, "jsa_coherence_fwhm")
+    # a 600 ps BS window keeps the oracle small; the delays bracket the
+    # coherence half maxima
+    doc = {
+        **MIXED,
+        "sources": sources,
+        "windows": {"tau_14_ps": 40.0, "tau_23_ps": 600.0},
+        "delays": {"start_ps": -800.0, "stop_ps": 800.0, "count": 17},
+    }
+    sc = tmp_path / "scenario.json"
+    sc.write_text(json.dumps(doc))
+    code, _, stderr = run(capsys, [sub, "--scenario", str(sc), "--out", str(tmp_path / "out")])
+    # a 600 ps BS window leaves no reliable plateau for visibility to read
+    assert code == (2 if sub == "visibility" else 0), stderr
+    assert len(setups) == (0 if sub == "coherence" else 1)
+    assert estimates == []
 
 
 def preset_coherence_scenario(tmp_path, grid: dict) -> str:
@@ -707,6 +933,28 @@ def test_exit_code_4_when_numeric_guard_trips(capsys, tmp_path, monkeypatch):
     err = json.loads(stderr)
     assert err["error"] == "numerical"
     assert "imaginary residue" in err["message"]
+
+
+@pytest.mark.parametrize("sub, doc", [
+    ("vismap", {"vismap": {"tc_values_ps": [80.0], "tau14_values_ps": [40.0], "jitter_ps": 15.0}}),
+    ("optimize-rate", {"rate_query": {"mu": 0.01, "jitter_ps": 15.0, "v_target": 0.9, "tc_max_ps": 800.0}}),
+])
+def test_exit_code_4_from_the_baseline_visibility(capsys, tmp_path, monkeypatch, sub, doc):
+    import cwhom.interference
+    import cwhom.rates
+
+    # the baseline visibility reads the engine's terms through the same
+    # guards as the dip; no cached visibility may stand in for them
+    monkeypatch.setattr(cwhom.interference, "IMAG_RESIDUE_TOL", -1.0)
+    cwhom.rates._visibility_model.cache_clear()
+    sc = tmp_path / "scenario.json"
+    sc.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code, stdout, stderr = run(capsys, [sub, "--scenario", str(sc), "--out", str(out)])
+    assert (code, stdout) == (4, "")
+    err = json.loads(stderr)
+    assert err["error"] == "numerical" and "imaginary residue" in err["message"]
+    assert not out.exists()
 
 
 def test_oracle_check_builds_one_engine(capsys, tmp_path, monkeypatch):

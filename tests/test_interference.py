@@ -17,8 +17,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
-from cwhom.detection import DetectorModel, jitter_kernel
+from cwhom.detection import DetectorModel, jitter_kernel, jitter_sigma_time
 from cwhom.interference import (
+    SPAN_FACTOR,
+    TAU23_TC_FACTOR,
     CoincidenceConfig,
     FourfoldEngine,
     GridResolutionError,
@@ -352,6 +354,26 @@ def test_support_restriction_matches_full_grid_contraction(make_setup):
     assert visibility_at_zero_delay(setup) == pytest.approx(v0, rel=1e-12)
 
 
+def test_oracle_alias_refusal_names_a_grid_that_resolves():
+    def setup_on(n_points):
+        return build_setup(
+            lambda grid: (analytic_jsa(grid, "rect", 100 * PS),) * 2,
+            SPAN_FACTOR * filter_width("rect", 100 * PS),
+            CoincidenceConfig(tau_14=40 * PS, tau_23=280 * PS),
+            JITTERS,
+            n_points=n_points,
+            coherence_times=(100 * PS, 100 * PS),
+        )
+
+    # the 65-point grid's period, 451 ps, is under 1 / 0.45 of the 223 ps lag
+    with pytest.raises(GridResolutionError, match="aliases") as err:
+        fourfold_probability_oracle(setup_on(65), 0.0)
+    need = err.value.required_n_points
+    assert need == 73
+    setup = setup_on(need)
+    assert fourfold_probability_oracle(setup, 0.0) > 0
+
+
 def test_oracle_pair_amplitude_skips_only_zeros():
     # The oracle's Fourier sum over the nonzero entries must equal the
     # dense sum over every grid point; the JSA spans four decades, so a
@@ -672,7 +694,7 @@ def test_visibility_map_shape_and_monotonicity():
         visibility_map(tc, t14, jitter=15e-12, tau23_factor=2.0)
 
 
-def test_tau23_regime_is_one_constant(monkeypatch):
+def test_tau23_regime_is_one_constant():
     import json
 
     import cwhom.interference as interference
@@ -681,15 +703,38 @@ def test_tau23_regime_is_one_constant(monkeypatch):
     # an int, so the schema document states the minimum as 4
     assert interference.TAU23_TC_FACTOR == 4 and type(interference.TAU23_TC_FACTOR) is int
     assert '"tau23_factor": {"minimum": 4, "type": "number"}' in json.dumps(SCHEMAS["scenario"])
-    # the criterion-2 setup, tau_23 = 12.1 T_c, has a reliable plateau until
-    # the constant passes that ratio; visibility_map refuses below it
-    setup = _identical_source_setup(165 * PS, 40 * PS, 2000 * PS, 15e-12, "rect")
+    # visibility_map refuses below it
     tc, t14 = np.array([80 * PS]), np.array([40 * PS])
-    for factor, reliable in ((4, True), (12, True), (13, False)):
-        monkeypatch.setattr(interference, "TAU23_TC_FACTOR", factor)
-        assert _plateau_delay(setup)[1] is reliable
-        with pytest.raises(ValueError, match="reliable-plateau"):
-            visibility_map(tc, t14, jitter=15e-12, tau23_factor=factor - 0.5)
+    with pytest.raises(ValueError, match="reliable-plateau"):
+        visibility_map(tc, t14, jitter=15e-12, tau23_factor=interference.TAU23_TC_FACTOR - 0.5)
+
+
+# a stand-in JSA: _plateau_delay reads only the windows, jitters and known
+# coherence times of a setup
+_TINY_JSA = JointSpectralAmplitude(grid=FrequencyGrid(n_points=3, span=1e9), j_amp=np.ones(3))
+
+
+@settings(deadline=None, derandomize=True)
+@given(tcs=st.tuples(*[st.floats(1 * PS, 500 * PS)] * 2), tau_14=st.floats(1 * PS, 500 * PS),
+       tau_23=st.floats(1 * PS, 6000 * PS), jitters=jitter_tuples(0.0))
+@example(tcs=(165 * PS, 165 * PS), tau_14=40 * PS, tau_23=2000 * PS, jitters=(15e-12,) * 4)
+def test_plateau_is_reliable_exactly_when_its_clamp_interval_is_not_empty(tcs, tau_14, tau_23, jitters):
+    setup = InterferenceSetup(
+        jsa_a=_TINY_JSA, jsa_b=_TINY_JSA, detectors=DetectorModel(jitter_fwhm=jitters),
+        windows=CoincidenceConfig(tau_14=tau_14, tau_23=tau_23), known_coherence_times=tcs,
+    )
+    tc_max, sigma = max(tcs), jitter_sigma_time(max(jitters))
+    t_lo = max(2 * tc_max + tau_14 / 2 + 3 * sigma, 3 * max(jitters))
+    t_hi = tau_23 / 2 - tc_max - tau_14 / 2 - 3 * sigma
+    tau_p, reliable = _plateau_delay(setup)
+    assert reliable == (t_hi >= t_lo)
+    if reliable:
+        # with rounding room: the bound is t_hi >= t_lo rearranged
+        assert tau_23 >= (6 * tc_max + 2 * tau_14 + 12 * sigma) * (1 - 1e-12)
+        assert tau_23 > TAU23_TC_FACTOR * tc_max
+        assert t_lo <= tau_p <= t_hi
+    else:
+        assert tau_p <= tau_23 / 2
 
 
 def test_unsupported_filter_kind_rejected():

@@ -13,13 +13,19 @@ import numpy as np
 import pytest
 
 from cwhom.detection import RMS_TO_FWHM
-from cwhom.interference import coherence_function, sized_grid, visibility_at_zero_delay
+from cwhom.interference import (
+    coherence_function,
+    jsa_coherence_fwhm,
+    sized_grid,
+    visibility_at_zero_delay,
+)
 from cwhom.presets import (
     COHERENCE_JITTER_PAIRS,
     FILTER_IDLER_A,
     FILTER_SIGNAL_A,
     GRATING_GRID_FLOOR,
     NOMINAL_BANDWIDTHS_PM,
+    REFERENCE_COHERENCE_TIMES,
     REFERENCE_FILTERS,
     REFERENCE_JITTERS_FWHM,
     REFERENCE_SOURCES,
@@ -132,6 +138,14 @@ def test_reference_setup_composition():
     tc_a, tc_b = setup.coherence_times
     assert tc_a == pytest.approx(2.4308475663456844e-10, rel=1e-9)
     assert tc_b == pytest.approx(1.6643778375270387e-10, rel=1e-9)
+
+
+def test_reference_coherence_times_are_the_reference_grid_estimates():
+    grid = reference_setup(40e-12, 2000e-12).jsa_a.grid
+    assert grid.n_points == 1407
+    for name, source in (("a", reference_source_a), ("b", reference_source_b)):
+        estimate = jsa_coherence_fwhm(source(grid))
+        assert REFERENCE_COHERENCE_TIMES[name] == pytest.approx(estimate, rel=1e-12)
 
 
 def test_reference_setup_visibility():
