@@ -55,7 +55,7 @@ from .spectral import (
     joint_spectral_amplitude,
     make_filter,
 )
-from .units import RECT_TC_PRODUCT
+from .units import FS, RECT_TC_PRODUCT
 
 # Relative tolerance for the imaginary residue of the (mathematically
 # real) coincidence sum, measured against the term-magnitude scale.
@@ -80,14 +80,19 @@ class NumericalError(ArithmeticError):
 
 @dataclass(frozen=True)
 class CoincidenceConfig:
-    """Coincidence windows relative to the channel-1 trigger."""
+    """Coincidence windows relative to the channel-1 trigger.
+
+    Each window is at least 1 fs, the tag clock's resolution; narrower
+    ones would run the engine's window kernels on subnormal floats.
+    """
 
     tau_14: float  # s, heralding (outer) window
     tau_23: float  # s, BS-photon window
 
     def __post_init__(self) -> None:
-        if not (self.tau_14 > 0 and self.tau_23 > 0):
-            raise ValueError("coincidence windows must be positive")
+        # written so that NaN fails it
+        if not (self.tau_14 >= FS and self.tau_23 >= FS):
+            raise ValueError("coincidence windows must be at least 1 fs")
 
 
 # (herald, BS input) channel of each source, as InterferenceSetup states

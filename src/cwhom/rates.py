@@ -12,6 +12,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -117,6 +118,18 @@ class LossProfile:
         return cls(times=rows[:, 0], losses_db=rows[:, 1:5])
 
 
+def _finite_rate(formula: str, rate: Callable[[], float]) -> float:
+    """rate(), refused with ValueError when it is not a finite float."""
+    message = f"{formula} is not a finite float"
+    try:
+        value = rate()
+    except OverflowError:  # a float ** raises where * gives inf
+        raise ValueError(message) from None
+    if not math.isfinite(value):
+        raise ValueError(message)
+    return value
+
+
 def cw_fourfold_rate(
     mu: float,
     t_c: float,
@@ -131,13 +144,14 @@ def cw_fourfold_rate(
     """
     if not (mu > 0 and t_c > 0 and tau_w > 0):
         raise ValueError("mu, t_c and tau_w must be positive")
+    # refused before the warning, so a failing call reports one thing
+    rate = _finite_rate("CW rate (mu / t_c)^2 * tau_w", lambda: (mu / t_c) ** 2 * tau_w)
     if tau_w > t_c:
         warnings.warn(
             "coincidence window exceeds the coherence time; the rate model "
             "assumes tau_w <= T_c",
             stacklevel=2,
         )
-    rate = (mu / t_c) ** 2 * tau_w
     if with_bsm_factor:
         rate *= 0.5
     if etas is not None:
@@ -151,14 +165,8 @@ def pulsed_rate(mu_p: float, tau_p: float, t_c: float, f_rep: float) -> float:
     """Fourfold rate of pulsed sources: (mu_p * tau_p / T_c)^2 * f_rep."""
     if not (mu_p >= 0 and tau_p > 0 and t_c > 0 and f_rep > 0):
         raise ValueError("mu_p nonnegative; tau_p, t_c, f_rep positive")
-    message = "pulsed rate (mu_p * tau_p / t_c)^2 * f_rep is not a finite float"
-    try:
-        rate = (mu_p * tau_p / t_c) ** 2 * f_rep
-    except OverflowError:  # a float ** raises where * gives inf
-        raise ValueError(message) from None
-    if not math.isfinite(rate):
-        raise ValueError(message)
-    return rate
+    formula = "pulsed rate (mu_p * tau_p / t_c)^2 * f_rep"
+    return _finite_rate(formula, lambda: (mu_p * tau_p / t_c) ** 2 * f_rep)
 
 
 @functools.lru_cache(maxsize=4096)

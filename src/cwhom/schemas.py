@@ -3,11 +3,16 @@
 ``SCHEMAS`` maps each name that ``cli._validator`` takes to a Draft 7
 schema held as plain dicts; ``json.dumps`` of any entry gives a
 standalone schema document.  Each ``enum`` takes its names from the
-table the code looks them up in, and the ``tau23_factor`` minimum is the
-rule ``visibility_map`` enforces, ``interference.TAU23_TC_FACTOR``.
+table the code looks them up in, the grating's required fields come from
+``spectral.FbgModel``, and the ``tau23_factor`` minimum is the rule
+``visibility_map`` enforces, ``interference.TAU23_TC_FACTOR``.
 The maxima of ``delays.count``, ``tags.density.n_points``,
 ``fbg_fit.n_restarts`` and a grating's ``n_sections`` bound the arrays
 and loops those counts size, before anything is allocated.
+
+Each rule is written once: every object that refuses unknown keys comes
+from ``_closed``, every document header from ``_document``, and the
+number and array fragments are shared dicts that nothing mutates.
 
 Every schema dict lists its keys in sorted order: of two equally
 relevant errors, jsonschema reports the one whose keyword comes first,
@@ -17,370 +22,285 @@ not the type error.
 
 from __future__ import annotations
 
+from dataclasses import MISSING, fields
+
 from .interference import SOURCE_CHANNELS, TAU23_TC_FACTOR, WIDTH_PRODUCTS
 from .presets import REFERENCE_SOURCES
+from .spectral import FbgModel
 
 DRAFT = "http://json-schema.org/draft-07/schema#"
+
+
+def _closed(properties: dict, required=()) -> dict:
+    """An object schema that refuses keys other than ``properties``."""
+    schema = {
+        "additionalProperties": False,
+        "properties": dict(sorted(properties.items())),
+        "type": "object",
+    }
+    if required:
+        schema["required"] = list(required)
+    return dict(sorted(schema.items()))
+
+
+def _document(name: str, title: str, schema: dict) -> dict:
+    """``schema`` as the standalone document ``cwhom/<name>.schema.json``."""
+    header = {"$id": f"cwhom/{name}.schema.json", "$schema": DRAFT, "title": title}
+    return dict(sorted({**schema, **header}.items()))
+
+
+def _array(items: dict, min_items: int, max_items: int | None = None) -> dict:
+    """An array of at least ``min_items`` (and at most ``max_items``) ``items``."""
+    schema = {"items": items, "minItems": min_items, "type": "array"}
+    if max_items is not None:
+        schema["maxItems"] = max_items
+    return dict(sorted(schema.items()))
+
+
+_NUMBER = {"type": "number"}
+_POSITIVE = {"exclusiveMinimum": 0, "type": "number"}
+_NON_NEGATIVE = {"minimum": 0, "type": "number"}
+_PROBABILITY = {"maximum": 1, "minimum": 0, "type": "number"}
+_COUNT = {"minimum": 0, "type": "integer"}
+_NUMBERS = _array(_NUMBER, 1)
+# one entry per detector channel
+_NON_NEGATIVE4 = _array(_NON_NEGATIVE, 4, 4)
+_PROBABILITY4 = _array(_PROBABILITY, 4, 4)
 
 # filter shapes that interference.filter_width knows
 _FILTER_KIND = {"enum": list(WIDTH_PRODUCTS)}
 
+_FBG_FIELDS = fields(FbgModel)
 _FBG_MODEL_PROPS = {
-    "detuning_offset": {"type": "number"},
-    "length": {"exclusiveMinimum": 0, "type": "number"},
+    "detuning_offset": _NUMBER,
+    "length": _POSITIVE,
     "n_sections": {"maximum": 4096, "minimum": 16, "type": "integer"},
     "order": {"minimum": 1, "type": "number"},
-    "peak_kappa": {"minimum": 0, "type": "number"},
+    "peak_kappa": _NON_NEGATIVE,
     "width": {"exclusiveMinimum": 0, "maximum": 1, "type": "number"},
 }
 
-FBG_MODEL = {
-    "additionalProperties": False,
-    "properties": _FBG_MODEL_PROPS,
-    "required": ["length", "n_sections", "peak_kappa", "order", "width"],
-    "type": "object",
-}
+# a seed may leave out the fields that FbgModel defaults
+_FBG_SEED = _closed(_FBG_MODEL_PROPS, [f.name for f in _FBG_FIELDS if f.default is MISSING])
 
-SOURCE = {
+_SOURCE = {
     "oneOf": [
-        {
-            "additionalProperties": False,
-            "properties": {
+        _closed(
+            {
                 "kind": _FILTER_KIND,
-                "t_c_ps": {"exclusiveMinimum": 0, "type": "number"},
+                "t_c_ps": _POSITIVE,
             },
-            "required": ["kind", "t_c_ps"],
-            "type": "object",
-        },
+            ["kind", "t_c_ps"],
+        ),
+        _closed({"preset": {"enum": list(REFERENCE_SOURCES)}}, ["preset"]),
+    ],
+}
+
+_SCENARIO = _closed({
+    "coherence": _closed({"source": {"enum": list(SOURCE_CHANNELS)}}),
+    "count": _closed(
         {
-            "additionalProperties": False,
-            "properties": {"preset": {"enum": list(REFERENCE_SOURCES)}},
-            "required": ["preset"],
-            "type": "object",
+            "delta_ps": _POSITIVE,
+            "duration_ps": _POSITIVE,
+            "tag_csv": {"type": "string"},
+            "tau_ps": _NUMBER,
         },
-    ],
-}
+        ["tag_csv"],
+    ),
+    "delays": _closed(
+        {
+            "count": {"maximum": 100000, "minimum": 2, "type": "integer"},
+            "start_ps": _NUMBER,
+            "stop_ps": _NUMBER,
+        },
+        ["start_ps", "stop_ps", "count"],
+    ),
+    "detectors": _closed(
+        {
+            "compose_tagger_rms_ps": _NON_NEGATIVE,
+            "jitter_fwhm_ps": _NON_NEGATIVE4,
+        },
+        ["jitter_fwhm_ps"],
+    ),
+    "fbg_fit": _closed(
+        {
+            "n_restarts": {"maximum": 100, "minimum": 0, "type": "integer"},
+            "rng_seed": _COUNT,
+            "seed": {"$ref": "#/definitions/fbg_model"},
+            "table_csv": {"type": "string"},
+        },
+        ["table_csv", "seed"],
+    ),
+    "grid": _closed(
+        {
+            "n_points": {"minimum": 3, "type": "integer"},
+            "span_factor": _POSITIVE,
+        },
+    ),
+    "pulsed": _closed(
+        {
+            "f_rep_hz": _POSITIVE,
+            "mu_p": _POSITIVE,
+            "t_c_ps": _POSITIVE,
+            "tau_p_ps": _POSITIVE,
+        },
+        ["mu_p", "tau_p_ps", "t_c_ps", "f_rep_hz"],
+    ),
+    "rate_query": _closed(
+        {
+            "filter_kind": _FILTER_KIND,
+            "jitter_ps": _NON_NEGATIVE,
+            "mu": {"exclusiveMinimum": 0, "maximum": 0.2, "type": "number"},
+            "tau_w_range_ps": _array(_POSITIVE, 2, 2),
+            "tc_max_ps": _POSITIVE,
+            "v_target": {"exclusiveMaximum": 1, "exclusiveMinimum": 0, "type": "number"},
+        },
+        ["mu", "jitter_ps", "v_target", "tc_max_ps"],
+    ),
+    "rng_seed": _COUNT,
+    "sources": _closed(
+        {name: {"$ref": "#/definitions/source"} for name in SOURCE_CHANNELS},
+        SOURCE_CHANNELS,
+    ),
+    "swap": _closed(
+        {
+            "loss_csv": {"type": "string"},
+            "mu": _POSITIVE,
+            "t_c_ps": _POSITIVE,
+            "tau_w_ps": _POSITIVE,
+        },
+        ["mu", "t_c_ps", "tau_w_ps", "loss_csv"],
+    ),
+    "tags": _closed(
+        {
+            "density": _closed(
+                {
+                    "n_points": {"maximum": 100000, "minimum": 5, "type": "integer"},
+                    "span_ps": _POSITIVE,
+                    "t_c_ps": _POSITIVE,
+                },
+                ["t_c_ps"],
+            ),
+            "duration_ps": _POSITIVE,
+            "etas": _PROBABILITY4,
+            "gamma": _PROBABILITY,
+            "gamma_step": _closed(
+                {
+                    "v_target": _PROBABILITY,
+                    "width_ps": _POSITIVE,
+                },
+                ["v_target", "width_ps"],
+            ),
+            "noise_rates_hz": _NON_NEGATIVE4,
+            "pair_rate_a_hz": _NON_NEGATIVE,
+            "pair_rate_b_hz": _NON_NEGATIVE,
+            "pairing_horizon_ps": _POSITIVE,
+        },
+        [
+            "pair_rate_a_hz",
+            "pair_rate_b_hz",
+            "noise_rates_hz",
+            "etas",
+            "duration_ps",
+            "density",
+        ],
+    ),
+    "vismap": _closed(
+        {
+            "filter_kind": _FILTER_KIND,
+            "jitter_ps": _NON_NEGATIVE,
+            "tau14_values_ps": _array(_POSITIVE, 1),
+            "tau23_factor": {"minimum": TAU23_TC_FACTOR, "type": "number"},
+            "tc_values_ps": _array(_POSITIVE, 1),
+        },
+        ["tc_values_ps", "tau14_values_ps", "jitter_ps"],
+    ),
+    "windows": _closed(
+        {
+            "tau_14_ps": _POSITIVE,
+            "tau_23_ps": _POSITIVE,
+        },
+        ["tau_14_ps", "tau_23_ps"],
+    ),
+})
 
-_NUM4 = {"items": {"minimum": 0, "type": "number"}, "maxItems": 4, "minItems": 4, "type": "array"}
-_PROB4 = {
-    "items": {"maximum": 1, "minimum": 0, "type": "number"},
-    "maxItems": 4,
-    "minItems": 4,
-    "type": "array",
-}
-
-SCENARIO = {
-    "$id": "cwhom/scenario.schema.json",
-    "$schema": DRAFT,
-    "additionalProperties": False,
-    "definitions": {"fbg_model": FBG_MODEL, "source": SOURCE},
-    "properties": {
-        "coherence": {
-            "additionalProperties": False,
-            "properties": {"source": {"enum": list(SOURCE_CHANNELS)}},
-            "type": "object",
-        },
-        "count": {
-            "additionalProperties": False,
-            "properties": {
-                "delta_ps": {"exclusiveMinimum": 0, "type": "number"},
-                "duration_ps": {"exclusiveMinimum": 0, "type": "number"},
-                "tag_csv": {"type": "string"},
-                "tau_ps": {"type": "number"},
-            },
-            "required": ["tag_csv"],
-            "type": "object",
-        },
-        "delays": {
-            "additionalProperties": False,
-            "properties": {
-                "count": {"maximum": 100000, "minimum": 2, "type": "integer"},
-                "start_ps": {"type": "number"},
-                "stop_ps": {"type": "number"},
-            },
-            "required": ["start_ps", "stop_ps", "count"],
-            "type": "object",
-        },
-        "detectors": {
-            "additionalProperties": False,
-            "properties": {
-                "compose_tagger_rms_ps": {"minimum": 0, "type": "number"},
-                "jitter_fwhm_ps": _NUM4,
-            },
-            "required": ["jitter_fwhm_ps"],
-            "type": "object",
-        },
-        "fbg_fit": {
-            "additionalProperties": False,
-            "properties": {
-                "n_restarts": {"maximum": 100, "minimum": 0, "type": "integer"},
-                "rng_seed": {"minimum": 0, "type": "integer"},
-                "seed": {"$ref": "#/definitions/fbg_model"},
-                "table_csv": {"type": "string"},
-            },
-            "required": ["table_csv", "seed"],
-            "type": "object",
-        },
-        "grid": {
-            "additionalProperties": False,
-            "properties": {
-                "n_points": {"minimum": 3, "type": "integer"},
-                "span_factor": {"exclusiveMinimum": 0, "type": "number"},
-            },
-            "type": "object",
-        },
-        "pulsed": {
-            "additionalProperties": False,
-            "properties": {
-                "f_rep_hz": {"exclusiveMinimum": 0, "type": "number"},
-                "mu_p": {"exclusiveMinimum": 0, "type": "number"},
-                "t_c_ps": {"exclusiveMinimum": 0, "type": "number"},
-                "tau_p_ps": {"exclusiveMinimum": 0, "type": "number"},
-            },
-            "required": ["mu_p", "tau_p_ps", "t_c_ps", "f_rep_hz"],
-            "type": "object",
-        },
-        "rate_query": {
-            "additionalProperties": False,
-            "properties": {
-                "filter_kind": _FILTER_KIND,
-                "jitter_ps": {"minimum": 0, "type": "number"},
-                "mu": {"exclusiveMinimum": 0, "maximum": 0.2, "type": "number"},
-                "tau_w_range_ps": {
-                    "items": {"exclusiveMinimum": 0, "type": "number"},
-                    "maxItems": 2,
-                    "minItems": 2,
-                    "type": "array",
-                },
-                "tc_max_ps": {"exclusiveMinimum": 0, "type": "number"},
-                "v_target": {"exclusiveMaximum": 1, "exclusiveMinimum": 0, "type": "number"},
-            },
-            "required": ["mu", "jitter_ps", "v_target", "tc_max_ps"],
-            "type": "object",
-        },
-        "rng_seed": {"minimum": 0, "type": "integer"},
-        "sources": {
-            "additionalProperties": False,
-            "properties": {name: {"$ref": "#/definitions/source"} for name in SOURCE_CHANNELS},
-            "required": list(SOURCE_CHANNELS),
-            "type": "object",
-        },
-        "swap": {
-            "additionalProperties": False,
-            "properties": {
-                "loss_csv": {"type": "string"},
-                "mu": {"exclusiveMinimum": 0, "type": "number"},
-                "t_c_ps": {"exclusiveMinimum": 0, "type": "number"},
-                "tau_w_ps": {"exclusiveMinimum": 0, "type": "number"},
-            },
-            "required": ["mu", "t_c_ps", "tau_w_ps", "loss_csv"],
-            "type": "object",
-        },
-        "tags": {
-            "additionalProperties": False,
-            "properties": {
-                "density": {
-                    "additionalProperties": False,
-                    "properties": {
-                        "n_points": {"maximum": 100000, "minimum": 5, "type": "integer"},
-                        "span_ps": {"exclusiveMinimum": 0, "type": "number"},
-                        "t_c_ps": {"exclusiveMinimum": 0, "type": "number"},
-                    },
-                    "required": ["t_c_ps"],
-                    "type": "object",
-                },
-                "duration_ps": {"exclusiveMinimum": 0, "type": "number"},
-                "etas": _PROB4,
-                "gamma": {"maximum": 1, "minimum": 0, "type": "number"},
-                "gamma_step": {
-                    "additionalProperties": False,
-                    "properties": {
-                        "v_target": {"maximum": 1, "minimum": 0, "type": "number"},
-                        "width_ps": {"exclusiveMinimum": 0, "type": "number"},
-                    },
-                    "required": ["v_target", "width_ps"],
-                    "type": "object",
-                },
-                "noise_rates_hz": _NUM4,
-                "pair_rate_a_hz": {"minimum": 0, "type": "number"},
-                "pair_rate_b_hz": {"minimum": 0, "type": "number"},
-                "pairing_horizon_ps": {"exclusiveMinimum": 0, "type": "number"},
-            },
-            "required": [
-                "pair_rate_a_hz",
-                "pair_rate_b_hz",
-                "noise_rates_hz",
-                "etas",
-                "duration_ps",
-                "density",
-            ],
-            "type": "object",
-        },
-        "vismap": {
-            "additionalProperties": False,
-            "properties": {
-                "filter_kind": _FILTER_KIND,
-                "jitter_ps": {"minimum": 0, "type": "number"},
-                "tau14_values_ps": {
-                    "items": {"exclusiveMinimum": 0, "type": "number"},
-                    "minItems": 1,
-                    "type": "array",
-                },
-                "tau23_factor": {"minimum": TAU23_TC_FACTOR, "type": "number"},
-                "tc_values_ps": {
-                    "items": {"exclusiveMinimum": 0, "type": "number"},
-                    "minItems": 1,
-                    "type": "array",
-                },
-            },
-            "required": ["tc_values_ps", "tau14_values_ps", "jitter_ps"],
-            "type": "object",
-        },
-        "windows": {
-            "additionalProperties": False,
-            "properties": {
-                "tau_14_ps": {"exclusiveMinimum": 0, "type": "number"},
-                "tau_23_ps": {"exclusiveMinimum": 0, "type": "number"},
-            },
-            "required": ["tau_14_ps", "tau_23_ps"],
-            "type": "object",
-        },
-    },
-    "title": "cwhom scenario file (all durations in picoseconds)",
-    "type": "object",
-}
-
-VISIBILITY = {
-    "$id": "cwhom/visibility.schema.json",
-    "$schema": DRAFT,
-    "additionalProperties": False,
-    "properties": {
+_VISIBILITY = _closed(
+    {
+        # the scenario sections the run read, echoed as they were
         "inputs": {"type": "object"},
-        "plateau_delay_ps": {"type": "number"},
+        "plateau_delay_ps": _NUMBER,
         "plateau_reliable": {"type": "boolean"},
-        "visibility": {"type": "number"},
+        "visibility": _NUMBER,
     },
-    "required": ["visibility", "plateau_reliable", "plateau_delay_ps", "inputs"],
-    "title": "visibility subcommand output",
-    "type": "object",
-}
+    ["visibility", "plateau_reliable", "plateau_delay_ps", "inputs"],
+)
 
-OPTRESULT = {
-    "$id": "cwhom/optresult.schema.json",
-    "$schema": DRAFT,
-    "additionalProperties": False,
-    "properties": {
-        "curve": {
-            "items": {"items": {"type": "number"}, "maxItems": 3, "minItems": 3, "type": "array"},
-            "minItems": 1,
-            "type": "array",
-        },
-        "rate_opt_hz": {"minimum": 0, "type": "number"},
-        "tau_w_opt_ps": {"exclusiveMinimum": 0, "type": "number"},
-        "tc_opt_ps": {"exclusiveMinimum": 0, "type": "number"},
+_OPTRESULT = _closed(
+    {
+        "curve": _array(_array(_NUMBER, 3, 3), 1),
+        "rate_opt_hz": _NON_NEGATIVE,
+        "tau_w_opt_ps": _POSITIVE,
+        "tc_opt_ps": _POSITIVE,
     },
-    "required": ["tau_w_opt_ps", "tc_opt_ps", "rate_opt_hz", "curve"],
-    "title": "optimize-rate subcommand output",
-    "type": "object",
-}
+    ["tau_w_opt_ps", "tc_opt_ps", "rate_opt_hz", "curve"],
+)
 
-COUNTS = {
-    "$id": "cwhom/counts.schema.json",
-    "$schema": DRAFT,
-    "additionalProperties": False,
-    "properties": {
+_COUNTS = _closed(
+    {
         "corrected": {"type": "integer"},
-        "raw": {"minimum": 0, "type": "integer"},
-        "shifted_2": {"minimum": 0, "type": "integer"},
-        "shifted_3": {"minimum": 0, "type": "integer"},
+        "raw": _COUNT,
+        "shifted_2": _COUNT,
+        "shifted_3": _COUNT,
     },
-    "required": ["raw", "shifted_2", "shifted_3", "corrected"],
-    "title": "tags count subcommand output",
-    "type": "object",
-}
+    ["raw", "shifted_2", "shifted_3", "corrected"],
+)
 
-RATE = {
-    "$id": "cwhom/rate.schema.json",
-    "$schema": DRAFT,
-    "additionalProperties": False,
-    "properties": {"rate_hz": {"minimum": 0, "type": "number"}},
-    "required": ["rate_hz"],
-    "title": "pulsed-rate subcommand output",
-    "type": "object",
-}
-
-SWAPS = {
-    "$id": "cwhom/swaps.schema.json",
-    "$schema": DRAFT,
-    "additionalProperties": False,
-    "properties": {"swaps": {"minimum": 0, "type": "number"}},
-    "required": ["swaps"],
-    "title": "pass-swaps subcommand output",
-    "type": "object",
-}
-
-FBG_MODEL_OUT = {
-    "$id": "cwhom/fbg_model.schema.json",
-    "$schema": DRAFT,
-    "additionalProperties": False,
-    "properties": _FBG_MODEL_PROPS,
-    "required": [
-        "length",
-        "n_sections",
-        "peak_kappa",
-        "order",
-        "width",
-        "detuning_offset",
-    ],
-    "title": "fitted grating model (fbg fit output)",
-    "type": "object",
-}
-
-ORACLE_REPORT = {
-    "$id": "cwhom/oracle_report.schema.json",
-    "$schema": DRAFT,
-    "additionalProperties": False,
-    "properties": {
-        "delays_ps": {"items": {"type": "number"}, "minItems": 1, "type": "array"},
-        "engine": {"items": {"type": "number"}, "minItems": 1, "type": "array"},
-        "max_rel_deviation": {"minimum": 0, "type": "number"},
-        "oracle": {"items": {"type": "number"}, "minItems": 1, "type": "array"},
+_ORACLE_REPORT = _closed(
+    {
+        "delays_ps": _NUMBERS,
+        "engine": _NUMBERS,
+        "max_rel_deviation": _NON_NEGATIVE,
+        "oracle": _NUMBERS,
         "pass": {"type": "boolean"},
-        "tolerance": {"exclusiveMinimum": 0, "type": "number"},
+        "tolerance": _POSITIVE,
     },
-    "required": ["delays_ps", "engine", "oracle", "max_rel_deviation", "tolerance", "pass"],
-    "title": "oracle-check subcommand output",
-    "type": "object",
-}
+    ["delays_ps", "engine", "oracle", "max_rel_deviation", "tolerance", "pass"],
+)
 
-CSV_META = {
-    "$id": "cwhom/csv_meta.schema.json",
-    "$schema": DRAFT,
-    "additionalProperties": False,
-    "properties": {
-        "dip": {"type": "number"},
-        "n_events": {"minimum": 0, "type": "integer"},
-        "n_rows": {"minimum": 0, "type": "integer"},
+_CSV_META = _closed(
+    {
+        "dip": _NUMBER,
+        "n_events": _COUNT,
+        "n_rows": _COUNT,
         "out": {"type": "string"},
-        "plateau": {"type": "number"},
+        "plateau": _NUMBER,
         "plateau_reliable": {"type": "boolean"},
-        "residual": {"minimum": 0, "type": "number"},
+        "residual": _NON_NEGATIVE,
         "subcommand": {"type": "string"},
-        "t_c_fwhm_ps": {"type": "number"},
+        "t_c_fwhm_ps": _NUMBER,
     },
-    "required": ["subcommand", "out"],
-    "title": "status line printed by CSV-emitting subcommands",
-    "type": "object",
-}
+    ["subcommand", "out"],
+)
 
 SCHEMAS = {
-    "scenario": SCENARIO,
-    "visibility": VISIBILITY,
-    "optresult": OPTRESULT,
-    "counts": COUNTS,
-    "rate": RATE,
-    "swaps": SWAPS,
-    "fbg_model": FBG_MODEL_OUT,
-    "oracle_report": ORACLE_REPORT,
-    "csv_meta": CSV_META,
+    name: _document(name, title, schema)
+    for name, title, schema in [
+        (
+            "scenario",
+            "cwhom scenario file (all durations in picoseconds)",
+            {**_SCENARIO, "definitions": {"fbg_model": _FBG_SEED, "source": _SOURCE}},
+        ),
+        ("visibility", "visibility subcommand output", _VISIBILITY),
+        ("optresult", "optimize-rate subcommand output", _OPTRESULT),
+        ("counts", "tags count subcommand output", _COUNTS),
+        ("rate", "pulsed-rate subcommand output", _closed({"rate_hz": _NON_NEGATIVE}, ["rate_hz"])),
+        ("swaps", "pass-swaps subcommand output", _closed({"swaps": _NON_NEGATIVE}, ["swaps"])),
+        (
+            "fbg_model",
+            "fitted grating model (fbg fit output)",
+            _closed(_FBG_MODEL_PROPS, [f.name for f in _FBG_FIELDS]),
+        ),
+        ("oracle_report", "oracle-check subcommand output", _ORACLE_REPORT),
+        ("csv_meta", "status line printed by CSV-emitting subcommands", _CSV_META),
+    ]
 }

@@ -34,6 +34,10 @@ CHANNELS = (1, 2, 3, 4)
 # delay or shift below 2**60 fs added to such a time stays inside int64.
 MAX_TIME_FS = 2**60
 
+# The most events a simulated stream may be expected to hold: 256 MiB
+# per float64 array of that size, a few of which are alive at once.
+MAX_SIM_EVENTS = 2**25
+
 
 def _check_duration(duration: float) -> None:
     """Refuse a duration [s] that is not positive or reaches 2**60 fs."""
@@ -135,7 +139,9 @@ class SimScenario:
     efficiencies applied to pair photons.  pairing_horizon bounds the
     arrival-time difference within which photons from opposite sources
     are treated as one interfering duo; by default it spans the internal
-    delay density grid.  duration must be below 2**60 fs (~1153 s).
+    delay density grid.  duration must be below 2**60 fs (~1153 s), and
+    the expected event count duration * (2 (pair_rate_a + pair_rate_b) +
+    sum(noise_rates)) at most MAX_SIM_EVENTS.
     """
 
     pair_rate_a: float
@@ -162,6 +168,12 @@ class SimScenario:
         _check_duration(self.duration)
         if self.pairing_horizon is not None and not self.pairing_horizon > 0:
             raise ValueError("pairing_horizon must be positive")
+        # two photons per pair; refused before simulate_streams draws anything
+        expected = self.duration * (2.0 * (self.pair_rate_a + self.pair_rate_b) + sum(self.noise_rates))
+        if not expected <= MAX_SIM_EVENTS:
+            raise ValueError(
+                f"the stream would hold ~{expected:.3g} events; at most {MAX_SIM_EVENTS} are allowed"
+            )
 
     def gamma_of(self, delta: np.ndarray) -> np.ndarray:
         if callable(self.gamma):

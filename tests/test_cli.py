@@ -514,6 +514,69 @@ def test_tags_simulate_refuses_a_duration_past_the_sort_key(capsys, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("edit, expected", [
+    (lambda tags: tags.update(pair_rate_a_hz=1e12), "~2e+09"),
+    (lambda tags: tags.update(pair_rate_b_hz=1e12), "~2e+09"),
+    (lambda tags: tags["noise_rates_hz"].__setitem__(2, 1e12), "~1e+09"),
+    # 1 s of the bundled rates
+    (lambda tags: tags.update(duration_ps=1e12), "~4.04e+07"),
+], ids=["pair-rate-a", "pair-rate-b", "noise-rate", "duration"])
+def test_tags_simulate_refuses_an_event_count_past_its_limit(capsys, tmp_path, edit, expected):
+    # unrefused, each draws arrays of 0.3-15 GiB; the limit is 2**25 events
+    with open(scenario_path("tags_demo.json")) as fh:
+        doc = json.load(fh)
+    edit(doc["tags"])
+    sc = tmp_path / "busy.json"
+    sc.write_text(json.dumps(doc))
+    out = tmp_path / "tags.csv"
+    code, stdout, stderr, peak = run_traced(capsys, ["tags", "simulate", "--scenario", str(sc), "--out", str(out)])
+    assert (code, stdout) == (2, "")
+    assert json.loads(stderr) == {
+        "error": "validation",
+        "message": f"the stream would hold {expected} events; at most 33554432 are allowed",
+    }
+    assert peak < 16 * 2**20
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sub, name, window", [
+    (["homdip"], "identical_165", "tau_23_ps"),
+    (["visibility"], "identical_165", "tau_14_ps"),
+    (["oracle-check"], "identical_165", "tau_23_ps"),
+    (["tags", "count"], "tags_demo", "tau_14_ps"),
+], ids=["homdip", "visibility", "oracle-check", "tags-count"])
+def test_exit_code_2_for_a_window_below_1_fs(capsys, tmp_path, sub, name, window):
+    # a 1e-300 ps window ran the engine on subnormal kernels for ~18 s
+    doc = bundled_scenario(name)
+    doc["windows"][window] = 0.0005
+    sc = tmp_path / "scenario.json"
+    sc.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code, stdout, stderr = run(capsys, [*sub, "--scenario", str(sc), "--out", str(out)])
+    assert (code, stdout) == (2, "")
+    assert json.loads(stderr) == {"error": "validation", "message": "coincidence windows must be at least 1 fs"}
+    assert not out.exists()
+
+
+def test_pass_swaps_failure_prints_one_json_object(tmp_path):
+    # a subprocess, since pytest's warning capture would hide a warning
+    # printed ahead of the JSON object
+    doc = bundled_scenario("swap")
+    doc["swap"]["t_c_ps"] = 1e-300
+    sc = tmp_path / "swap.json"
+    sc.write_text(json.dumps(doc))
+    out = tmp_path / "swaps.json"
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+    proc = subprocess.run([sys.executable, "-m", "cwhom.cli", "pass-swaps", "--scenario", str(sc),
+                           "--out", str(out)], env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == json.dumps({
+        "error": "validation",
+        "message": "CW rate (mu / t_c)^2 * tau_w is not a finite float",
+    }) + "\n"
+    assert not out.exists()
+
+
 def test_exit_code_3_when_grid_too_coarse(capsys, tmp_path):
     sc = tmp_path / "coarse.json"
     sc.write_text(json.dumps({
@@ -701,17 +764,9 @@ def admitted_heavy_work(path: tuple, value) -> bool:
     them (measured one subprocess each under a 3 GB address-space cap).
     """
     key = next(k for k in reversed(path) if isinstance(k, str))
-    # 1e12 pairs/s or strays/s, or 1 s of tags, is ~1e9 events: 7.45 GiB
-    # per event array, since no limit bounds the event count
-    if path[0] == "tags" and key in ("pair_rate_a_hz", "pair_rate_b_hz", "noise_rates_hz",
-                                     "duration_ps") and value == 1e12:
-        return True
     # a 2.5 ps coherence time or herald window: grids of 1e4 points and
     # fine oracle lattices, 2-17 s
-    if key in ("t_c_ps", "tau_14_ps") and value == 2.5:
-        return True
-    # subnormal window kernels run ~100x slower, up to 18 s
-    return key in ("tau_14_ps", "tau_23_ps") and value == 1e-300
+    return key in ("t_c_ps", "tau_14_ps") and value == 2.5
 
 
 def _fuzz_cases():
@@ -1061,6 +1116,23 @@ def test_packaged_schemas_are_valid_draft7():
         jsonschema.Draft7Validator.check_schema(schema)
         # key order picks among equally relevant errors, see cwhom.schemas
         assert json.dumps(schema) == json.dumps(schema, sort_keys=True), name
+
+
+def test_every_object_schema_refuses_unknown_keys():
+    def objects(node, path):
+        if isinstance(node, dict):
+            if node.get("type") == "object":
+                yield path, node
+            for key, value in node.items():
+                yield from objects(value, (*path, key))
+        elif isinstance(node, list):
+            for i, value in enumerate(node):
+                yield from objects(value, (*path, i))
+
+    open_objects = [path for name, schema in SCHEMAS.items() for path, node in objects(schema, (name,))
+                    if node.get("additionalProperties") is not False]
+    # the visibility artifact echoes the scenario sections it read
+    assert open_objects == [("visibility", "properties", "inputs")]
 
 
 def test_validate_raises_what_jsonschema_validate_raises():

@@ -51,7 +51,7 @@ from cwhom.spectral import (
     joint_spectral_amplitude,
     make_filter,
 )
-from cwhom.units import RECT_TC_PRODUCT
+from cwhom.units import FS, RECT_TC_PRODUCT
 
 PS = 1e-12
 JITTERS = (17e-12, 13e-12, 11e-12, 16e-12)
@@ -666,6 +666,13 @@ def test_config_validation():
         CoincidenceConfig(tau_14=0.0, tau_23=1e-10)
     with pytest.raises(ValueError):
         CoincidenceConfig(tau_14=1e-10, tau_23=-1e-10)
+    # windows below the 1 fs tag resolution, down to subnormal ones, and NaN
+    for tiny in (0.999 * FS, 1e-300 * PS, math.nan):
+        with pytest.raises(ValueError, match="at least 1 fs"):
+            CoincidenceConfig(tau_14=tiny, tau_23=1e-10)
+        with pytest.raises(ValueError, match="at least 1 fs"):
+            CoincidenceConfig(tau_14=1e-10, tau_23=tiny)
+    CoincidenceConfig(tau_14=FS, tau_23=FS)
 
 
 def test_setup_rejects_mismatched_grids():

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -688,3 +689,28 @@ def test_jsa_scales_bilinearly():
     s_half = type(s)(grid=g, amp=0.5 * s.amp)
     halved = joint_spectral_amplitude(s_half, i, normalize=False).j_amp
     assert np.allclose(halved, 0.5 * base, rtol=1e-14)
+
+
+def test_bundled_filter_tables_match_their_generator(tmp_path, monkeypatch):
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "make_filter_tables", os.path.join(REPO, "scripts", "make_filter_tables.py"))
+    script = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "OUT_DIR", str(tmp_path))
+    script.main()
+    for name in REFERENCE_FILTERS:
+        file = f"filter_{name}.csv"
+        with open(tmp_path / file) as fh:
+            made = [line.split(",") for line in fh.read().splitlines()]
+        with open(os.path.join(REPO, "data", file)) as fh:
+            bundled = [line.split(",") for line in fh.read().splitlines()]
+        assert made[0] == bundled[0] == ["wavelength_pm", "reflectance"]
+        assert [w for w, _ in made] == [w for w, _ in bundled], file
+        # the tables keep 12 significant digits of a reflectance <= 1, so
+        # 1e-12 is one last digit; the lossless transfer matrix moved 12
+        # rows of three tables by up to 1.0e-15 since they were written
+        np.testing.assert_allclose([float(r) for _, r in made[1:]],
+                                   [float(r) for _, r in bundled[1:]], rtol=0, atol=1e-12, err_msg=file)

@@ -459,6 +459,20 @@ def test_scenario_duration_keeps_the_sort_key_exact():
     assert set(stream.channels.tolist()) <= {1, 4}
 
 
+def test_scenario_expected_event_count_is_bounded():
+    # each pair is two photons, each stray one event; the bound is on the
+    # expectation, checked before anything is drawn
+    base = dict(pair_rate_b=0.0, internal_delay_density=gaussian_density(), duration=1.0)
+    limit = timetags.MAX_SIM_EVENTS
+    SimScenario(**base, pair_rate_a=limit / 2)
+    SimScenario(**base, pair_rate_a=limit / 4, noise_rates=(0.0, limit / 2, 0.0, 0.0))
+    for extra in (dict(pair_rate_a=limit / 2 + 1),
+                  dict(pair_rate_a=limit / 4, noise_rates=(0.0, limit / 2, 0.0, 1.0)),
+                  dict(pair_rate_a=1e300, noise_rates=(1e300,) * 4)):
+        with pytest.raises(ValueError, match=f"at most {limit} are allowed"):
+            SimScenario(**{**base, **extra})
+
+
 # ---------------------------------------------------------------------------
 # Closed-form accidental model
 
