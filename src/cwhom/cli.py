@@ -30,32 +30,27 @@ import numpy as np
 
 from .detection import DetectorModel
 from .interference import (
-    GRID_FLOOR,
-    SPAN_FACTOR,
     CoherenceCurve,
     CoincidenceConfig,
     FourfoldEngine,
     GridResolutionError,
     InterferenceSetup,
     NumericalError,
+    Source,
     _check_resolution,
     _plateau_reach,
-    analytic_jsa,
+    analytic_source,
     build_setup,
     coherence_function,
-    filter_width,
     fourfold_probability_oracle,
     hom_curve,
-    sized_grid,
+    source_grid,
     source_jitters,
     visibility,
     visibility_map,
 )
 from .presets import (
-    GRATING_GRID_FLOOR,
-    REFERENCE_COHERENCE_TIMES,
-    REFERENCE_SOURCES,
-    grating_width,
+    preset_source,
     reference_source_a,
     reference_source_b,
     tagger_composed_jitters,
@@ -76,6 +71,7 @@ from .units import PS
 # normalization scalar
 ORACLE_TOLERANCE = 1e-3
 
+# read by no cli code: perfbench/tracer.py wraps the samplers here, and its tests check that
 _PRESET_SOURCES = {"a": reference_source_a, "b": reference_source_b}
 
 
@@ -195,61 +191,46 @@ def _windows(scenario: dict) -> CoincidenceConfig:
     return CoincidenceConfig(tau_14=w["tau_14_ps"] * PS, tau_23=w["tau_23_ps"] * PS)
 
 
-def _grid_overrides(scenario: dict) -> tuple[float, int | None]:
-    g = scenario.get("grid", {})
-    n = g.get("n_points")
-    return float(g.get("span_factor", SPAN_FACTOR)), (int(n) if n is not None else None)
+def _n_points(scenario: dict) -> int | None:
+    n = scenario.get("grid", {}).get("n_points")
+    return int(n) if n is not None else None
 
 
 # ---------------------------------------------------------------------------
 # Setup construction
 
 
-def _source(spec: dict):
-    """(width, jsa(grid), T_c, grid floor) of one scenario source.
-
-    The width [rad/s] is the widest grating FWHM of a preset or the
-    analytic filter's FWHM. T_c is the jitter-free coherence FWHM: exact
-    by construction of an analytic filter's width, calibrated for a
-    preset (``presets.REFERENCE_COHERENCE_TIMES``).
-    """
+def _source(spec: dict) -> Source:
     if "preset" in spec:
-        name = spec["preset"]
-        width = grating_width(*REFERENCE_SOURCES[name])
-        return width, _PRESET_SOURCES[name], REFERENCE_COHERENCE_TIMES[name], GRATING_GRID_FLOOR
-    kind, t_c = spec["kind"], spec["t_c_ps"] * PS
-    return filter_width(kind, t_c), lambda grid: analytic_jsa(grid, kind, t_c), t_c, GRID_FLOOR
+        return preset_source(spec["preset"])
+    return analytic_source(spec["kind"], spec["t_c_ps"] * PS)
 
 
 def _build_setup(scenario: dict, delays: np.ndarray) -> InterferenceSetup:
     src = _section(scenario, "sources")
-    (width_a, jsa_a, tc_a, floor_a), (width_b, jsa_b, tc_b, floor_b) = _source(src["a"]), _source(src["b"])
+    a, b = _source(src["a"]), _source(src["b"])
     jit = _jitters(scenario)
-    span_factor, n_override = _grid_overrides(scenario)
     max_delay = float(np.max(np.abs(delays))) if delays.size else 0.0
     # the grid also resolves the nominal plateau delay, _plateau_reach,
     # although _plateau_delay clamps the sample to at most tau_23 / 2:
     # dropping it takes appendix_shape from 683 points to 415 and moves
     # its plateau by -0.25 % and the normalized dip by up to 6.9 %
     return build_setup(
-        lambda grid: (jsa_a(grid), jsa_b(grid)),
-        span_factor * max(width_a, width_b),
+        a,
+        b,
         _windows(scenario),
         jit,
-        reach=max(max_delay, PS, _plateau_reach((tc_a, tc_b), jit)),
-        floor=max(floor_a, floor_b),
-        n_points=n_override,
-        coherence_times=(tc_a, tc_b),
+        reach=max(max_delay, PS, _plateau_reach((a.t_c, b.t_c), jit)),
+        n_points=_n_points(scenario),
     )
 
 
 def _coherence_jsa(scenario: dict, which: str, delays: np.ndarray):
-    width, jsa, t_c, floor = _source(_section(scenario, "sources")[which])
-    span_factor, n_override = _grid_overrides(scenario)
+    source = _source(_section(scenario, "sources")[which])
     reach = max(float(np.max(np.abs(delays))), PS)
-    grid = sized_grid(span_factor * width, max(reach, t_c), floor, n_override)
+    grid = source_grid((source,), reach, _n_points(scenario))
     _check_resolution(grid, reach, f"delays out to {reach / PS:.6g} ps")
-    return jsa(grid)
+    return source.jsa(grid)
 
 
 # ---------------------------------------------------------------------------

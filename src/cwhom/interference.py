@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -370,31 +370,58 @@ def analytic_jsa(grid: FrequencyGrid, kind: str, t_c: float) -> JointSpectralAmp
     return joint_spectral_amplitude(f, f)
 
 
+@dataclass(frozen=True)
+class Source:
+    """A pair source with what a frequency grid must cover and resolve for it."""
+
+    jsa: Callable[[FrequencyGrid], JointSpectralAmplitude]  # samples its JSA on a grid
+    width: float  # rad/s, widest filter FWHM
+    t_c: float  # s, jitter-free coherence FWHM: exact if analytic, calibrated if preset
+    floor: int = GRID_FLOOR  # fewest points of a grid for it
+
+
+def analytic_source(kind: str, t_c: float) -> Source:
+    """Source behind one analytic filter of shape kind, with coherence FWHM t_c."""
+    return Source(lambda grid: analytic_jsa(grid, kind, t_c), filter_width(kind, t_c), t_c)
+
+
+def source_grid(
+    sources: Sequence[Source], t_max: float, n_points: int | None = None
+) -> FrequencyGrid:
+    """Grid for sources: a half span of SPAN_FACTOR x the widest width, at least
+    the largest floor of points, and times up to t_max and every T_c resolved.
+    """
+    return sized_grid(
+        SPAN_FACTOR * max(s.width for s in sources),
+        max(t_max, *(s.t_c for s in sources)),
+        max(s.floor for s in sources),
+        n_points,
+    )
+
+
 def build_setup(
-    jsas: Callable[[FrequencyGrid], tuple[JointSpectralAmplitude, JointSpectralAmplitude]],
-    span: float,
+    a: Source,
+    b: Source,
     windows: CoincidenceConfig,
     jitters: tuple[float, float, float, float],
     *,
     reach: float = 0.0,
-    floor: int = GRID_FLOOR,
     n_points: int | None = None,
-    coherence_times: tuple[float, float] | None = None,
 ) -> InterferenceSetup:
-    """Setup whose JSAs, jsas(grid) for sources A and B, share one sized grid.
+    """Setup with sources a and b sampled on one ``source_grid``.
 
-    The grid over [-span, span] resolves the windows, reach and the known
-    coherence_times (see ``sized_grid``); without coherence_times the setup
-    estimates them from the JSAs on first use.
+    The grid resolves the windows and reach besides both T_c, which the
+    setup carries as its known coherence times. Two arms holding the same
+    Source share one JSA sample.
     """
-    t_max = max(windows.tau_14, windows.tau_23, reach, *(coherence_times or ()))
-    jsa_a, jsa_b = jsas(sized_grid(span, t_max, floor, n_points))
+    grid = source_grid((a, b), max(windows.tau_14, windows.tau_23, reach), n_points)
+    jsa_a = a.jsa(grid)
     return InterferenceSetup(
         jsa_a=jsa_a,
-        jsa_b=jsa_b,
+        jsa_b=jsa_a if b is a else b.jsa(grid),
         detectors=DetectorModel(jitter_fwhm=jitters),
         windows=windows,
-        known_coherence_times=coherence_times,
+        known_coherence_times=(a.t_c, b.t_c),
     )
 
 
@@ -573,9 +600,11 @@ class FourfoldEngine:
         t1, t2, t3, t4 = self._terms(taus)
         return np.maximum((t1 + t2 - t3 - t4).real, 0.0)
 
+    # no library path calls it; perfbench/tracer.py wraps it by name (ENGINE_METHODS)
     def probability(self, tau: float) -> float:
         return float(self.probabilities(tau)[0])
 
+    # no library path calls it; criterion 2 reads P(tau_p) / B = 0.9646 through it
     def baseline(self) -> float:
         """No-interference reference: direct terms only, at zero delay."""
         t1, t2, _, _ = self._terms(np.zeros(1))[:, 0]
@@ -836,15 +865,8 @@ def _identical_source_setup(
     filter_kind: str,
 ) -> InterferenceSetup:
     jit = jitter if isinstance(jitter, tuple) else (float(jitter),) * 4
-    # the coherence FWHM is t_c by construction; passing it spares the
-    # numeric estimate of the same number
-    return build_setup(
-        lambda grid: (analytic_jsa(grid, filter_kind, t_c),) * 2,
-        SPAN_FACTOR * filter_width(filter_kind, t_c),
-        CoincidenceConfig(tau_14=tau_14, tau_23=tau_23),
-        jit,
-        coherence_times=(t_c, t_c),
-    )
+    source = analytic_source(filter_kind, t_c)
+    return build_setup(source, source, CoincidenceConfig(tau_14=tau_14, tau_23=tau_23), jit)
 
 
 def visibility_map(

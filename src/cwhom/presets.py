@@ -13,9 +13,9 @@ from __future__ import annotations
 from .detection import effective_jitter
 from .interference import (
     SOURCE_CHANNELS,
-    SPAN_FACTOR,
     CoincidenceConfig,
     InterferenceSetup,
+    Source,
     build_setup,
     source_jitters,
 )
@@ -147,6 +147,14 @@ def reference_source_b(grid: FrequencyGrid) -> JointSpectralAmplitude:
     return filtered_pair_jsa(*REFERENCE_SOURCES["b"], grid)
 
 
+def preset_source(name: str) -> Source:
+    """Reference source "a" or "b": its gratings' widest FWHM, calibrated T_c and grid floor."""
+    jsa = {"a": reference_source_a, "b": reference_source_b}[name]
+    return Source(
+        jsa, grating_width(*REFERENCE_SOURCES[name]), REFERENCE_COHERENCE_TIMES[name], GRATING_GRID_FLOOR
+    )
+
+
 def reference_setup(
     tau_14: float,
     tau_23: float,
@@ -161,11 +169,9 @@ def reference_setup(
     REFERENCE_COHERENCE_TIMES.
     """
     return build_setup(
-        lambda grid: (reference_source_a(grid), reference_source_b(grid)),
-        SPAN_FACTOR * grating_width(*REFERENCE_FILTERS.values()),
+        preset_source("a"),
+        preset_source("b"),
         CoincidenceConfig(tau_14=tau_14, tau_23=tau_23),
         jitters_fwhm,
         reach=tau_max or 0.0,
-        floor=GRATING_GRID_FLOOR,
-        coherence_times=(REFERENCE_COHERENCE_TIMES["a"], REFERENCE_COHERENCE_TIMES["b"]),
     )

@@ -114,7 +114,10 @@ class LossProfile:
             header = fh.readline().strip()
             if header != _LOSS_CSV_HEADER:
                 raise ValueError(f"loss file must have header {_LOSS_CSV_HEADER}")
-            rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+            # a header-only file reads as zero rows, which the sample count refuses
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                rows = np.loadtxt(fh, delimiter=",", ndmin=2)
         return cls(times=rows[:, 0], losses_db=rows[:, 1:5])
 
 
@@ -207,6 +210,13 @@ def _min_feasible_tc(
 
 
 def _solve_one_window(tau_w: float, q: RateQuery) -> tuple[float, float, float] | None:
+    """(tau_w, least feasible T_c, rate) for one window, or None if none is feasible.
+
+    The T_c search starts at max(tau_w / 8, jitter / 4, 1e-12 s). The
+    1e-12 s floor is the optimizer's one absolute time scale: it binds
+    only when jitter / 4 and tau_w / 8 are both below 1 ps, and elsewhere
+    the result scales with every input time.
+    """
     tc_floor = max(tau_w / 8.0, q.jitter / 4.0, 1e-12)
     if tc_floor >= q.tc_max:
         tc_floor = q.tc_max / 2.0

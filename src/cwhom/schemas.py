@@ -134,7 +134,6 @@ _SCENARIO = _closed({
     "grid": _closed(
         {
             "n_points": {"minimum": 3, "type": "integer"},
-            "span_factor": _POSITIVE,
         },
     ),
     "pulsed": _closed(

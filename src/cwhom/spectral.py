@@ -127,38 +127,6 @@ def make_filter(grid: FrequencyGrid, kind: str, fwhm: float, center: float = 0.0
     return SpectralAmplitude(grid=grid, amp=amp.astype(complex))
 
 
-def tabulated_filter(
-    grid: FrequencyGrid,
-    omega: np.ndarray,
-    reflectance: np.ndarray,
-    phase: np.ndarray | None = None,
-) -> SpectralAmplitude:
-    """Interpolate a measured (omega, |F|^2, phase) table onto a grid.
-
-    Outside the tabulated range the amplitude is zero. Reflectance must
-    lie in [0, 1]; abscissae must be strictly increasing.
-    """
-    omega = np.asarray(omega, dtype=float)
-    reflectance = np.asarray(reflectance, dtype=float)
-    if omega.ndim != 1 or omega.size < 2:
-        raise ValueError("table needs at least two rows")
-    if np.any(np.diff(omega) <= 0):
-        raise ValueError("table abscissae must be strictly increasing")
-    if reflectance.shape != omega.shape:
-        raise ValueError("table column lengths differ")
-    if not np.all((reflectance >= 0) & (reflectance <= 1 + 1e-12)):
-        raise ValueError("reflectance must lie in [0, 1]")
-    r2 = np.interp(grid.omega, omega, reflectance, left=0.0, right=0.0)
-    amp = np.sqrt(np.clip(r2, 0.0, 1.0)).astype(complex)
-    if phase is not None:
-        phase = np.asarray(phase, dtype=float)
-        if phase.shape != omega.shape:
-            raise ValueError("table column lengths differ")
-        ph = np.interp(grid.omega, omega, phase, left=0.0, right=0.0)
-        amp = amp * np.exp(1j * ph)
-    return SpectralAmplitude(grid=grid, amp=amp)
-
-
 def load_filter_table(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Read a filter table CSV: wavelength_pm,reflectance[,phase_rad].
 

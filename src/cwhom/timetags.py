@@ -345,6 +345,7 @@ def _window_hits(tags: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray
     return (i < tags.size) & (tags.take(i, mode="clip") <= hi)
 
 
+# no library path calls it (the CLI counts with fourfold_counts); perfbench/test_checks.py imports it
 def count_fourfolds(stream: TagStream, cfg: CoincidenceConfig, tau: float) -> int:
     """Count trigger-anchored fourfold coincidences.
 

@@ -18,9 +18,9 @@ from cwhom.interference import (
     CoherenceCurve,
     CoincidenceConfig,
     FourfoldEngine,
+    InterferenceSetup,
     _plateau_delay,
     analytic_jsa,
-    build_setup,
     coherence_function,
     filter_width,
     fourfold_probability_oracle,
@@ -67,18 +67,20 @@ def report(num: int, ok: bool, detail: str) -> None:
 
 
 def identical_setup(kind, t_c, tau_14, tau_23, jitters, extra_reach=0.0):
-    # The coherence times are left to the setup's numeric estimate (164.98 ps
-    # for 165 ps), not passed as known: they set the clamped plateau delay
-    # (789.9 ps) of criterion 2, which reads V = 0.97539956 with them and
-    # 0.97539963 with the analytic 165 ps that the CLI's identical_165.json
-    # run uses. Both values are pinned to 1e-9, so swapping the T_c source
-    # of either fails a golden.
-    return build_setup(
-        lambda grid: (analytic_jsa(grid, kind, t_c),) * 2,
-        8.0 * filter_width(kind, t_c),
-        CoincidenceConfig(tau_14=tau_14, tau_23=tau_23),
-        jitters,
-        reach=max(extra_reach, 6.0 * t_c, 3.0 * max(jitters), PS),
+    # Built without known coherence times, so the setup takes its numeric
+    # estimate (164.98 ps for 165 ps), not the analytic T_c: it sets the
+    # clamped plateau delay (789.9 ps) of criterion 2, which reads
+    # V = 0.97539956 with it and 0.97539963 with the analytic 165 ps that
+    # the CLI's identical_165.json run uses. Both values are pinned to 1e-9,
+    # so swapping the T_c source of either fails a golden.
+    reach = max(extra_reach, 6.0 * t_c, 3.0 * max(jitters), PS)
+    grid = sized_grid(8.0 * filter_width(kind, t_c), max(tau_14, tau_23, reach))
+    jsa = analytic_jsa(grid, kind, t_c)
+    return InterferenceSetup(
+        jsa_a=jsa,
+        jsa_b=jsa,
+        detectors=DetectorModel(jitter_fwhm=jitters),
+        windows=CoincidenceConfig(tau_14=tau_14, tau_23=tau_23),
     )
 
 

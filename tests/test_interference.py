@@ -33,14 +33,18 @@ from cwhom.interference import (
     _lag_sum_over_delays,
     _pair_amplitude,
     _plateau_delay,
+    _required_n_points,
     _window_weights,
     analytic_jsa,
+    analytic_source,
     build_setup,
     coherence_function,
     filter_width,
     fourfold_probability_oracle,
     hom_curve,
     jsa_coherence_fwhm,
+    sized_grid,
+    source_grid,
     visibility,
     visibility_at_zero_delay,
     visibility_map,
@@ -59,12 +63,14 @@ JITTERS = (17e-12, 13e-12, 11e-12, 16e-12)
 
 def two_source_setup(tc_a, tc_b, tau_14, tau_23, jitters, kind="rect"):
     """Analytic sources with possibly different coherence times, left to the numeric estimate."""
-    return build_setup(
-        lambda grid: (analytic_jsa(grid, kind, tc_a), analytic_jsa(grid, kind, tc_b)),
-        8.0 * max(filter_width(kind, tc_a), filter_width(kind, tc_b)),
-        CoincidenceConfig(tau_14=tau_14, tau_23=tau_23),
-        jitters,
-        reach=max(tc_a, tc_b),
+    grid = sized_grid(
+        8.0 * max(filter_width(kind, tc_a), filter_width(kind, tc_b)), max(tau_14, tau_23, tc_a, tc_b)
+    )
+    return InterferenceSetup(
+        jsa_a=analytic_jsa(grid, kind, tc_a),
+        jsa_b=analytic_jsa(grid, kind, tc_b),
+        detectors=DetectorModel(jitter_fwhm=jitters),
+        windows=CoincidenceConfig(tau_14=tau_14, tau_23=tau_23),
     )
 
 
@@ -356,13 +362,9 @@ def test_support_restriction_matches_full_grid_contraction(make_setup):
 
 def test_oracle_alias_refusal_names_a_grid_that_resolves():
     def setup_on(n_points):
+        source = analytic_source("rect", 100 * PS)
         return build_setup(
-            lambda grid: (analytic_jsa(grid, "rect", 100 * PS),) * 2,
-            SPAN_FACTOR * filter_width("rect", 100 * PS),
-            CoincidenceConfig(tau_14=40 * PS, tau_23=280 * PS),
-            JITTERS,
-            n_points=n_points,
-            coherence_times=(100 * PS, 100 * PS),
+            source, source, CoincidenceConfig(tau_14=40 * PS, tau_23=280 * PS), JITTERS, n_points=n_points
         )
 
     # the 65-point grid's period, 451 ps, is under 1 / 0.45 of the 223 ps lag
@@ -423,19 +425,23 @@ def test_diagonal_sums_match_a_double_loop(m, seed):
 
 
 @PROPERTY_SETTINGS
-@given(kind=KINDS, t_c=COHERENCE_TIMES, tau_14=HERALD_WINDOWS, tau_23=BS_WINDOWS,
-       jitters=jitter_tuples(0.0), scale=st.floats(0.3, 3.0))
+@given(kind=st.sampled_from(["rect", "gaussian", "lorentzian"]), t_c=COHERENCE_TIMES,
+       tau_14=HERALD_WINDOWS, tau_23=BS_WINDOWS, jitters=jitter_tuples(0.0), scale=st.floats(0.3, 4.0))
 @example(kind="rect", t_c=165 * PS, tau_14=40 * PS, tau_23=2000 * PS, jitters=(17e-12,) * 4,
          scale=2.7)
+@example(kind="gaussian", t_c=165 * PS, tau_14=40 * PS, tau_23=2000 * PS, jitters=JITTERS, scale=0.31)
+@example(kind="lorentzian", t_c=100 * PS, tau_14=200 * PS, tau_23=800 * PS, jitters=(0.0,) * 4,
+         scale=3.7)
 def test_visibility_scale_invariance(kind, t_c, tau_14, tau_23, jitters, scale):
-    # T_c, both windows and every jitter scaled together leave V unchanged
+    # T_c, both windows and every jitter scaled together leave the grid's
+    # point count and V unchanged: the sizing rule and the engine read only
+    # ratios of times (measured |dV| <= 2.4e-15)
     base = _identical_source_setup(t_c, tau_14, tau_23, jitters, kind)
     scaled = _identical_source_setup(
         t_c * scale, tau_14 * scale, tau_23 * scale, tuple(j * scale for j in jitters), kind
     )
-    assert visibility_at_zero_delay(scaled) == pytest.approx(
-        visibility_at_zero_delay(base), rel=1e-6
-    )
+    assert scaled.jsa_a.grid.n_points == base.jsa_a.grid.n_points
+    assert abs(visibility_at_zero_delay(scaled) - visibility_at_zero_delay(base)) <= 1e-13
 
 
 def test_zero_delay_identity_with_baseline():
@@ -646,13 +652,31 @@ def test_short_bs_window_plateau_unreliable():
         visibility(curve)
 
 
+def test_source_grid_covers_and_resolves_every_source():
+    # the rect source is the wider, the gaussian the longer-lived: the span
+    # comes from one and the point count from the other's T_c
+    wide = analytic_source("rect", 100 * PS)
+    slow = analytic_source("gaussian", 400 * PS)
+    grid = source_grid((wide, slow), 10 * PS)
+    assert grid.span == SPAN_FACTOR * wide.width
+    assert grid.n_points == _required_n_points(grid.span, 400 * PS) == 455
+    assert source_grid((wide, dataclasses.replace(slow, floor=1025)), 10 * PS).n_points == 1025
+    assert source_grid((wide, slow), 10 * PS, n_points=301).n_points == 301
+
+
+def test_build_setup_samples_a_shared_source_once():
+    grids = []
+    source = analytic_source("rect", 100 * PS)
+    counted = dataclasses.replace(source, jsa=lambda grid: grids.append(grid) or source.jsa(grid))
+    setup = build_setup(counted, counted, CoincidenceConfig(tau_14=40 * PS, tau_23=800 * PS), JITTERS)
+    assert len(grids) == 1 and setup.jsa_a is setup.jsa_b
+    assert setup.coherence_times == (100 * PS, 100 * PS)
+
+
 def test_grid_resolution_error_names_required_points():
+    source = analytic_source("rect", 100 * PS)
     setup = build_setup(
-        lambda grid: (analytic_jsa(grid, "rect", 100 * PS),) * 2,
-        8.0 * filter_width("rect", 100 * PS),
-        CoincidenceConfig(tau_14=40 * PS, tau_23=4000 * PS),
-        (0.0,) * 4,
-        n_points=129,
+        source, source, CoincidenceConfig(tau_14=40 * PS, tau_23=4000 * PS), (0.0,) * 4, n_points=129
     )
     with pytest.raises(GridResolutionError) as err:
         FourfoldEngine(setup).probability(0.0)

@@ -7,12 +7,17 @@ visibility model.
 
 from __future__ import annotations
 
+import json
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cwhom.rates import (
+    DEFAULT_WINDOW_RANGE,
     LossProfile,
     OptResult,
     RateQuery,
@@ -25,6 +30,7 @@ from cwhom.rates import (
 )
 
 PS = 1e-12
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # One canonical query reused across tests so the memoized visibility
 # model is only computed once per session.
@@ -219,6 +225,35 @@ def test_optimizer_interior_maximum():
     assert 0 < k < rates.size - 1
     assert rates[0] < rates[k]
     assert rates[-1] < rates[k]
+
+
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(scale=st.floats(0.3, 4.0))
+@example(scale=0.5)
+@example(scale=3.0)
+def test_optimizer_scales_with_every_time(scale):
+    # optimize.json with its jitter, tc_max and window range scaled: the
+    # optimum's times scale with them and its rate inversely, row by row of
+    # the whole curve. The 1e-12 s T_c floor would break this below 1 ps;
+    # here jitter / 4 >= 1.1 ps.
+    with open(os.path.join(REPO, "scenarios", "optimize.json")) as fh:
+        rq = json.load(fh)["rate_query"]
+
+    def query(k):
+        return RateQuery(
+            mu=rq["mu"],
+            jitter=rq["jitter_ps"] * PS * k,
+            v_target=rq["v_target"],
+            tc_max=rq["tc_max_ps"] * PS * k,
+            tau_w_range=tuple(t * k for t in DEFAULT_WINDOW_RANGE),
+        )
+
+    base, scaled = optimize_window(query(1.0)), optimize_window(query(scale))
+    got = scaled.curve / np.array([scale, scale, 1.0 / scale])
+    assert got.shape == base.curve.shape
+    np.testing.assert_allclose(got, base.curve, rtol=1e-13, atol=0.0)
+    opt = (scaled.tau_w_opt / scale, scaled.tc_opt / scale, scaled.rate_opt * scale)
+    np.testing.assert_allclose(opt, (base.tau_w_opt, base.tc_opt, base.rate_opt), rtol=1e-13, atol=0.0)
 
 
 def test_optimizer_unreachable_target():

@@ -38,7 +38,6 @@ from cwhom.spectral import (
     joint_spectral_amplitude,
     load_filter_table,
     make_filter,
-    tabulated_filter,
 )
 from cwhom.units import C_M_PER_S, wavelength_pm_to_angular
 
@@ -141,44 +140,6 @@ def test_make_filter_errors():
         make_filter(g, "boxcar", 1e10)
     with pytest.raises(ValueError, match="finite"):
         make_filter(g, "gaussian", 1e10, center=np.nan)
-
-
-def test_tabulated_filter_zero_outside_range():
-    g = FrequencyGrid(n_points=129, span=4e11)
-    om = np.linspace(-1e11, 1e11, 21)
-    refl = np.exp(-((om / 5e10) ** 2))
-    f = tabulated_filter(g, om, refl)
-    outside = np.abs(g.omega) > 1.0001e11
-    assert np.all(f.amp[outside] == 0)
-    inside = np.abs(g.omega) < 0.99e11
-    expected = np.sqrt(np.interp(g.omega[inside], om, refl))
-    assert np.allclose(np.abs(f.amp[inside]), expected, rtol=1e-12)
-
-
-def test_tabulated_filter_validation():
-    g = FrequencyGrid(n_points=65, span=1e11)
-    om = np.linspace(-1e10, 1e10, 11)
-    ok = np.full(11, 0.5)
-    with pytest.raises(ValueError):
-        tabulated_filter(g, om[::-1], ok)
-    with pytest.raises(ValueError):
-        tabulated_filter(g, om, np.full(11, 1.5))
-    with pytest.raises(ValueError, match="reflectance"):
-        tabulated_filter(g, om, np.where(np.arange(11) == 5, np.nan, 0.5))
-    with pytest.raises(ValueError):
-        tabulated_filter(g, om, ok[:-1])
-    with pytest.raises(ValueError):
-        tabulated_filter(g, om[:1], ok[:1])
-
-
-def test_tabulated_filter_applies_phase():
-    g = FrequencyGrid(n_points=65, span=1e11)
-    om = np.linspace(-1e11, 1e11, 41)
-    refl = np.full(41, 0.49)
-    phase = 0.3 * om / 1e11
-    f = tabulated_filter(g, om, refl, phase)
-    mid = g.n_points // 2
-    assert np.angle(f.amp[mid + 5]) == pytest.approx(0.3 * g.omega[mid + 5] / 1e11, rel=1e-9)
 
 
 def test_load_filter_table_roundtrip(tmp_path):
