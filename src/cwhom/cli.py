@@ -50,9 +50,8 @@ from .interference import (
     visibility_map,
 )
 from .presets import (
+    PRESET_SAMPLERS,
     preset_source,
-    reference_source_a,
-    reference_source_b,
     tagger_composed_jitters,
 )
 from .rates import LossProfile, RateQuery, optimize_window, pass_swaps, pulsed_rate
@@ -71,8 +70,8 @@ from .units import PS
 # normalization scalar
 ORACLE_TOLERANCE = 1e-3
 
-# read by no cli code: perfbench/tracer.py wraps the samplers here, and its tests check that
-_PRESET_SOURCES = {"a": reference_source_a, "b": reference_source_b}
+# presets.PRESET_SAMPLERS under the name perfbench's tests check the tracer wraps
+_PRESET_SOURCES = PRESET_SAMPLERS
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +195,14 @@ def _n_points(scenario: dict) -> int | None:
     return int(n) if n is not None else None
 
 
+def _seed(args, scenario: dict) -> int:
+    return int(args.seed if args.seed is not None else scenario.get("rng_seed", 0))
+
+
+def _reach(delays: np.ndarray) -> float:
+    return max(float(np.max(np.abs(delays))), PS)
+
+
 # ---------------------------------------------------------------------------
 # Setup construction
 
@@ -210,7 +217,6 @@ def _build_setup(scenario: dict, delays: np.ndarray) -> InterferenceSetup:
     src = _section(scenario, "sources")
     a, b = _source(src["a"]), _source(src["b"])
     jit = _jitters(scenario)
-    max_delay = float(np.max(np.abs(delays))) if delays.size else 0.0
     # the grid also resolves the nominal plateau delay, _plateau_reach,
     # although _plateau_delay clamps the sample to at most tau_23 / 2:
     # dropping it takes appendix_shape from 683 points to 415 and moves
@@ -220,14 +226,14 @@ def _build_setup(scenario: dict, delays: np.ndarray) -> InterferenceSetup:
         b,
         _windows(scenario),
         jit,
-        reach=max(max_delay, PS, _plateau_reach((a.t_c, b.t_c), jit)),
+        reach=max(_reach(delays), _plateau_reach((a.t_c, b.t_c), jit)),
         n_points=_n_points(scenario),
     )
 
 
 def _coherence_jsa(scenario: dict, which: str, delays: np.ndarray):
     source = _source(_section(scenario, "sources")[which])
-    reach = max(float(np.max(np.abs(delays))), PS)
+    reach = _reach(delays)
     grid = source_grid((source,), reach, _n_points(scenario))
     _check_resolution(grid, reach, f"delays out to {reach / PS:.6g} ps")
     return source.jsa(grid)
@@ -354,7 +360,6 @@ def _cmd_tags_simulate(args, scenario: dict, base: str) -> dict:
         def gamma(delta, _w=width, _h=high):
             return np.where(np.abs(np.asarray(delta, dtype=float)) <= _w, _h, 0.5)
 
-    seed = args.seed if args.seed is not None else scenario.get("rng_seed", 0)
     horizon = tg.get("pairing_horizon_ps")
     sim = SimScenario(
         pair_rate_a=float(tg["pair_rate_a_hz"]),
@@ -365,7 +370,7 @@ def _cmd_tags_simulate(args, scenario: dict, base: str) -> dict:
         etas=tuple(float(e) for e in tg["etas"]),
         detectors=DetectorModel(jitter_fwhm=_jitters(scenario)),
         duration=tg["duration_ps"] * PS,
-        rng_seed=int(seed),
+        rng_seed=_seed(args, scenario),
         pairing_horizon=horizon * PS if horizon is not None else None,
     )
     stream = simulate_streams(sim)
@@ -396,11 +401,10 @@ def _cmd_tags_count(args, scenario: dict, base: str) -> None:
 
 def _cmd_fbg_fit(args, scenario: dict, base: str) -> dict:
     ff = _section(scenario, "fbg_fit")
-    omega, refl, _phase = load_filter_table(_resolve(base, ff["table_csv"]))
+    omega, refl = load_filter_table(_resolve(base, ff["table_csv"]))
     seed_model = FbgModel(**ff["seed"])
-    rng_seed = args.seed if args.seed is not None else ff.get("rng_seed", 0)
     restarts = {"n_restarts": int(ff["n_restarts"])} if "n_restarts" in ff else {}
-    model, residual = fit_fbg(omega, refl, seed_model, rng_seed=int(rng_seed), **restarts)
+    model, residual = fit_fbg(omega, refl, seed_model, rng_seed=_seed(args, scenario), **restarts)
     _write_json(args.out, asdict(model), "fbg_model")
     return {"residual": residual}
 

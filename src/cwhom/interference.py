@@ -180,7 +180,7 @@ def coherence_function(
     if np.max(np.abs(delays - lattice)) > 1e-9 * span:
         raise ValueError("delays must be uniformly spaced")
     grid = jsa.grid
-    _, x = _lag_frequencies(grid)
+    x = _lag_axis(grid.n_points, grid.step)
     # an overflowing kernel exponent gives exp(-inf), the exact 0; an
     # overflowing lag sum is caught by the finiteness check below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -222,10 +222,9 @@ def jsa_coherence_fwhm(jsa: JointSpectralAmplitude) -> float:
     raise ValueError("coherence FWHM did not converge; JSA support degenerate?")
 
 
-def _lag_frequencies(grid: FrequencyGrid) -> tuple[np.ndarray, np.ndarray]:
-    n = grid.n_points
-    lags = np.arange(-(n - 1), n)
-    return lags, lags * grid.step
+def _lag_axis(m: int, step: float) -> np.ndarray:
+    """Frequency lags d * step of m grid points, d from -(m - 1) to m - 1."""
+    return np.arange(-(m - 1), m) * step
 
 
 def _chirp(phi: float, j: np.ndarray) -> np.ndarray:
@@ -302,13 +301,18 @@ MAX_GRID_POINTS = 2**20 + 1
 MAX_ENGINE_CORE_BYTES = 2**27
 
 
+def _max_step(t_max: float) -> float:
+    """Coarsest grid step [rad/s] that resolves times up to t_max."""
+    return 2.0 * math.pi / (RESOLUTION_PERIODS * t_max)
+
+
 def _required_n_points(span: float, t_max: float) -> int:
     """Fewest odd point count over [-span, span] resolving times up to t_max.
 
     A count past MAX_GRID_POINTS raises GridResolutionError, naming it if
     finite: an overflowed t_max leaves no step, an infinite span no count.
     """
-    step_max = 2.0 * math.pi / (RESOLUTION_PERIODS * t_max)
+    step_max = _max_step(t_max)
     steps = 2.0 * span / step_max if step_max > 0 else math.inf
     n = None
     if math.isfinite(steps):
@@ -426,7 +430,7 @@ def build_setup(
 
 
 def _check_resolution(grid: FrequencyGrid, t_max: float, context: str) -> None:
-    step_max = 2.0 * math.pi / (RESOLUTION_PERIODS * t_max)
+    step_max = _max_step(t_max)
     if grid.step > step_max * (1.0 + 1e-12):
         need = _required_n_points(grid.span, t_max)
         raise GridResolutionError(
@@ -504,7 +508,7 @@ class FourfoldEngine:
             )
 
         j1, j2, j3, j4 = setup.detectors.jitter_fwhm
-        x = np.arange(-(m - 1), m) * grid.step
+        x = _lag_axis(m, grid.step)
         g1 = jitter_kernel(j1, x)
         g4 = jitter_kernel(j4, x)
         k23 = _window_kernel(cfg.tau_23, x)

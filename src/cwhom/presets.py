@@ -12,12 +12,10 @@ from __future__ import annotations
 
 from .detection import effective_jitter
 from .interference import (
-    SOURCE_CHANNELS,
     CoincidenceConfig,
     InterferenceSetup,
     Source,
     build_setup,
-    source_jitters,
 )
 from .spectral import (
     FbgModel,
@@ -99,12 +97,6 @@ REFERENCE_SOURCES = {
 # an analytic source's exact T_c sits from the estimate on its own grid.
 REFERENCE_COHERENCE_TIMES = {"a": 2.4308475663456844e-10, "b": 1.664377837527041e-10}
 
-# Jitter FWHM pairs (signal channel, idler channel) used when measuring
-# each source's two-photon coherence curve, on the channels it feeds.
-COHERENCE_JITTER_PAIRS = {
-    src: source_jitters(REFERENCE_JITTERS_FWHM, src) for src in SOURCE_CHANNELS
-}
-
 
 def tagger_composed_jitters(
     jitters_fwhm: tuple[float, float, float, float] = REFERENCE_JITTERS_FWHM,
@@ -147,9 +139,13 @@ def reference_source_b(grid: FrequencyGrid) -> JointSpectralAmplitude:
     return filtered_pair_jsa(*REFERENCE_SOURCES["b"], grid)
 
 
+# The JSA sampler of each reference source.
+PRESET_SAMPLERS = {"a": reference_source_a, "b": reference_source_b}
+
+
 def preset_source(name: str) -> Source:
     """Reference source "a" or "b": its gratings' widest FWHM, calibrated T_c and grid floor."""
-    jsa = {"a": reference_source_a, "b": reference_source_b}[name]
+    jsa = PRESET_SAMPLERS[name]
     return Source(
         jsa, grating_width(*REFERENCE_SOURCES[name]), REFERENCE_COHERENCE_TIMES[name], GRATING_GRID_FLOOR
     )
@@ -159,7 +155,6 @@ def reference_setup(
     tau_14: float,
     tau_23: float,
     tau_max: float | None = None,
-    jitters_fwhm: tuple[float, float, float, float] = REFERENCE_JITTERS_FWHM,
 ) -> InterferenceSetup:
     """Interference setup with source A and source B on the two arms.
 
@@ -172,6 +167,6 @@ def reference_setup(
         preset_source("a"),
         preset_source("b"),
         CoincidenceConfig(tau_14=tau_14, tau_23=tau_23),
-        jitters_fwhm,
+        REFERENCE_JITTERS_FWHM,
         reach=tau_max or 0.0,
     )

@@ -137,13 +137,12 @@ def cw_fourfold_rate(
     mu: float,
     t_c: float,
     tau_w: float,
-    etas: tuple[float, float, float, float] | None = None,
     with_bsm_factor: bool = False,
 ) -> float:
-    """Detected fourfold rate of two CW-pumped sources.
+    """Fourfold rate of two CW-pumped sources at unit channel efficiency.
 
     R = (mu / T_c)^2 * tau_w, optionally times the 1/2 Bell-state
-    projection factor and the product of channel efficiencies.
+    projection factor; pass_swaps applies the channel efficiencies.
     """
     if not (mu > 0 and t_c > 0 and tau_w > 0):
         raise ValueError("mu, t_c and tau_w must be positive")
@@ -157,10 +156,6 @@ def cw_fourfold_rate(
         )
     if with_bsm_factor:
         rate *= 0.5
-    if etas is not None:
-        if len(etas) != 4:
-            raise ValueError("etas must hold four efficiencies")
-        rate *= float(np.prod(etas))
     return rate
 
 

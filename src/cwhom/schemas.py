@@ -125,7 +125,6 @@ _SCENARIO = _closed({
     "fbg_fit": _closed(
         {
             "n_restarts": {"maximum": 100, "minimum": 0, "type": "integer"},
-            "rng_seed": _COUNT,
             "seed": {"$ref": "#/definitions/fbg_model"},
             "table_csv": {"type": "string"},
         },

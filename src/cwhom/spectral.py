@@ -127,24 +127,23 @@ def make_filter(grid: FrequencyGrid, kind: str, fwhm: float, center: float = 0.0
     return SpectralAmplitude(grid=grid, amp=amp.astype(complex))
 
 
-def load_filter_table(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Read a filter table CSV: wavelength_pm,reflectance[,phase_rad].
+def load_filter_table(path) -> tuple[np.ndarray, np.ndarray]:
+    """Read the first two columns of a filter table CSV: wavelength_pm,reflectance.
 
-    Returns (omega [rad/s], reflectance, phase or None) sorted by omega.
+    Returns (omega [rad/s], reflectance) sorted by omega.
     """
     with open(path) as fh:
         header = fh.readline().rstrip("\n").split(",")
         cols = [c.strip().lower() for c in header]
         if cols[:2] != ["wavelength_pm", "reflectance"]:
             raise ValueError(f"unexpected filter table header: {header}")
-        has_phase = len(cols) > 2 and cols[2] == "phase_rad"
         # a header-only table reads as zero rows; the caller judges the count
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            rows = np.loadtxt(fh, delimiter=",", ndmin=2, usecols=range(3 if has_phase else 2))
+            rows = np.loadtxt(fh, delimiter=",", ndmin=2, usecols=(0, 1))
     omega = wavelength_pm_to_angular(rows[:, 0])
     order = np.argsort(omega)
-    return omega[order], rows[order, 1], (rows[order, 2] if has_phase else None)
+    return omega[order], rows[order, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -408,9 +407,8 @@ def fit_fbg(
 def joint_spectral_amplitude(
     signal: SpectralAmplitude,
     idler: SpectralAmplitude,
-    normalize: bool = True,
 ) -> JointSpectralAmplitude:
-    """J(W) = F_s(W) * F_i(-W), optionally peak-normalized.
+    """J(W) = F_s(W) * F_i(-W), normalized to unit peak magnitude.
 
     With a CW pump and pm-scale filters the pump phase-matching envelope
     is flat over the filter support, so it does not enter.
@@ -421,6 +419,4 @@ def joint_spectral_amplitude(
     peak = np.max(np.abs(j))
     if peak == 0:
         raise ValueError("JSA is identically zero: the filter bands do not overlap")
-    if normalize:
-        j = j / peak
-    return JointSpectralAmplitude(grid=signal.grid, j_amp=j)
+    return JointSpectralAmplitude(grid=signal.grid, j_amp=j / peak)

@@ -27,14 +27,15 @@ from cwhom.interference import (
     hom_curve,
     jsa_coherence_fwhm,
     sized_grid,
+    source_jitters,
     visibility,
     visibility_at_zero_delay,
     visibility_map,
 )
 from cwhom.presets import (
-    COHERENCE_JITTER_PAIRS,
     GRATING_GRID_FLOOR,
     REFERENCE_FILTERS,
+    REFERENCE_JITTERS_FWHM,
     filtered_pair_jsa,
     grating_width,
     tagger_composed_jitters,
@@ -157,7 +158,7 @@ def test_criterion_3_coherence_times_from_fitted_models():
     # coherence FWHM must match an independent FFT oracle to +/- 1%.
     fitted = {}
     for name, true_model in REFERENCE_FILTERS.items():
-        omega, refl, _ = load_filter_table(f"{DATA_DIR}/filter_{name}.csv")
+        omega, refl = load_filter_table(f"{DATA_DIR}/filter_{name}.csv")
         seed = FbgModel(
             length=true_model.length,
             n_sections=true_model.n_sections,
@@ -177,9 +178,9 @@ def test_criterion_3_coherence_times_from_fitted_models():
         return filtered_pair_jsa(signal, idler, grid)
 
     jsa_a = pair_jsa(fitted["signal_a"], fitted["idler_a"])
-    tc_a = coherence_function(jsa_a, *COHERENCE_JITTER_PAIRS["a"], delays).t_c_fwhm
+    tc_a = coherence_function(jsa_a, *source_jitters(REFERENCE_JITTERS_FWHM, "a"), delays).t_c_fwhm
     jsa_b = pair_jsa(fitted["signal_b"], fitted["idler_b"])
-    tc_b = coherence_function(jsa_b, *COHERENCE_JITTER_PAIRS["b"], delays).t_c_fwhm
+    tc_b = coherence_function(jsa_b, *source_jitters(REFERENCE_JITTERS_FWHM, "b"), delays).t_c_fwhm
     ok_a = 0.95 * 244 * PS <= tc_a <= 1.05 * 244 * PS
     ok_b = 0.95 * 164 * PS <= tc_b <= 1.05 * 164 * PS
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -19,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from cwhom.cli import _validate, _validator, _write_json, main
+from cwhom.cli import _COMMANDS, _validate, _validator, _write_json, main
 from cwhom.schemas import SCHEMAS
 from cwhom.timetags import SharedTagLoader
 
@@ -231,6 +233,68 @@ def test_fbg_fit_passes_restarts_only_when_set(capsys, tmp_path, monkeypatch):
     assert calls == [{"rng_seed": 0, "n_restarts": 2}, {"rng_seed": 0}]
 
 
+def seeded_fit_scenario(tmp_path, rng_seed: int) -> str:
+    """The fit scenario from a seed kappa of 30 with two restarts, where the seed decides the fit."""
+    with open(scenario_path("fbg_fit.json")) as fh:
+        doc = json.load(fh)
+    doc["fbg_fit"]["table_csv"] = os.path.join(REPO, "data", "filter_signal_a.csv")
+    doc["fbg_fit"]["seed"]["peak_kappa"] = 30.0
+    doc["fbg_fit"]["n_restarts"] = 2
+    doc["rng_seed"] = rng_seed
+    sc = tmp_path / f"fit_{rng_seed}.json"
+    sc.write_text(json.dumps(doc))
+    return str(sc)
+
+
+def test_fbg_fit_reads_the_scenario_seed_and_seed_overrides_it(capsys, tmp_path):
+    # restarts drawn from seed 0 stall at a residual of ~1.5e-2; those of
+    # seed 5 reach the calibrated grating
+    def fit(scenario, *extra):
+        out = tmp_path / "m.json"
+        code, stdout, _ = run(capsys, ["fbg", "fit", "--scenario", scenario, "--out", str(out), *extra])
+        assert code == 0
+        return meta_of(stdout)["residual"], out.read_bytes()
+
+    stalled, model_0 = fit(seeded_fit_scenario(tmp_path, 0))
+    assert stalled > 1e-3
+    assert fit(seeded_fit_scenario(tmp_path, 5))[0] < 1e-18
+    assert fit(seeded_fit_scenario(tmp_path, 5), "--seed", "0") == (stalled, model_0)
+
+
+def test_tags_simulate_seed_overrides_the_scenario_seed(capsys, tmp_path):
+    with open(scenario_path("tags_demo.json")) as fh:
+        doc = json.load(fh)
+    bundled_seed = doc["rng_seed"]
+    doc["rng_seed"] = 8
+    sc = tmp_path / "tags_8.json"
+    sc.write_text(json.dumps(doc))
+
+    def simulate(scenario, *extra):
+        out = tmp_path / "tags.csv"
+        assert run(capsys, ["tags", "simulate", "--scenario", scenario, "--out", str(out), *extra])[0] == 0
+        return out.read_bytes()
+
+    bundled = simulate(scenario_path("tags_demo.json"))
+    assert simulate(str(sc)) != bundled
+    assert simulate(scenario_path("tags_demo.json"), "--seed", "8") == simulate(str(sc))
+    assert simulate(str(sc), "--seed", str(bundled_seed)) == bundled
+
+
+def test_fbg_fit_refuses_a_seed_inside_its_section(capsys, tmp_path):
+    # the run seed has one key, the scenario's top-level rng_seed
+    with open(seeded_fit_scenario(tmp_path, 0)) as fh:
+        doc = json.load(fh)
+    doc["fbg_fit"]["rng_seed"] = 5
+    sc = tmp_path / "fit.json"
+    sc.write_text(json.dumps(doc))
+    out = tmp_path / "m.json"
+    code, stdout, stderr = run(capsys, ["fbg", "fit", "--scenario", str(sc), "--out", str(out)])
+    assert (code, stdout) == (2, "")
+    assert json.loads(stderr) == {"error": "validation",
+                                  "message": "Additional properties are not allowed ('rng_seed' was unexpected)"}
+    assert not out.exists()
+
+
 def modules_loaded_by(module: str, prefixes: tuple[str, ...]) -> list[str]:
     """Names starting with one of prefixes in sys.modules after a fresh import of module."""
     script = f"import sys, {module}; print(*[m for m in sys.modules if m.startswith({prefixes!r})])"
@@ -244,29 +308,25 @@ def test_cli_import_leaves_scipy_unloaded():
     assert modules_loaded_by("cwhom.cli", ("scipy",)) == []
 
 
+def readme_cli_calls() -> list[list[str]]:
+    """The argv of each `cwhom ...` line in the README's sh blocks."""
+    with open(os.path.join(REPO, "README.md")) as fh:
+        blocks = re.findall(r"```sh\n(.*?)```", fh.read(), re.S)
+    return [shlex.split(line)[1:] for block in blocks for line in block.splitlines()
+            if line.startswith("cwhom ")]
+
+
 def test_every_subcommand_runs_without_scipy(tmp_path):
-    # with scipy blocked in sys.modules, any import of it, at start-up or
-    # inside a call, raises ImportError out of main
-    vismap = tmp_path / "vismap.json"
-    vismap.write_text(json.dumps({
-        "vismap": {"tc_values_ps": [250.0], "tau14_values_ps": [250.0, 125.0],
-                   "jitter_ps": 50.0, "tau23_factor": 8.0},
-    }))
-    calls = [
-        (["fbg", "fit"], "fbg_fit.json"),
-        (["coherence"], "identical_165.json"),
-        (["homdip"], "identical_165.json"),
-        (["visibility"], "identical_165.json"),
-        (["oracle-check"], "appendix_shape.json"),
-        (["optimize-rate"], "optimize.json"),
-        (["vismap"], str(vismap)),
-        (["pulsed-rate"], "pulsed.json"),
-        (["pass-swaps"], "swap.json"),
-        (["tags", "simulate"], "tags_demo.json"),
-        (["tags", "count"], "tags_demo.json"),
-    ]
-    argvs = [sub + ["--scenario", scenario_path(sc), "--out", str(tmp_path / f"out{i}")]
-             for i, (sub, sc) in enumerate(calls)]
+    # the README's command-line examples, each --out redirected into
+    # tmp_path, run from the repository root; with scipy blocked in
+    # sys.modules, any import of it, at start-up or inside a call, raises
+    # ImportError out of main
+    argvs = readme_cli_calls()
+    subcommands = {" ".join(argv[: argv.index("--scenario")]) for argv in argvs}
+    assert subcommands == set(_COMMANDS)
+    for i, argv in enumerate(argvs):
+        out = argv.index("--out") + 1
+        argv[out] = str(tmp_path / f"{i}_{os.path.basename(argv[out])}")
     script = (
         "import json, sys\n"
         "sys.modules['scipy'] = None\n"
@@ -275,10 +335,10 @@ def test_every_subcommand_runs_without_scipy(tmp_path):
         "print(json.dumps(codes))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
-    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], env=env,
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], env=env, cwd=REPO,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.strip().splitlines()[-1]) == [0] * len(calls), proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == [0] * len(argvs), proc.stderr
 
 
 @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])

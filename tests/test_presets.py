@@ -17,10 +17,10 @@ from cwhom.interference import (
     coherence_function,
     jsa_coherence_fwhm,
     sized_grid,
+    source_jitters,
     visibility_at_zero_delay,
 )
 from cwhom.presets import (
-    COHERENCE_JITTER_PAIRS,
     FILTER_IDLER_A,
     FILTER_SIGNAL_A,
     GRATING_GRID_FLOOR,
@@ -78,7 +78,7 @@ def test_bandwidths_match_nominal():
 
 def test_source_a_coherence_time():
     jsa = reference_source_a(pair_grid(*REFERENCE_SOURCES["a"], 800e-12))
-    curve = coherence_function(jsa, *COHERENCE_JITTER_PAIRS["a"], DELAYS)
+    curve = coherence_function(jsa, *source_jitters(REFERENCE_JITTERS_FWHM, "a"), DELAYS)
     # 244 ps nominal, 5% band.
     assert 231.8e-12 <= curve.t_c_fwhm <= 256.2e-12
     assert curve.t_c_fwhm == pytest.approx(FROZEN_TC_A, rel=1e-9)
@@ -86,7 +86,7 @@ def test_source_a_coherence_time():
 
 def test_source_b_coherence_time():
     jsa = reference_source_b(pair_grid(*REFERENCE_SOURCES["b"], 800e-12))
-    curve = coherence_function(jsa, *COHERENCE_JITTER_PAIRS["b"], DELAYS)
+    curve = coherence_function(jsa, *source_jitters(REFERENCE_JITTERS_FWHM, "b"), DELAYS)
     # 164 ps nominal, 5% band.
     assert 155.8e-12 <= curve.t_c_fwhm <= 172.2e-12
     assert curve.t_c_fwhm == pytest.approx(FROZEN_TC_B, rel=1e-9)
@@ -94,7 +94,7 @@ def test_source_b_coherence_time():
 
 def test_source_b_side_peak_requires_spectral_phase():
     jsa = reference_source_b(pair_grid(*REFERENCE_SOURCES["b"], 800e-12))
-    curve = coherence_function(jsa, *COHERENCE_JITTER_PAIRS["b"], DELAYS)
+    curve = coherence_function(jsa, *source_jitters(REFERENCE_JITTERS_FWHM, "b"), DELAYS)
     g = curve.density / curve.density.max()
 
     peaks = local_maxima(g)
@@ -114,7 +114,7 @@ def test_source_b_side_peak_requires_spectral_phase():
     # is symmetric, has no comparable side peak, and underestimates the
     # coherence time.
     flat = JointSpectralAmplitude(grid=jsa.grid, j_amp=np.abs(jsa.j_amp))
-    curve_flat = coherence_function(flat, *COHERENCE_JITTER_PAIRS["b"], DELAYS)
+    curve_flat = coherence_function(flat, *source_jitters(REFERENCE_JITTERS_FWHM, "b"), DELAYS)
     gf = curve_flat.density / curve_flat.density.max()
     assert gf[i_main] < 0.2 * g[i_main]
     np.testing.assert_allclose(gf, gf[::-1], atol=1e-9)

@@ -60,10 +60,6 @@ def test_cw_rate_scaling_laws():
 def test_cw_rate_factors():
     base = cw_fourfold_rate(0.01, 200 * PS, 50 * PS)
     assert cw_fourfold_rate(0.01, 200 * PS, 50 * PS, with_bsm_factor=True) == base / 2
-    etas = (0.9, 0.8, 0.7, 0.6)
-    assert cw_fourfold_rate(0.01, 200 * PS, 50 * PS, etas=etas) == pytest.approx(
-        base * 0.9 * 0.8 * 0.7 * 0.6, rel=1e-14
-    )
 
 
 def test_cw_rate_validation_and_warning():
@@ -73,8 +69,6 @@ def test_cw_rate_validation_and_warning():
         cw_fourfold_rate(0.01, -1e-10, 1e-11)
     with pytest.raises(ValueError):
         cw_fourfold_rate(0.01, 1e-10, 0.0)
-    with pytest.raises(ValueError):
-        cw_fourfold_rate(0.01, 1e-10, 1e-11, etas=(0.9, 0.9))
     for args in ((math.nan, 1e-10, 1e-11), (0.01, math.nan, 1e-11), (0.01, 1e-10, math.nan)):
         with pytest.raises(ValueError):
             cw_fourfold_rate(*args)

@@ -150,8 +150,7 @@ def test_load_filter_table_roundtrip(tmp_path):
         fh.write("wavelength_pm,reflectance\n")
         for w, r in zip(wl, refl):
             fh.write(f"{w},{r}\n")
-    om, r2, ph = load_filter_table(path)
-    assert ph is None
+    om, r2 = load_filter_table(path)
     assert np.all(np.diff(om) > 0)
     assert om[0] == pytest.approx(wavelength_pm_to_angular(-60.0), rel=1e-12)
     assert om[-1] == pytest.approx(wavelength_pm_to_angular(60.0), rel=1e-12)
@@ -488,7 +487,7 @@ def test_fit_recovers_bundled_table_from_bundled_seed():
     # low, no offset hint) lands on the calibrated grating to roundoff.
     with open(os.path.join(REPO, "scenarios", "fbg_fit.json")) as fh:
         seed = FbgModel(**json.load(fh)["fbg_fit"]["seed"])
-    om, r2, _ = load_filter_table(os.path.join(REPO, "data", "filter_signal_a.csv"))
+    om, r2 = load_filter_table(os.path.join(REPO, "data", "filter_signal_a.csv"))
     model, res = fit_fbg(om, r2, seed, rng_seed=0, n_restarts=0)
     assert model.peak_kappa == pytest.approx(FILTER_SIGNAL_A.peak_kappa, rel=1e-8)
     assert model.order == pytest.approx(FILTER_SIGNAL_A.order, rel=1e-8)
@@ -580,8 +579,9 @@ def test_jsa_is_product_with_mirrored_idler():
     g = FrequencyGrid(n_points=257, span=4e11)
     s = make_filter(g, "gaussian", 1.2e11, center=3e10)
     i = make_filter(g, "gaussian", 0.9e11, center=-1e10)
-    jsa = joint_spectral_amplitude(s, i, normalize=False)
-    assert np.allclose(jsa.j_amp, s.amp * i.amp[::-1], rtol=0, atol=0)
+    product = s.amp * i.amp[::-1]
+    jsa = joint_spectral_amplitude(s, i)
+    assert np.array_equal(jsa.j_amp, product / np.max(np.abs(product)))
 
 
 def test_jsa_normalized_peak():
@@ -595,8 +595,8 @@ def test_jsa_normalized_peak():
 def test_jsa_of_identical_rects_keeps_width():
     g = FrequencyGrid(n_points=2049, span=8e11)
     f = make_filter(g, "rect", 1e11)
-    jsa = joint_spectral_amplitude(f, f, normalize=False)
-    # |J| = coverage fraction for a centered rect pair, so the equivalent
+    jsa = joint_spectral_amplitude(f, f)
+    # |J| = coverage fraction for a centered rect pair, peak 1, so the equivalent
     # width of |J| reproduces the band width exactly.
     assert np.sum(np.abs(jsa.j_amp)) * g.step == pytest.approx(1e11, rel=1e-9)
 
@@ -605,7 +605,7 @@ def test_jsa_of_nested_rects_takes_narrower_width():
     g = FrequencyGrid(n_points=2049, span=8e11)
     narrow = make_filter(g, "rect", 1e11)
     wide = make_filter(g, "rect", 3e11)
-    jsa = joint_spectral_amplitude(narrow, wide, normalize=False)
+    jsa = joint_spectral_amplitude(narrow, wide)
     assert np.sum(np.abs(jsa.j_amp) ** 2) * g.step == pytest.approx(1e11, rel=1e-6)
 
 
@@ -640,16 +640,6 @@ def test_disjoint_filters_raise():
     # The idler is mirrored, so equal +detunings on both push the bands apart.
     with pytest.raises(ValueError, match="identically zero"):
         joint_spectral_amplitude(s, i)
-
-
-def test_jsa_scales_bilinearly():
-    g = FrequencyGrid(n_points=257, span=4e11)
-    s = make_filter(g, "gaussian", 1.2e11)
-    i = make_filter(g, "gaussian", 0.9e11)
-    base = joint_spectral_amplitude(s, i, normalize=False).j_amp
-    s_half = type(s)(grid=g, amp=0.5 * s.amp)
-    halved = joint_spectral_amplitude(s_half, i, normalize=False).j_amp
-    assert np.allclose(halved, 0.5 * base, rtol=1e-14)
 
 
 def test_bundled_filter_tables_match_their_generator(tmp_path, monkeypatch):
