@@ -293,12 +293,18 @@ def _window_kernel(tau: float, x: np.ndarray) -> np.ndarray:
 # allocated.
 MAX_GRID_POINTS = 2**20 + 1
 
-# Most bytes of one complex m x m array of the engine's build, 16 m^2 for
-# a JSA support of m grid points: 128 MiB, m <= 2896, twice the largest
-# support the tests and the benchmark build (1407). The build holds a few
-# such arrays at once (a tracemalloc peak of ~72 m^2 bytes); a larger
-# support is refused before any of them is allocated.
+# Most bytes of the engine build's square arrays, 16 m^2 for a JSA
+# support of m grid points (its two real m x m Toeplitz kernels): 128 MiB,
+# m <= 2896, twice the largest support the tests and the benchmark build
+# (1407). With its column blocks the build peaks at ~23 m^2 bytes
+# (tracemalloc, m = 1407); a larger support is refused before anything
+# m x m is allocated.
 MAX_ENGINE_CORE_BYTES = 2**27
+
+# Columns of the cross core the engine's build makes at a time: a
+# support of at most this many points is one block, and each complex
+# m x _CROSS_BLOCK transient of a block takes 16 m _CROSS_BLOCK bytes.
+_CROSS_BLOCK = 256
 
 
 def _max_step(t_max: float) -> float:
@@ -440,18 +446,29 @@ def _check_resolution(grid: FrequencyGrid, t_max: float, context: str) -> None:
         )
 
 
-def _diagonal_sums(a: np.ndarray) -> np.ndarray:
-    """Sum of each diagonal of a square array, over lags d = l - k from -(m - 1) to m - 1.
+def _diagonal_sums(a: np.ndarray, row0: int, out: np.ndarray) -> None:
+    """Add the diagonal sums of rows row0 .. row0 + b - 1 of a square array to out.
 
-    Entry d + m - 1 is the sum of a[k, k + d]. The rows go in reversed
-    into an m x 2m zero-padded buffer; read with a row stride of 2m - 1,
-    that buffer puts a[m - 1 - k, j - k] in column j of row k, so each
-    column holds one diagonal and one sum over rows gives all of them.
+    a holds those b rows of n columns, and out runs over the lags
+    d = l - k from -(n - 1) to n - 1: entry d + n - 1 gains the sum of
+    a[k - row0, k + d]. The rows go in reversed into a b x (n + b)
+    zero-padded buffer; read with a row stride of n + b - 1, that buffer
+    puts a[b - 1 - r, j - r] in column j of row r, so each column holds
+    one diagonal, of lag j - (b - 1) - row0, and one sum over rows gives
+    all n + b - 1 of them.
     """
-    m = a.shape[0]
-    padded = np.zeros((m, 2 * m), dtype=a.dtype)
-    padded[:, :m] = a[::-1]
-    return padded.ravel()[: m * (2 * m - 1)].reshape(m, 2 * m - 1).sum(axis=0)
+    b, n = a.shape
+    padded = np.zeros((b, n + b), dtype=a.dtype)
+    padded[:, :n] = a[::-1]
+    start = n - b - row0
+    out[start : start + n + b - 1] += padded.ravel()[: b * (n + b - 1)].reshape(b, n + b - 1).sum(axis=0)
+
+
+def _toeplitz(c: np.ndarray) -> np.ndarray:
+    """The m x m Toeplitz matrix [k, l] -> c[l - k + m - 1] of 2m - 1 contiguous lag values, as a view."""
+    m = (c.size + 1) // 2
+    # row k starts at c[m - 1 - k], and steps back one value per row
+    return np.ndarray((m, m), c.dtype, c, (m - 1) * c.itemsize, (-c.itemsize, c.itemsize))
 
 
 class FourfoldEngine:
@@ -468,8 +485,11 @@ class FourfoldEngine:
     and the 1-2 and 3-4 links k12 and k34 are Hermitian. The second
     cross core w4 = k_phi2 k12 k_phi3 is then exactly w3^H for
     w3 = k_phi3 k12 k_phi2, whatever the jitters, and its coefficients
-    are the first cross term's reversed and conjugated; w3 takes two
-    real products per part of k12, and no m x m array outlives the build.
+    are the first cross term's reversed and conjugated. The build makes
+    w3 a block of columns at a time, two real products per block on its
+    real and imaginary parts side by side, and reads its coefficients off
+    each block: no complex m x m array is made, and only the two real
+    Toeplitz kernels of g1 and phi3 are m x m.
 
     Only the span [lo, hi) from the first to the last grid point where
     either JSA is nonzero enters: the JSAs and the lag axis are cut to
@@ -528,34 +548,48 @@ class FourfoldEngine:
 
         # Cross terms: chain 1-2 (g1), 2-3 (phi), 3-4 (window-14 kernel
         # with delay phase), 4-1 (other phi); trace taken against the
-        # 3-4 link leaves an m x m core per bracket term, whose diagonal
-        # sums are its lag coefficients.
-        idx = np.arange(m)
-        d = idx[None, :] - idx[:, None] + (m - 1)
-        k12 = (ja[:, None] * np.conj(ja)[None, :]) * g1[d]
-        k_phi2 = phi2[d]
-        k_phi3 = phi3[d]
-        w3 = np.empty((m, m), dtype=complex)
-        w3.real = k_phi3 @ k12.real @ k_phi2
-        w3.imag = k_phi3 @ k12.imag @ k_phi2
-        # each m x m transient is dropped once used; together they set the
-        # build's peak memory
-        del k12, k_phi2, k_phi3
-        k34 = (jb[:, None] * np.conj(jb)[None, :]) * s14[d]
-        m3 = k34 * w3.T
-        del w3, k34
+        # 3-4 link leaves an m x m core k34 * w3.T per bracket term, whose
+        # diagonal sums are its lag coefficients. With the Toeplitz G1,
+        # Phi2, Phi3 and S14 of g1, phi2, phi3 and s14, k12 =
+        # diag(ja) G1 diag(ja*) and k34 = diag(jb) S14 diag(jb*), so the
+        # core's d-th diagonal sums to s14[d] D[d], D[d] being the sum of
+        # P[k + d, k] for P = diag(jb*) w3 diag(jb) and w3 = Phi3 k12 Phi2.
+        # P is made a block of columns at a time, from the columns
+        # Phi3 diag(ja) G1 diag(ja*) Phi2[:, blk] of w3: G1 and Phi3 are
+        # real, so each block goes through them as real products on its
+        # complex entries viewed as float pairs. The block's columns are
+        # rows of P.T, whose diagonal sums are D.
+        g1_t = _toeplitz(g1).copy()
+        phi3_t = _toeplitz(phi3).copy()
+        phi2_t = _toeplitz(phi2)
+        ja_conj, jb_conj = np.conj(ja)[:, None], np.conj(jb)[:, None]
+        d_sum = np.zeros(2 * m - 1, dtype=complex)
+        d_abs = np.zeros(2 * m - 1)
+        for k0 in range(0, m, _CROSS_BLOCK):
+            k1 = min(k0 + _CROSS_BLOCK, m)
+            # made in C order, so each row of the block views as 2b floats
+            p = np.multiply(ja_conj, phi2_t[:, k0:k1], out=np.empty((m, k1 - k0), dtype=complex))
+            p = (g1_t @ p.view(np.float64)).view(complex)
+            p *= ja[:, None]
+            p = (phi3_t @ p.view(np.float64)).view(complex)
+            p *= jb_conj
+            p *= jb[k0:k1]
+            _diagonal_sums(p.T, k0, d_sum)
+            _diagonal_sums(np.abs(p.T), k0, d_abs)
         self._scale = grid.step**4
         # Roundoff capacity of the four terms: deep in the tail they
         # cancel to a value far below the magnitudes actually summed, so
-        # residues must be judged against those magnitudes. The second
-        # cross core k34 * conj(w3) has the magnitudes |k34| |w3|, which
-        # sum to the first core's, as |k34| is symmetric.
+        # residues must be judged against those magnitudes. The first
+        # cross core's magnitudes sum to |s14| . D_abs, D_abs the diagonal
+        # sums of |P|, and the second core k34 * conj(w3) has the
+        # magnitudes |k34| |w3|, which sum to the same, as |k34| is
+        # symmetric.
         self._residue_cap = self._scale * (
             abs(a_phi2) * float(np.abs(b_phi3).sum())
             + abs(a_phi3) * float(np.abs(b_phi2).sum())
-            + 2.0 * float(np.abs(m3).sum())
+            + 2.0 * float(np.abs(s14) @ d_abs)
         )
-        c3 = _diagonal_sums(m3)
+        c3 = s14 * d_sum
         # rows T1..T4; the fourth is the second cross core's diagonal sums,
         # those of k34 * conj(w3) with k34 Hermitian
         self._coeff = np.stack([a_phi2 * b_phi3, a_phi3 * b_phi2, c3, np.conj(c3[::-1])])

@@ -708,7 +708,7 @@ def test_exit_code_3_before_the_engine_allocates_its_m_by_m_arrays(capsys, tmp_p
     from cwhom.interference import MAX_ENGINE_CORE_BYTES
 
     # T_c = 2.5 ps sizes a grid of 90 717 points whose rect JSA spans
-    # m = 5671 of them: 0.48 GiB per complex m x m array, minutes of GEMMs
+    # m = 5671 of them: 0.48 GiB for the two real m x m kernels, minutes of GEMMs
     with open(scenario_path("identical_165.json")) as fh:
         doc = json.load(fh)
     doc["sources"]["a"]["t_c_ps"] = 2.5
