@@ -290,8 +290,8 @@ def _cmd_vismap(args, scenario: dict, base: str) -> dict:
     vm = _section(scenario, "vismap")
     tcs = np.asarray(vm["tc_values_ps"], dtype=float) * PS
     t14s = np.asarray(vm["tau14_values_ps"], dtype=float) * PS
-    kwargs = {key: vm[key] for key in ("filter_kind", "tau23_factor") if key in vm}
-    v = visibility_map(tcs, t14s, vm["jitter_ps"] * PS, **kwargs)
+    factor = {"tau23_factor": vm["tau23_factor"]} if "tau23_factor" in vm else {}
+    v = visibility_map(tcs, t14s, vm["jitter_ps"] * PS, **factor)
     header = ",".join(["tc_ps"] + [_fmt(t / PS) for t in t14s])
     n = _write_csv(args.out, header, ([tc / PS, *v[i]] for i, tc in enumerate(tcs)))
     return {"n_rows": n}
@@ -299,18 +299,11 @@ def _cmd_vismap(args, scenario: dict, base: str) -> dict:
 
 def _cmd_optimize_rate(args, scenario: dict, base: str) -> None:
     rq = _section(scenario, "rate_query")
-    kwargs = {}
-    if "tau_w_range_ps" in rq:
-        lo, hi = rq["tau_w_range_ps"]
-        kwargs["tau_w_range"] = (lo * PS, hi * PS)
-    if "filter_kind" in rq:
-        kwargs["filter_kind"] = rq["filter_kind"]
     q = RateQuery(
         mu=rq["mu"],
         jitter=rq["jitter_ps"] * PS,
         v_target=rq["v_target"],
         tc_max=rq["tc_max_ps"] * PS,
-        **kwargs,
     )
     res = optimize_window(q)
     out = {
@@ -337,28 +330,20 @@ def _cmd_pass_swaps(args, scenario: dict, base: str) -> None:
 
 def _cmd_tags_simulate(args, scenario: dict, base: str) -> dict:
     tg = _section(scenario, "tags")
-    dens = tg["density"]
-    t_c = dens["t_c_ps"] * PS
-    span = dens.get("span_ps", 5.0 * dens["t_c_ps"]) * PS
-    n_pts = int(dens.get("n_points", 501))
-    grid_t = np.linspace(-span, span, n_pts)
+    t_c_ps = tg["density"]["t_c_ps"]
+    t_c = t_c_ps * PS
+    span = 5.0 * t_c_ps * PS
+    grid_t = np.linspace(-span, span, 501)
     # a (t / t_c)^2 past the float range gives exp(-inf), the exact 0
     with np.errstate(over="ignore"):
         density = np.exp(-4.0 * math.log(2.0) * (grid_t / t_c) ** 2)
     curve = CoherenceCurve(delays=grid_t, density=density, t_c_fwhm=t_c)
 
-    has_const = "gamma" in tg
-    has_step = "gamma_step" in tg
-    if has_const == has_step:
-        raise ValueError("give exactly one of tags.gamma and tags.gamma_step")
-    if has_const:
-        gamma = float(tg["gamma"])
-    else:
-        high = (1.0 + float(tg["gamma_step"]["v_target"])) / 2.0
-        width = tg["gamma_step"]["width_ps"] * PS
+    high = (1.0 + float(tg["gamma_step"]["v_target"])) / 2.0
+    width = tg["gamma_step"]["width_ps"] * PS
 
-        def gamma(delta, _w=width, _h=high):
-            return np.where(np.abs(np.asarray(delta, dtype=float)) <= _w, _h, 0.5)
+    def gamma(delta):
+        return np.where(np.abs(np.asarray(delta, dtype=float)) <= width, high, 0.5)
 
     horizon = tg.get("pairing_horizon_ps")
     sim = SimScenario(
@@ -392,9 +377,8 @@ def _cmd_tags_count(args, scenario: dict, base: str) -> None:
         duration=duration * PS if duration is not None else None,
     )
     tau = ct.get("tau_ps", 0.0) * PS
-    delta_ps = ct.get("delta_ps")
-    delta = delta_ps * PS if delta_ps is not None else 20.0 * cfg.tau_23
-    raw, s2, s3 = fourfold_counts(stream, cfg, tau, delta)
+    # the accidentals' shift is 20 tau_23, twice the least fourfold_counts takes
+    raw, s2, s3 = fourfold_counts(stream, cfg, tau, 20.0 * cfg.tau_23)
     out = {"raw": raw, "shifted_2": s2, "shifted_3": s3, "corrected": raw - s2 - s3}
     _write_json(args.out, out, "counts")
 

@@ -58,16 +58,13 @@ def jitter_sigma_time(jitter_fwhm: float) -> float:
     return jitter_fwhm / RMS_TO_FWHM
 
 
-def jitter_kernel(jitter_fwhm: float, delta_omega) -> np.ndarray | float:
+def jitter_kernel(jitter_fwhm: float, delta_omega) -> np.ndarray:
     """Frequency-domain jitter weight exp(-sigma^2 dW^2 / 2).
 
-    `delta_omega` is a frequency difference (rad/s), scalar or array.
+    `delta_omega` is an array of frequency differences (rad/s).
     Zero jitter gives a flat kernel of ones; the kernel is even in
     `delta_omega` and equals 1 at zero difference.
     """
     sigma = jitter_sigma_time(jitter_fwhm)
     x = np.asarray(delta_omega, dtype=float)
-    out = np.exp(-0.5 * (sigma * x) ** 2)
-    if np.isscalar(delta_omega):
-        return float(out)
-    return out
+    return np.exp(-0.5 * (sigma * x) ** 2)

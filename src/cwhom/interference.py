@@ -523,8 +523,8 @@ class FourfoldEngine:
         m = hi - lo
         if 16 * m * m > MAX_ENGINE_CORE_BYTES:
             raise GridResolutionError(
-                f"a JSA support of {m} grid points needs {16 * m * m} bytes per m x m engine "
-                f"array; at most {MAX_ENGINE_CORE_BYTES} are allowed"
+                f"a JSA support of {m} grid points needs {16 * m * m} bytes for the engine's "
+                f"two real m x m kernels; at most {MAX_ENGINE_CORE_BYTES} are allowed"
             )
 
         j1, j2, j3, j4 = setup.detectors.jitter_fwhm
@@ -911,10 +911,9 @@ def visibility_map(
     tc_values: np.ndarray,
     tau14_values: np.ndarray,
     jitter: float,
-    filter_kind: str = "rect",
     tau23_factor: float = 8.0,
 ) -> np.ndarray:
-    """V over a (T_c, tau_14) grid for identical sources, one jitter.
+    """V over a (T_c, tau_14) grid for identical rect sources, one jitter.
 
     tau_23 is set to tau23_factor x T_c per cell (must stay >= TAU23_TC_FACTOR)
     so the BS-side windows capture the wave packets without post-filtering.
@@ -932,7 +931,7 @@ def visibility_map(
     for i, t_c in enumerate(tc_values):
         for k, tau14 in enumerate(tau14_values):
             setup = _identical_source_setup(
-                t_c, tau14, tau23_factor * t_c, jitter, filter_kind
+                t_c, tau14, tau23_factor * t_c, jitter, "rect"
             )
             out[i, k] = visibility_at_zero_delay(setup)
     return out

@@ -33,7 +33,8 @@ class RateQuery:
 
     mu is the pair emission probability per coherence time, jitter the
     common per-channel timing jitter FWHM [s], v_target the visibility
-    floor, tc_max the largest admissible coherence time [s].
+    floor, tc_max the largest admissible coherence time [s]. The sources
+    are identical rect filters.
     """
 
     mu: float
@@ -41,7 +42,6 @@ class RateQuery:
     v_target: float
     tc_max: float
     tau_w_range: tuple[float, float] = DEFAULT_WINDOW_RANGE
-    filter_kind: str = "rect"
 
     def __post_init__(self) -> None:
         # each test is written so that NaN fails it
@@ -168,14 +168,14 @@ def pulsed_rate(mu_p: float, tau_p: float, t_c: float, f_rep: float) -> float:
 
 
 @functools.lru_cache(maxsize=4096)
-def _visibility_model(t_c: float, tau_w: float, jitter: float, filter_kind: str) -> float:
-    """Zero-delay visibility of identical sources at tau_23 = TAU23_TC_FACTOR T_c."""
+def _visibility_model(t_c: float, tau_w: float, jitter: float) -> float:
+    """Zero-delay visibility of identical rect sources at tau_23 = TAU23_TC_FACTOR T_c."""
     setup = _identical_source_setup(
         t_c=t_c,
         tau_14=tau_w,
         tau_23=TAU23_TC_FACTOR * t_c,
         jitter=jitter,
-        filter_kind=filter_kind,
+        filter_kind="rect",
     )
     return visibility_at_zero_delay(setup)
 
@@ -189,15 +189,15 @@ def _min_feasible_tc(
     returned value satisfies V(tc) >= v_target while V(tc / 1.05) does
     not, unless the floor itself is already feasible.
     """
-    if _visibility_model(q.tc_max, tau_w, q.jitter, q.filter_kind) < q.v_target:
+    if _visibility_model(q.tc_max, tau_w, q.jitter) < q.v_target:
         return None
     lo = tc_floor
-    if _visibility_model(lo, tau_w, q.jitter, q.filter_kind) >= q.v_target:
+    if _visibility_model(lo, tau_w, q.jitter) >= q.v_target:
         return lo
     hi = q.tc_max
     while hi / lo > TC_TIGHTNESS:
         mid = float(np.sqrt(lo * hi))
-        if _visibility_model(mid, tau_w, q.jitter, q.filter_kind) >= q.v_target:
+        if _visibility_model(mid, tau_w, q.jitter) >= q.v_target:
             hi = mid
         else:
             lo = mid
@@ -231,7 +231,7 @@ def optimize_window(q: RateQuery) -> OptResult:
     none is feasible this raises.
     """
     taus = np.geomspace(q.tau_w_range[0], q.tau_w_range[1], N_WINDOW_SAMPLES)
-    if _visibility_model(q.tc_max, float(taus[0]), q.jitter, q.filter_kind) < q.v_target:
+    if _visibility_model(q.tc_max, float(taus[0]), q.jitter) < q.v_target:
         raise ValueError(
             "visibility target unreachable: even at tc_max the smallest "
             "window in tau_w_range falls short of v_target"

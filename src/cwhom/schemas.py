@@ -6,9 +6,9 @@ standalone schema document.  Each ``enum`` takes its names from the
 table the code looks them up in, the grating's required fields come from
 ``spectral.FbgModel``, and the ``tau23_factor`` minimum is the rule
 ``visibility_map`` enforces, ``interference.TAU23_TC_FACTOR``.
-The maxima of ``delays.count``, ``tags.density.n_points``,
-``fbg_fit.n_restarts`` and a grating's ``n_sections`` bound the arrays
-and loops those counts size, before anything is allocated.
+The maxima of ``delays.count``, ``fbg_fit.n_restarts`` and a grating's
+``n_sections`` bound the arrays and loops those counts size, before
+anything is allocated.
 
 Each rule is written once: every object that refuses unknown keys comes
 from ``_closed``, every document header from ``_document``, and the
@@ -67,9 +67,6 @@ _NUMBERS = _array(_NUMBER, 1)
 _NON_NEGATIVE4 = _array(_NON_NEGATIVE, 4, 4)
 _PROBABILITY4 = _array(_PROBABILITY, 4, 4)
 
-# filter shapes that interference.filter_width knows
-_FILTER_KIND = {"enum": list(WIDTH_PRODUCTS)}
-
 _FBG_FIELDS = fields(FbgModel)
 _FBG_MODEL_PROPS = {
     "detuning_offset": _NUMBER,
@@ -87,7 +84,8 @@ _SOURCE = {
     "oneOf": [
         _closed(
             {
-                "kind": _FILTER_KIND,
+                # filter shapes that interference.filter_width knows
+                "kind": {"enum": list(WIDTH_PRODUCTS)},
                 "t_c_ps": _POSITIVE,
             },
             ["kind", "t_c_ps"],
@@ -100,7 +98,6 @@ _SCENARIO = _closed({
     "coherence": _closed({"source": {"enum": list(SOURCE_CHANNELS)}}),
     "count": _closed(
         {
-            "delta_ps": _POSITIVE,
             "duration_ps": _POSITIVE,
             "tag_csv": {"type": "string"},
             "tau_ps": _NUMBER,
@@ -146,10 +143,8 @@ _SCENARIO = _closed({
     ),
     "rate_query": _closed(
         {
-            "filter_kind": _FILTER_KIND,
             "jitter_ps": _NON_NEGATIVE,
             "mu": {"exclusiveMinimum": 0, "maximum": 0.2, "type": "number"},
-            "tau_w_range_ps": _array(_POSITIVE, 2, 2),
             "tc_max_ps": _POSITIVE,
             "v_target": {"exclusiveMaximum": 1, "exclusiveMinimum": 0, "type": "number"},
         },
@@ -173,15 +168,12 @@ _SCENARIO = _closed({
         {
             "density": _closed(
                 {
-                    "n_points": {"maximum": 100000, "minimum": 5, "type": "integer"},
-                    "span_ps": _POSITIVE,
                     "t_c_ps": _POSITIVE,
                 },
                 ["t_c_ps"],
             ),
             "duration_ps": _POSITIVE,
             "etas": _PROBABILITY4,
-            "gamma": _PROBABILITY,
             "gamma_step": _closed(
                 {
                     "v_target": _PROBABILITY,
@@ -201,11 +193,11 @@ _SCENARIO = _closed({
             "etas",
             "duration_ps",
             "density",
+            "gamma_step",
         ],
     ),
     "vismap": _closed(
         {
-            "filter_kind": _FILTER_KIND,
             "jitter_ps": _NON_NEGATIVE,
             "tau14_values_ps": _array(_POSITIVE, 1),
             "tau23_factor": {"minimum": TAU23_TC_FACTOR, "type": "number"},

@@ -446,7 +446,7 @@ def test_tags_simulate_count_roundtrip(capsys, tmp_path):
     count_sc = tmp_path / "count.json"
     count_sc.write_text(json.dumps({
         "windows": {"tau_14_ps": 100.0, "tau_23_ps": 2000.0},
-        "count": {"tag_csv": "sim.csv", "tau_ps": 0.0, "delta_ps": 40000.0},
+        "count": {"tag_csv": "sim.csv", "tau_ps": 0.0},
     }))
     out = tmp_path / "counts.json"
     code, _, _ = run(capsys, ["tags", "count", "--scenario", str(count_sc), "--out", str(out)])
@@ -485,7 +485,7 @@ def test_tags_count_delay_scan_parses_the_file_once(capsys, tmp_path, monkeypatc
         sc = tmp_path / f"count_{tau:g}.json"
         sc.write_text(json.dumps({
             "windows": {"tau_14_ps": 100.0, "tau_23_ps": 2000.0},
-            "count": {"tag_csv": tags, "tau_ps": tau, "delta_ps": 40000.0},
+            "count": {"tag_csv": tags, "tau_ps": tau},
         }))
         out = tmp_path / name
         assert run(capsys, ["tags", "count", "--scenario", str(sc), "--out", str(out)]) == (0, "", "")
@@ -519,10 +519,9 @@ def test_tags_count_rejects_bad_rows(capsys, tmp_path, row):
 
 @pytest.mark.parametrize("section, key, needle", [
     ("windows", "tau_14_ps", "tau_14"),
-    # without delta_ps the shift is 20 tau_23, so tau_23 itself is refused
+    # the shift is 20 tau_23, so tau_23 itself is refused
     ("windows", "tau_23_ps", "tau_23"),
     ("count", "tau_ps", "tau"),
-    ("count", "delta_ps", "delta"),
 ])
 def test_tags_count_refuses_a_span_past_int64_femtoseconds(capsys, tmp_path, section, key, needle):
     (tmp_path / "tags.csv").write_text("channel,timestamp_fs\n1,3\n4,5\n")
@@ -720,8 +719,8 @@ def test_exit_code_3_before_the_engine_allocates_its_m_by_m_arrays(capsys, tmp_p
     err = json.loads(stderr)
     assert err == {
         "error": "resolution",
-        "message": f"a JSA support of 5671 grid points needs {16 * 5671**2} bytes per m x m engine "
-                   f"array; at most {MAX_ENGINE_CORE_BYTES} are allowed",
+        "message": f"a JSA support of 5671 grid points needs {16 * 5671**2} bytes for the engine's "
+                   f"two real m x m kernels; at most {MAX_ENGINE_CORE_BYTES} are allowed",
     }
     # the grid's few vectors, not one m x m array
     assert peak < 16 * 2**20
@@ -750,13 +749,11 @@ def test_oracle_check_refuses_an_oversized_lattice_before_allocating(capsys, tmp
 @pytest.mark.parametrize("sub, name, edit, message", [
     (["homdip"], "identical_165.json", lambda doc: doc["delays"].update(count=10**12),
      "1000000000000 is greater than the maximum of 100000"),
-    (["tags", "simulate"], "tags_demo.json", lambda doc: doc["tags"]["density"].update(n_points=10**12),
-     "1000000000000 is greater than the maximum of 100000"),
     (["fbg", "fit"], "fbg_fit.json", lambda doc: doc["fbg_fit"]["seed"].update(n_sections=10**9),
      "1000000000 is greater than the maximum of 4096"),
     (["fbg", "fit"], "fbg_fit.json", lambda doc: doc["fbg_fit"].update(n_restarts=10**12),
      "1000000000000 is greater than the maximum of 100"),
-], ids=["delays-count", "density-n-points", "n-sections", "n-restarts"])
+], ids=["delays-count", "n-sections", "n-restarts"])
 def test_exit_code_2_for_a_count_past_its_maximum(capsys, tmp_path, sub, name, edit, message):
     # unrefused, each count sizes an array of 7.3 TiB or 7.5 GiB, or a loop
     # of 10**12 fits
@@ -1147,14 +1144,15 @@ def test_exit_code_2_missing_section(capsys, tmp_path):
 
 
 PULSED = {"mu_p": 0.01, "tau_p_ps": 800.0, "t_c_ps": 800.0, "f_rep_hz": 1e9}
-RATE_QUERY = {"mu": 0.01, "jitter_ps": 15.0, "v_target": 0.9, "tc_max_ps": 500.0}
 
 
 @pytest.mark.parametrize("doc, message", [
     ({"pulsed": PULSED, "bogus": 1}, "Additional properties are not allowed ('bogus' was unexpected)"),
     ({"pulsed": PULSED, "windows": {"tau_14_ps": 40.0}}, "'tau_23_ps' is a required property"),
-    ({"rate_query": {**RATE_QUERY, "filter_kind": "sinc"}},
-     "'sinc' is not one of ['rect', 'gaussian', 'lorentzian']"),
+    # the step is the only bunching model a scenario gives
+    ({"pulsed": PULSED, "tags": {"pair_rate_a_hz": 1e7, "pair_rate_b_hz": 1e7, "noise_rates_hz": [0.0] * 4,
+                                 "etas": [1.0] * 4, "duration_ps": 1e9, "density": {"t_c_ps": 50.0}}},
+     "'gamma_step' is a required property"),
     ({"pulsed": PULSED, "sources": {"a": {"kind": "sinc", "t_c_ps": 165.0}, "b": {"preset": "b"}}},
      "'sinc' is not one of ['rect', 'gaussian', 'lorentzian']"),
     ({"pulsed": PULSED, "sources": {"a": {"preset": "c"}, "b": {"preset": "b"}}},
@@ -1164,7 +1162,7 @@ RATE_QUERY = {"mu": 0.01, "jitter_ps": 15.0, "v_target": 0.9, "tc_max_ps": 500.0
     ({"pulsed": {**PULSED, "mu_p": 0.0}}, "0.0 is less than or equal to the minimum of 0"),
     # both the type and the minimum refuse 2.5; the schema's key order picks the message
     ({"pulsed": PULSED, "grid": {"n_points": 2.5}}, "2.5 is less than the minimum of 3"),
-], ids=["unknown-key", "missing-key", "filter-kind", "source-kind", "preset", "coherence-source",
+], ids=["unknown-key", "missing-key", "missing-gamma-step", "source-kind", "preset", "coherence-source",
         "type", "range", "type-and-range"])
 def test_validation_message_is_pinned(capsys, tmp_path, doc, message):
     sc = tmp_path / "bad.json"
@@ -1172,6 +1170,41 @@ def test_validation_message_is_pinned(capsys, tmp_path, doc, message):
     out = tmp_path / "rate.json"
     code, stdout, stderr = run(capsys, ["pulsed-rate", "--scenario", str(sc), "--out", str(out)])
     assert (code, stdout) == (2, "")
+    assert stderr == json.dumps({"error": "validation", "message": message}) + "\n"
+    assert not out.exists()
+
+
+# Each key is set to the value of the rule that replaced it: the key
+# itself is refused, not its value.
+REMOVED_KEYS = [
+    (["tags", "simulate"], "tags_demo.json", "tags.density.span_ps", 250.0),
+    (["tags", "simulate"], "tags_demo.json", "tags.density.n_points", 501),
+    (["tags", "count"], "tags_demo.json", "count.delta_ps", 40000.0),
+    (["tags", "simulate"], "tags_demo.json", "tags.gamma", 0.95),
+    (["optimize-rate"], "optimize.json", "rate_query.filter_kind", "rect"),
+    (["vismap"], "vismap.json", "vismap.filter_kind", "rect"),
+    (["optimize-rate"], "optimize.json", "rate_query.tau_w_range_ps", [5.0, 1000.0]),
+]
+
+
+@pytest.mark.parametrize("sub, name, path, value", REMOVED_KEYS, ids=[case[2] for case in REMOVED_KEYS])
+def test_scenario_refuses_a_removed_key(capsys, tmp_path, sub, name, path, value):
+    with open(scenario_path(name)) as fh:
+        doc = json.load(fh)
+    # the copy still finds the bundled tag file, so the key is all that is wrong
+    if "count" in doc:
+        doc["count"]["tag_csv"] = os.path.join(REPO, "data", "tags_demo.csv")
+    *sections, key = path.split(".")
+    section = doc
+    for part in sections:
+        section = section[part]
+    section[key] = value
+    sc = tmp_path / name
+    sc.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code, stdout, stderr = run(capsys, [*sub, "--scenario", str(sc), "--out", str(out)])
+    assert (code, stdout) == (2, "")
+    message = f"Additional properties are not allowed ('{key}' was unexpected)"
     assert stderr == json.dumps({"error": "validation", "message": message}) + "\n"
     assert not out.exists()
 

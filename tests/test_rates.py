@@ -204,11 +204,10 @@ def test_optimizer_curve_and_tightness():
 
     # The reported coherence time meets the floor and is tight: 5%
     # smaller already fails, unless the row sits at the tc floor.
-    assert _visibility_model(res.tc_opt, res.tau_w_opt, q.jitter, q.filter_kind) >= q.v_target
+    assert _visibility_model(res.tc_opt, res.tau_w_opt, q.jitter) >= q.v_target
     floor = max(res.tau_w_opt / 8.0, q.jitter / 4.0, 1e-12)
     if res.tc_opt > floor * 1.001:
-        v_below = _visibility_model(res.tc_opt / TC_TIGHTNESS, res.tau_w_opt,
-                                    q.jitter, q.filter_kind)
+        v_below = _visibility_model(res.tc_opt / TC_TIGHTNESS, res.tau_w_opt, q.jitter)
         assert v_below < q.v_target
 
 
