@@ -66,8 +66,8 @@ from .timetags import (
 )
 from .units import PS
 
-# engine and time-lattice oracle must agree to this after one shared
-# normalization scalar
+# engine and time-lattice oracle must agree to this at each delay; both
+# carry the same absolute normalization, so no scale is fitted
 ORACLE_TOLERANCE = 1e-3
 
 # presets.PRESET_SAMPLERS under the name perfbench's tests check the tracer wraps
@@ -91,8 +91,6 @@ def _validate(instance, schema_name: str) -> None:
 
 
 def _fmt(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
     return format(float(v), ".12g")
 
 
@@ -250,9 +248,8 @@ def _cmd_coherence(args, scenario: dict, base: str) -> dict:
     pair = source_jitters(jit, which)
     jsa = _coherence_jsa(scenario, which, delays)
     curve = coherence_function(jsa, *pair, delays)
+    # positive: coherence_function's FWHM refuses any other peak
     peak = float(np.max(curve.density))
-    if not peak > 0:
-        raise ValueError("coherence density vanished over the requested delays")
     n = _write_csv(args.out, "tau_ps,value", zip(delays / PS, curve.density / peak))
     return {"t_c_fwhm_ps": curve.t_c_fwhm / PS, "n_rows": n}
 
@@ -398,14 +395,11 @@ def _cmd_oracle_check(args, scenario: dict, base: str) -> None:
     setup = _build_setup(scenario, delays)
     engine = FourfoldEngine(setup).probabilities(delays)
     oracle = np.array([fourfold_probability_oracle(setup, t) for t in delays])
-    if np.sum(engine) == 0.0 or np.sum(oracle) == 0.0:
-        raise ValueError("cannot normalize: one probability sum vanished")
-    scaled = engine * (float(np.sum(oracle)) / float(np.sum(engine)))
-    rel = np.abs(scaled - oracle) / np.maximum(np.abs(oracle), np.finfo(float).tiny)
+    rel = np.abs(engine - oracle) / np.maximum(np.abs(oracle), np.finfo(float).tiny)
     max_rel = float(np.max(rel))
     out = {
         "delays_ps": [float(t / PS) for t in delays],
-        "engine": [float(x) for x in scaled],
+        "engine": [float(x) for x in engine],
         "oracle": [float(x) for x in oracle],
         "max_rel_deviation": max_rel,
         "tolerance": ORACLE_TOLERANCE,

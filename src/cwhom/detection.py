@@ -9,6 +9,7 @@ to 1 at zero difference.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,9 +27,8 @@ class DetectorModel:
     def __post_init__(self) -> None:
         if len(self.jitter_fwhm) != 4:
             raise ValueError("DetectorModel requires exactly four channels")
-        # written so that NaN, which fails every comparison, fails the check
-        if not all(0.0 <= j < math.inf for j in self.jitter_fwhm):
-            raise ValueError("jitter FWHM must be finite and nonnegative")
+        for j in self.jitter_fwhm:
+            jitter_sigma_time(j)
 
 
 def effective_jitter(components_fwhm=(), components_rms=()) -> float:
@@ -38,14 +38,10 @@ def effective_jitter(components_fwhm=(), components_rms=()) -> float:
     quadrature sum.
     """
     total_sq = 0.0
-    for j in components_fwhm:
+    # a positive factor keeps the sign, and NaN, of each RMS value
+    for j in itertools.chain(components_fwhm, (r * RMS_TO_FWHM for r in components_rms)):
         if not j >= 0:
             raise ValueError("jitter components must be nonnegative")
-        total_sq += j * j
-    for r in components_rms:
-        if not r >= 0:
-            raise ValueError("jitter components must be nonnegative")
-        j = r * RMS_TO_FWHM
         total_sq += j * j
     return math.sqrt(total_sq)
 

@@ -239,20 +239,6 @@ def _chirp(phi: float, j: np.ndarray) -> np.ndarray:
     return np.exp(1j * head * j2) * np.exp(1j * (half - head) * j2)
 
 
-def _fast_len(n: int) -> int:
-    """Smallest 5-smooth number (2^a 3^b 5^c) >= n, an FFT length pocketfft factors fast."""
-    best = 1 << (n - 1).bit_length()
-    p35 = 1
-    while p35 < best:
-        p3 = p35
-        while p3 < best:
-            # the least power of two that lifts p3 to n or past it
-            best = min(best, p3 << (-(-n // p3) - 1).bit_length())
-            p3 *= 3
-        p35 *= 5
-    return best
-
-
 def _lag_sum_over_delays(coeff: np.ndarray, x: np.ndarray, delays: np.ndarray) -> np.ndarray:
     """Re sum_d coeff[d] exp(i x_d tau) per tau, as one chirp-z transform.
 
@@ -269,7 +255,8 @@ def _lag_sum_over_delays(coeff: np.ndarray, x: np.ndarray, delays: np.ndarray) -
     phi = (x[-1] - x[0]) / max(n_lag - 1, 1) * dt
     d = np.arange(n_lag)
     k = np.arange(m)
-    size = _fast_len(n_lag + m - 1)
+    # the least power of two >= n_lag + m - 1
+    size = 1 << (n_lag + m - 2).bit_length()
     # circular layout: every k - d lands on its own slot, negatives at the end
     j = np.arange(size)
     j[j >= m] -= size

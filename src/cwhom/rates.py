@@ -137,12 +137,11 @@ def cw_fourfold_rate(
     mu: float,
     t_c: float,
     tau_w: float,
-    with_bsm_factor: bool = False,
 ) -> float:
     """Fourfold rate of two CW-pumped sources at unit channel efficiency.
 
-    R = (mu / T_c)^2 * tau_w, optionally times the 1/2 Bell-state
-    projection factor; pass_swaps applies the channel efficiencies.
+    R = (mu / T_c)^2 * tau_w; pass_swaps applies the 1/2 Bell-state
+    projection factor and the channel efficiencies.
     """
     if not (mu > 0 and t_c > 0 and tau_w > 0):
         raise ValueError("mu, t_c and tau_w must be positive")
@@ -154,8 +153,6 @@ def cw_fourfold_rate(
             "assumes tau_w <= T_c",
             stacklevel=2,
         )
-    if with_bsm_factor:
-        rate *= 0.5
     return rate
 
 
@@ -228,7 +225,7 @@ def optimize_window(q: RateQuery) -> OptResult:
     smallest coherence time whose zero-delay visibility (identical sources,
     tau_23 = TAU23_TC_FACTOR T_c, accidentals excluded) still meets v_target,
     then rates it.  Windows infeasible even at tc_max are skipped; if
-    none is feasible this raises.
+    the smallest window is one of them, this raises.
     """
     taus = np.geomspace(q.tau_w_range[0], q.tau_w_range[1], N_WINDOW_SAMPLES)
     if _visibility_model(q.tc_max, float(taus[0]), q.jitter) < q.v_target:
@@ -236,13 +233,9 @@ def optimize_window(q: RateQuery) -> OptResult:
             "visibility target unreachable: even at tc_max the smallest "
             "window in tau_w_range falls short of v_target"
         )
+    # the check above makes the smallest window feasible: rows is never empty
     solved = [_solve_one_window(float(t), q) for t in taus]
     rows = [r for r in solved if r is not None]
-    if not rows:
-        raise ValueError(
-            "visibility target unreachable: no coherence time up to tc_max "
-            "meets v_target for any window in tau_w_range"
-        )
     curve = np.asarray(rows, dtype=float)
     k = int(np.argmax(curve[:, 2]))
     return OptResult(
@@ -258,11 +251,11 @@ def pass_swaps(
 ) -> float:
     """Expected entanglement swaps over one loss-profile pass.
 
-    Integrates (trapezoid rule) the fourfold rate with the 1/2 BSM
+    Integrates (trapezoid rule) the fourfold rate times the 1/2 BSM
     factor and the instantaneous four-channel efficiencies over the
     profile's time samples.
     """
     etas = profile.efficiencies()
-    base = cw_fourfold_rate(mu, t_c, tau_w, with_bsm_factor=True)
+    base = 0.5 * cw_fourfold_rate(mu, t_c, tau_w)
     rates = base * np.prod(etas, axis=1)
     return float(np.trapezoid(rates, profile.times))

@@ -10,9 +10,10 @@ The maxima of ``delays.count``, ``fbg_fit.n_restarts`` and a grating's
 ``n_sections`` bound the arrays and loops those counts size, before
 anything is allocated.
 
-Each rule is written once: every object that refuses unknown keys comes
-from ``_closed``, every document header from ``_document``, and the
-number and array fragments are shared dicts that nothing mutates.
+Each rule and each key is written once: every object that refuses
+unknown keys comes from ``_closed(required, optional)``, which names
+each key once, every document header from ``_document``, and the number
+and array fragments are shared dicts that nothing mutates.
 
 Every schema dict lists its keys in sorted order: of two equally
 relevant errors, jsonschema reports the one whose keyword comes first,
@@ -31,11 +32,15 @@ from .spectral import FbgModel
 DRAFT = "http://json-schema.org/draft-07/schema#"
 
 
-def _closed(properties: dict, required=()) -> dict:
-    """An object schema that refuses keys other than ``properties``."""
+def _closed(required: dict, optional: dict | None = None) -> dict:
+    """An object schema of the keys of ``required`` and ``optional``, refusing others.
+
+    The keys of ``required`` must all be present; their order is that of
+    the ``required`` list, which jsonschema reports a missing key from.
+    """
     schema = {
         "additionalProperties": False,
-        "properties": dict(sorted(properties.items())),
+        "properties": dict(sorted({**required, **(optional or {})}.items())),
         "type": "object",
     }
     if required:
@@ -77,8 +82,15 @@ _FBG_MODEL_PROPS = {
     "width": {"exclusiveMinimum": 0, "maximum": 1, "type": "number"},
 }
 
+# FbgModel's fields without and with a default, in field order; a field
+# with no entry in _FBG_MODEL_PROPS fails here, at import
+_FBG_REQUIRED, _FBG_DEFAULTED = (
+    {f.name: _FBG_MODEL_PROPS[f.name] for f in _FBG_FIELDS if (f.default is MISSING) == required}
+    for required in (True, False)
+)
+
 # a seed may leave out the fields that FbgModel defaults
-_FBG_SEED = _closed(_FBG_MODEL_PROPS, [f.name for f in _FBG_FIELDS if f.default is MISSING])
+_FBG_SEED = _closed(_FBG_REQUIRED, _FBG_DEFAULTED)
 
 _SOURCE = {
     "oneOf": [
@@ -88,188 +100,174 @@ _SOURCE = {
                 "kind": {"enum": list(WIDTH_PRODUCTS)},
                 "t_c_ps": _POSITIVE,
             },
-            ["kind", "t_c_ps"],
         ),
-        _closed({"preset": {"enum": list(REFERENCE_SOURCES)}}, ["preset"]),
+        _closed({"preset": {"enum": list(REFERENCE_SOURCES)}}),
     ],
 }
 
-_SCENARIO = _closed({
-    "coherence": _closed({"source": {"enum": list(SOURCE_CHANNELS)}}),
+_SCENARIO = _closed({}, {
+    "coherence": _closed({}, {"source": {"enum": list(SOURCE_CHANNELS)}}),
     "count": _closed(
         {
-            "duration_ps": _POSITIVE,
             "tag_csv": {"type": "string"},
+        },
+        {
+            "duration_ps": _POSITIVE,
             "tau_ps": _NUMBER,
         },
-        ["tag_csv"],
     ),
     "delays": _closed(
         {
-            "count": {"maximum": 100000, "minimum": 2, "type": "integer"},
             "start_ps": _NUMBER,
             "stop_ps": _NUMBER,
+            "count": {"maximum": 100000, "minimum": 2, "type": "integer"},
         },
-        ["start_ps", "stop_ps", "count"],
     ),
     "detectors": _closed(
         {
-            "compose_tagger_rms_ps": _NON_NEGATIVE,
             "jitter_fwhm_ps": _NON_NEGATIVE4,
         },
-        ["jitter_fwhm_ps"],
+        {
+            "compose_tagger_rms_ps": _NON_NEGATIVE,
+        },
     ),
     "fbg_fit": _closed(
         {
-            "n_restarts": {"maximum": 100, "minimum": 0, "type": "integer"},
-            "seed": {"$ref": "#/definitions/fbg_model"},
             "table_csv": {"type": "string"},
+            "seed": {"$ref": "#/definitions/fbg_model"},
         },
-        ["table_csv", "seed"],
+        {
+            "n_restarts": {"maximum": 100, "minimum": 0, "type": "integer"},
+        },
     ),
     "grid": _closed(
+        {},
         {
             "n_points": {"minimum": 3, "type": "integer"},
         },
     ),
     "pulsed": _closed(
         {
-            "f_rep_hz": _POSITIVE,
             "mu_p": _POSITIVE,
-            "t_c_ps": _POSITIVE,
             "tau_p_ps": _POSITIVE,
+            "t_c_ps": _POSITIVE,
+            "f_rep_hz": _POSITIVE,
         },
-        ["mu_p", "tau_p_ps", "t_c_ps", "f_rep_hz"],
     ),
     "rate_query": _closed(
         {
-            "jitter_ps": _NON_NEGATIVE,
             "mu": {"exclusiveMinimum": 0, "maximum": 0.2, "type": "number"},
-            "tc_max_ps": _POSITIVE,
+            "jitter_ps": _NON_NEGATIVE,
             "v_target": {"exclusiveMaximum": 1, "exclusiveMinimum": 0, "type": "number"},
+            "tc_max_ps": _POSITIVE,
         },
-        ["mu", "jitter_ps", "v_target", "tc_max_ps"],
     ),
     "rng_seed": _COUNT,
     "sources": _closed(
         {name: {"$ref": "#/definitions/source"} for name in SOURCE_CHANNELS},
-        SOURCE_CHANNELS,
     ),
     "swap": _closed(
         {
-            "loss_csv": {"type": "string"},
             "mu": _POSITIVE,
             "t_c_ps": _POSITIVE,
             "tau_w_ps": _POSITIVE,
+            "loss_csv": {"type": "string"},
         },
-        ["mu", "t_c_ps", "tau_w_ps", "loss_csv"],
     ),
     "tags": _closed(
         {
+            "pair_rate_a_hz": _NON_NEGATIVE,
+            "pair_rate_b_hz": _NON_NEGATIVE,
+            "noise_rates_hz": _NON_NEGATIVE4,
+            "etas": _PROBABILITY4,
+            "duration_ps": _POSITIVE,
             "density": _closed(
                 {
                     "t_c_ps": _POSITIVE,
                 },
-                ["t_c_ps"],
             ),
-            "duration_ps": _POSITIVE,
-            "etas": _PROBABILITY4,
             "gamma_step": _closed(
                 {
                     "v_target": _PROBABILITY,
                     "width_ps": _POSITIVE,
                 },
-                ["v_target", "width_ps"],
             ),
-            "noise_rates_hz": _NON_NEGATIVE4,
-            "pair_rate_a_hz": _NON_NEGATIVE,
-            "pair_rate_b_hz": _NON_NEGATIVE,
+        },
+        {
             "pairing_horizon_ps": _POSITIVE,
         },
-        [
-            "pair_rate_a_hz",
-            "pair_rate_b_hz",
-            "noise_rates_hz",
-            "etas",
-            "duration_ps",
-            "density",
-            "gamma_step",
-        ],
     ),
     "vismap": _closed(
         {
-            "jitter_ps": _NON_NEGATIVE,
-            "tau14_values_ps": _array(_POSITIVE, 1),
-            "tau23_factor": {"minimum": TAU23_TC_FACTOR, "type": "number"},
             "tc_values_ps": _array(_POSITIVE, 1),
+            "tau14_values_ps": _array(_POSITIVE, 1),
+            "jitter_ps": _NON_NEGATIVE,
         },
-        ["tc_values_ps", "tau14_values_ps", "jitter_ps"],
+        {
+            "tau23_factor": {"minimum": TAU23_TC_FACTOR, "type": "number"},
+        },
     ),
     "windows": _closed(
         {
             "tau_14_ps": _POSITIVE,
             "tau_23_ps": _POSITIVE,
         },
-        ["tau_14_ps", "tau_23_ps"],
     ),
 })
 
 _VISIBILITY = _closed(
     {
+        "visibility": _NUMBER,
+        "plateau_reliable": {"type": "boolean"},
+        "plateau_delay_ps": _NUMBER,
         # the scenario sections the run read, echoed as they were
         "inputs": {"type": "object"},
-        "plateau_delay_ps": _NUMBER,
-        "plateau_reliable": {"type": "boolean"},
-        "visibility": _NUMBER,
     },
-    ["visibility", "plateau_reliable", "plateau_delay_ps", "inputs"],
 )
 
 _OPTRESULT = _closed(
     {
-        "curve": _array(_array(_NUMBER, 3, 3), 1),
-        "rate_opt_hz": _NON_NEGATIVE,
         "tau_w_opt_ps": _POSITIVE,
         "tc_opt_ps": _POSITIVE,
+        "rate_opt_hz": _NON_NEGATIVE,
+        "curve": _array(_array(_NUMBER, 3, 3), 1),
     },
-    ["tau_w_opt_ps", "tc_opt_ps", "rate_opt_hz", "curve"],
 )
 
 _COUNTS = _closed(
     {
-        "corrected": {"type": "integer"},
         "raw": _COUNT,
         "shifted_2": _COUNT,
         "shifted_3": _COUNT,
+        "corrected": {"type": "integer"},
     },
-    ["raw", "shifted_2", "shifted_3", "corrected"],
 )
 
 _ORACLE_REPORT = _closed(
     {
         "delays_ps": _NUMBERS,
         "engine": _NUMBERS,
-        "max_rel_deviation": _NON_NEGATIVE,
         "oracle": _NUMBERS,
-        "pass": {"type": "boolean"},
+        "max_rel_deviation": _NON_NEGATIVE,
         "tolerance": _POSITIVE,
+        "pass": {"type": "boolean"},
     },
-    ["delays_ps", "engine", "oracle", "max_rel_deviation", "tolerance", "pass"],
 )
 
 _CSV_META = _closed(
     {
+        "subcommand": {"type": "string"},
+        "out": {"type": "string"},
+    },
+    {
         "dip": _NUMBER,
         "n_events": _COUNT,
         "n_rows": _COUNT,
-        "out": {"type": "string"},
         "plateau": _NUMBER,
         "plateau_reliable": {"type": "boolean"},
         "residual": _NON_NEGATIVE,
-        "subcommand": {"type": "string"},
         "t_c_fwhm_ps": _NUMBER,
     },
-    ["subcommand", "out"],
 )
 
 SCHEMAS = {
@@ -283,12 +281,12 @@ SCHEMAS = {
         ("visibility", "visibility subcommand output", _VISIBILITY),
         ("optresult", "optimize-rate subcommand output", _OPTRESULT),
         ("counts", "tags count subcommand output", _COUNTS),
-        ("rate", "pulsed-rate subcommand output", _closed({"rate_hz": _NON_NEGATIVE}, ["rate_hz"])),
-        ("swaps", "pass-swaps subcommand output", _closed({"swaps": _NON_NEGATIVE}, ["swaps"])),
+        ("rate", "pulsed-rate subcommand output", _closed({"rate_hz": _NON_NEGATIVE})),
+        ("swaps", "pass-swaps subcommand output", _closed({"swaps": _NON_NEGATIVE})),
         (
             "fbg_model",
             "fitted grating model (fbg fit output)",
-            _closed(_FBG_MODEL_PROPS, [f.name for f in _FBG_FIELDS]),
+            _closed({**_FBG_REQUIRED, **_FBG_DEFAULTED}),
         ),
         ("oracle_report", "oracle-check subcommand output", _ORACLE_REPORT),
         ("csv_meta", "status line printed by CSV-emitting subcommands", _CSV_META),

@@ -1120,6 +1120,22 @@ def test_oracle_check_builds_one_engine(capsys, tmp_path, monkeypatch):
     assert len(builds) == 1
 
 
+def test_oracle_check_fits_no_scale(capsys, tmp_path, monkeypatch):
+    # an engine 1 % high fails the check: no fitted scale absorbs it
+    from cwhom.interference import FourfoldEngine
+
+    probabilities = FourfoldEngine.probabilities
+    monkeypatch.setattr(FourfoldEngine, "probabilities", lambda self, delays: 1.01 * probabilities(self, delays))
+    sc = tmp_path / "oracle.json"
+    sc.write_text(json.dumps(SMALL_DIP))
+    out = tmp_path / "report.json"
+    code, _, _ = run(capsys, ["oracle-check", "--scenario", str(sc), "--out", str(out)])
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert doc["pass"] is False
+    assert doc["max_rel_deviation"] == pytest.approx(1e-2, rel=1e-3)
+
+
 def test_exit_code_2_unknown_scenario_key(capsys, tmp_path):
     sc = tmp_path / "bogus.json"
     sc.write_text(json.dumps({
@@ -1240,7 +1256,8 @@ def test_packaged_schemas_are_valid_draft7():
         assert json.dumps(schema) == json.dumps(schema, sort_keys=True), name
 
 
-def test_every_object_schema_refuses_unknown_keys():
+def _object_schemas():
+    """(path, node) of every object schema in SCHEMAS, definitions and oneOf included."""
     def objects(node, path):
         if isinstance(node, dict):
             if node.get("type") == "object":
@@ -1251,10 +1268,25 @@ def test_every_object_schema_refuses_unknown_keys():
             for i, value in enumerate(node):
                 yield from objects(value, (*path, i))
 
-    open_objects = [path for name, schema in SCHEMAS.items() for path, node in objects(schema, (name,))
-                    if node.get("additionalProperties") is not False]
+    for name, schema in SCHEMAS.items():
+        yield from objects(schema, (name,))
+
+
+def test_every_object_schema_refuses_unknown_keys():
+    open_objects = [path for path, node in _object_schemas() if node.get("additionalProperties") is not False]
     # the visibility artifact echoes the scenario sections it read
     assert open_objects == [("visibility", "properties", "inputs")]
+
+
+def test_every_required_key_is_a_property():
+    # a required key outside properties would make its object unsatisfiable
+    checked = []
+    for path, node in _object_schemas():
+        if "required" in node:
+            assert set(node["required"]) <= set(node["properties"]), path
+            checked.append(path)
+    assert ("scenario", "definitions", "fbg_model") in checked
+    assert ("scenario", "definitions", "source", "oneOf", 1) in checked
 
 
 def test_validate_raises_what_jsonschema_validate_raises():

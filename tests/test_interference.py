@@ -28,7 +28,6 @@ from cwhom.interference import (
     NumericalError,
     _CROSS_BLOCK,
     _diagonal_sums,
-    _fast_len,
     _identical_source_setup,
     _lag_axis,
     _lag_sum_over_delays,
@@ -698,36 +697,6 @@ def test_lag_sum_matches_dense_sum(count, start):
         for lo in range(0, count, 512)
     ])
     assert np.max(np.abs(fast - dense)) <= 1e-9 * np.max(np.abs(dense))
-
-
-def _is_5_smooth(k: int) -> bool:
-    for p in (2, 3, 5):
-        while k % p == 0:
-            k //= p
-    return k == 1
-
-
-# every 2^a 3^b 5^c up to 2^41, sorted; a power of two >= n lies below 2n
-SMOOTH = sorted(
-    2**a * 3**b * 5**c
-    for a in range(42)
-    for b in range(26)
-    for c in range(18)
-    if 2**a * 3**b * 5**c <= 2**41
-)
-
-
-@given(st.integers(min_value=1, max_value=2**40))
-@example(1)
-@example(7)
-@example(2**40)
-@example(3**20 - 1)
-def test_fast_len_is_the_least_5_smooth_bound(n):
-    size = _fast_len(n)
-    assert size >= n
-    assert _is_5_smooth(size)
-    # no 5-smooth number lies in [n, size)
-    assert size == next(k for k in SMOOTH if k >= n)
 
 
 def test_window_weights_erf_matches_scipy():

@@ -57,11 +57,6 @@ def test_cw_rate_scaling_laws():
     assert cw_fourfold_rate(0.01, 200 * PS, 100 * PS) == pytest.approx(2 * base, rel=1e-14)
 
 
-def test_cw_rate_factors():
-    base = cw_fourfold_rate(0.01, 200 * PS, 50 * PS)
-    assert cw_fourfold_rate(0.01, 200 * PS, 50 * PS, with_bsm_factor=True) == base / 2
-
-
 def test_cw_rate_validation_and_warning():
     with pytest.raises(ValueError):
         cw_fourfold_rate(0.0, 1e-10, 1e-11)
@@ -185,7 +180,7 @@ def test_pass_swaps_integrates_time_variation():
     # 10^-1 over two 5 s panels.
     prof = LossProfile(times=np.array([0.0, 5.0, 10.0]),
                        losses_db=np.array([[0.0] * 4, [5.0, 0, 0, 0], [10.0, 0, 0, 0]]))
-    base = cw_fourfold_rate(0.01, 800 * PS, 50 * PS, with_bsm_factor=True)
+    base = 0.5 * cw_fourfold_rate(0.01, 800 * PS, 50 * PS)
     expected = base * (2.5 * (1 + 10 ** -0.5) + 2.5 * (10 ** -0.5 + 10 ** -1))
     assert pass_swaps(prof, 0.01, 800 * PS, 50 * PS) == pytest.approx(expected, rel=1e-12)
 
@@ -247,6 +242,16 @@ def test_optimizer_scales_with_every_time(scale):
     np.testing.assert_allclose(got, base.curve, rtol=1e-13, atol=0.0)
     opt = (scaled.tau_w_opt / scale, scaled.tc_opt / scale, scaled.rate_opt * scale)
     np.testing.assert_allclose(opt, (base.tau_w_opt, base.tc_opt, base.rate_opt), rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("v_target", [0.90, 0.95])
+def test_optimizer_curve_starts_at_the_smallest_window(v_target):
+    # the reachability check passes only when the smallest window meets
+    # v_target at tc_max, so that window is always the curve's first row
+    with open(os.path.join(REPO, "scenarios", "optimize.json")) as fh:
+        rq = json.load(fh)["rate_query"]
+    q = RateQuery(mu=rq["mu"], jitter=rq["jitter_ps"] * PS, v_target=v_target, tc_max=rq["tc_max_ps"] * PS)
+    assert optimize_window(q).curve[0, 0] == q.tau_w_range[0]
 
 
 def test_optimizer_unreachable_target():
