@@ -34,8 +34,9 @@ CHANNELS = (1, 2, 3, 4)
 # delay or shift below 2**60 fs added to such a time stays inside int64.
 MAX_TIME_FS = 2**60
 
-# The most events a simulated stream may be expected to hold: 256 MiB
-# per float64 array of that size, a few of which are alive at once.
+# The most events a simulated stream may be expected to hold.  simulate_streams
+# peaks at ~29 bytes per event (tracemalloc, the bundled tags_demo's rates),
+# so a run at the cap needs ~1 GB of working memory.
 MAX_SIM_EVENTS = 2**25
 
 
@@ -251,6 +252,41 @@ def _pair_bs_photons(
     return ia, b_of_a[mutual & close].astype(np.intp)
 
 
+def _bs_ports(
+    scenario: SimScenario, bs_a: np.ndarray, bs_b: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """The port (0 -> channel 2, 1 -> channel 3) of each partner photon of A and of B.
+
+    Pairs opposite-source photons by their beam-splitter arrival times;
+    lone photons route uniformly, duos by gamma of their time difference.
+    """
+    horizon = scenario.pairing_horizon
+    if horizon is None:
+        x = np.asarray(scenario.internal_delay_density.delays, dtype=float)
+        horizon = float(x[-1] - x[0])
+    order_a = np.argsort(bs_a, kind="stable")
+    order_b = np.argsort(bs_b, kind="stable")
+    ia, ib = _pair_bs_photons(bs_a[order_a], bs_b[order_b], horizon)
+    ia = order_a[ia]
+    ib = order_b[ib]
+
+    port_a = np.zeros(bs_a.size, dtype=np.int8)
+    port_b = np.zeros(bs_b.size, dtype=np.int8)
+    lone_a = np.ones(bs_a.size, dtype=bool)
+    lone_b = np.ones(bs_b.size, dtype=bool)
+    lone_a[ia] = False
+    lone_b[ib] = False
+    port_a[lone_a] = rng.random(np.count_nonzero(lone_a)) < 0.5
+    port_b[lone_b] = rng.random(np.count_nonzero(lone_b)) < 0.5
+    if ia.size:
+        g = scenario.gamma_of(bs_a[ia] - bs_b[ib])
+        same = rng.random(ia.size) < g
+        joint = (rng.random(ia.size) < 0.5).astype(np.int8)
+        port_a[ia] = joint
+        port_b[ib] = np.where(same, joint, 1 - joint)
+    return port_a, port_b
+
+
 def simulate_streams(scenario: SimScenario) -> TagStream:
     """Generate one four-channel tag stream.
 
@@ -259,9 +295,12 @@ def simulate_streams(scenario: SimScenario) -> TagStream:
     to a beam-splitter port.  Paired opposite-source partners exit the
     same uniformly chosen port with probability gamma(delta) and split
     otherwise; unpaired partners route uniformly.  Pair photons are
-    thinned by the channel efficiency, stray counts arrive as untinned
+    thinned by the channel efficiency, stray counts arrive as unthinned
     per-channel Poisson noise, and every tag receives Gaussian channel
     jitter.  Deterministic for a fixed rng_seed.
+
+    Each array is dropped at its last use; the peak, ~29 bytes per event,
+    comes while the photons are paired.
     """
     rng = np.random.default_rng(scenario.rng_seed)
     t_total = scenario.duration
@@ -274,61 +313,42 @@ def simulate_streams(scenario: SimScenario) -> TagStream:
     emit_b = np.sort(rng.random(n_b) * t_total)
     bs_a = emit_a + _sample_internal_delays(density, n_a, rng)
     bs_b = emit_b + _sample_internal_delays(density, n_b, rng)
-
-    horizon = scenario.pairing_horizon
-    if horizon is None:
-        x = np.asarray(density.delays, dtype=float)
-        horizon = float(x[-1] - x[0])
-    order_a = np.argsort(bs_a, kind="stable")
-    order_b = np.argsort(bs_b, kind="stable")
-    ia, ib = _pair_bs_photons(bs_a[order_a], bs_b[order_b], horizon)
-    ia = order_a[ia]
-    ib = order_b[ib]
-
-    # port assignment: 0 -> channel 2, 1 -> channel 3
-    port_a = np.zeros(n_a, dtype=np.int8)
-    port_b = np.zeros(n_b, dtype=np.int8)
-    lone_a = np.ones(n_a, dtype=bool)
-    lone_b = np.ones(n_b, dtype=bool)
-    lone_a[ia] = False
-    lone_b[ib] = False
-    port_a[lone_a] = rng.random(np.count_nonzero(lone_a)) < 0.5
-    port_b[lone_b] = rng.random(np.count_nonzero(lone_b)) < 0.5
-    if ia.size:
-        g = scenario.gamma_of(bs_a[ia] - bs_b[ib])
-        same = rng.random(ia.size) < g
-        joint = (rng.random(ia.size) < 0.5).astype(np.int8)
-        port_a[ia] = joint
-        port_b[ib] = np.where(same, joint, 1 - joint)
+    port_a, port_b = _bs_ports(scenario, bs_a, bs_b, rng)
 
     # per channel, in channel order: the detected pair photons, then strays
     ports = [np.concatenate([bs_a[port_a == p], bs_b[port_b == p]]) for p in (0, 1)]
-    pairs = [
-        t[rng.random(t.size) < eta] if t.size and eta < 1.0 else t
-        for t, eta in zip((emit_a, *ports, emit_b), scenario.etas)
-    ]
+    pairs = [emit_a, *ports, emit_b]
+    del emit_a, emit_b, bs_a, bs_b, port_a, port_b, ports
+    for i, eta in enumerate(scenario.etas):
+        if pairs[i].size and eta < 1.0:
+            pairs[i] = pairs[i][rng.random(pairs[i].size) < eta]
     strays = [rng.random(rng.poisson(rate * t_total)) * t_total for rate in scenario.noise_rates]
 
-    # one jitter draw per channel, split over its two blocks; emit_a and
-    # emit_b are not read again, so they take theirs in place
+    # one jitter draw per channel, split over its two blocks, which are not
+    # read again and take it in place; each block's keys go into one buffer
     t_max = round(t_total / FS)
-    keys = []
-    for ch, fwhm, pair, stray in zip(CHANNELS, scenario.detectors.jitter_fwhm, pairs, strays):
+    buf = np.empty(sum(t.size for t in pairs + strays), dtype=np.int64)
+    n = 0
+    for ch, fwhm in zip(CHANNELS, scenario.detectors.jitter_fwhm):
+        pair, stray = pairs.pop(0), strays.pop(0)
         sigma = jitter_sigma_time(fwhm)
         if sigma > 0.0:
             jitter = rng.normal(0.0, sigma, pair.size + stray.size)
             pair += jitter[: pair.size]
             stray += jitter[pair.size :]
+            del jitter
         for t in (pair, stray):
-            t_fs = np.rint(t[(t >= 0.0) & (t <= t_total)] / FS).astype(np.int64)
+            kept = t[(t >= 0.0) & (t <= t_total)]
+            t_fs = buf[n : n + kept.size]
+            np.rint(np.divide(kept, FS, out=kept), out=t_fs, casting="unsafe")
             np.minimum(t_fs, t_max, out=t_fs)
             t_fs <<= 3
             t_fs |= ch
-            keys.append(t_fs)
+            n += kept.size
     # t_max < 2**60 (SimScenario checks), so the key orders by time, then channel
-    key = np.concatenate(keys)
+    key = buf[:n]
     key.sort()
-    channels = (key & 7).astype(np.uint8)
+    channels = np.bitwise_and(key, 7, out=np.empty(n, np.uint8), casting="unsafe")
     key >>= 3
     return TagStream(channels=channels, times_fs=key, duration=t_total)
 
@@ -582,7 +602,7 @@ class SharedTagLoader:
     returned last, and `duration` resolves to that stream's duration, the
     same stream comes back without a parse: the check compares content,
     never the path or modification time, and costs a re-serialisation
-    (0.19-0.22 s at 3.84 M events against 0.49-0.56 s to parse, on a
+    (0.12-0.17 s at 3.84 M events against 0.33-0.41 s to parse, on a
     shared 2-core host).  Any other file, including one written in another
     row format, is parsed; the first load does no more than
     `load_tags_csv`.  Streams returned are shared, read-only objects, and

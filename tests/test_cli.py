@@ -6,6 +6,7 @@ exit-code contract, and the schema validity of every emitted artifact.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -455,6 +456,22 @@ def test_tags_simulate_count_roundtrip(capsys, tmp_path):
     _validator("counts").validate(doc)
     assert doc["corrected"] == doc["raw"] - doc["shifted_2"] - doc["shifted_3"]
     assert doc["raw"] >= 0
+
+
+def test_tags_simulate_bytes_are_pinned_at_scale(capsys, tmp_path):
+    # the bundled scenario at 10x its duration writes ~24 CSV chunks, where
+    # the pinned library cases write less than one
+    with open(scenario_path("tags_demo.json")) as fh:
+        doc = json.load(fh)
+    doc["tags"]["duration_ps"] *= 10
+    sc = tmp_path / "tags_10.json"
+    sc.write_text(json.dumps(doc))
+    out = tmp_path / "tags.csv"
+    code, stdout, _ = run(capsys, ["tags", "simulate", "--scenario", str(sc), "--out", str(out)])
+    assert code == 0
+    assert meta_of(stdout)["n_events"] == 384_874
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "fbfcf16a1212fa1fa3d06f854b217747186f740039c1977d22633bc686e143ce"
 
 
 def test_tags_count_empty_stream(capsys, tmp_path):

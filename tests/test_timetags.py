@@ -13,6 +13,7 @@ import hashlib
 import itertools
 import math
 import os
+import tracemalloc
 import warnings
 import weakref
 
@@ -365,6 +366,27 @@ def test_simulated_bytes_are_pinned(tmp_path, case, seed):
     path = tmp_path / "tags.csv"
     save_tags_csv(simulate_streams(SimScenario(**{**base, **PINNED_CASES[case]})), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_DIGESTS[(case, seed)]
+
+
+def test_simulate_streams_working_memory_per_event():
+    # scenarios/tags_demo.json's parameters at 10x its duration: ~3.8e5 events
+    high = (1.0 + 0.9) / 2.0
+    sc = SimScenario(pair_rate_a=1e7, pair_rate_b=1e7,
+                     internal_delay_density=gaussian_density(t_c=50e-12, span=250e-12, n=501),
+                     gamma=lambda delta: np.where(np.abs(delta) <= 250e-12, high, 0.5),
+                     noise_rates=(1e5,) * 4, etas=(0.9, 1.0, 1.0, 0.9),
+                     detectors=DetectorModel(jitter_fwhm=(17e-12, 13e-12, 11e-12, 16e-12)),
+                     duration=1e-2, rng_seed=7, pairing_horizon=1600e-12)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        stream = simulate_streams(sc)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # the peak comes while the photons are paired, at ~29 bytes per event
+    assert stream.n_events > 3e5
+    assert peak <= 32 * stream.n_events
 
 
 def test_seed_changes_the_stream():
