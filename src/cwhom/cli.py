@@ -329,6 +329,9 @@ def _cmd_tags_simulate(args, scenario: dict, base: str) -> dict:
     tg = _section(scenario, "tags")
     t_c_ps = tg["density"]["t_c_ps"]
     t_c = t_c_ps * PS
+    # the density below divides by t_c, which a positive t_c_ps can underflow to 0
+    if not t_c > 0:
+        raise ValueError(f"tags.density.t_c_ps = {t_c_ps!r} underflows to 0 s")
     span = 5.0 * t_c_ps * PS
     grid_t = np.linspace(-span, span, 501)
     # a (t / t_c)^2 past the float range gives exp(-inf), the exact 0

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -109,28 +108,30 @@ class InterferenceSetup:
     """Everything the coincidence probability depends on.
 
     Source A feeds channels 1 (herald) and 2 (BS input); source B feeds
-    channels 4 (herald) and 3 (BS input). known_coherence_times, when
-    given, are the sources' coherence FWHMs known by construction; they
-    are not checked against the JSAs, so a copy with other JSAs must drop
-    them.
+    channels 4 (herald) and 3 (BS input). coherence_times, the sources'
+    jitter-free coherence FWHMs [s], are given, never estimated here;
+    the engine and the oracle refuse a setup without them.
     """
 
     jsa_a: JointSpectralAmplitude
     jsa_b: JointSpectralAmplitude
     detectors: DetectorModel
     windows: CoincidenceConfig
-    known_coherence_times: tuple[float, float] | None = None
+    coherence_times: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
         if self.jsa_a.grid != self.jsa_b.grid:
             raise ValueError("both JSAs must share one frequency grid")
+        times = self.coherence_times
+        # written so that NaN fails it
+        if times is not None and not (len(times) == 2 and all(0.0 < t < math.inf for t in times)):
+            raise ValueError(f"coherence_times must be two positive, finite times, not {times!r}")
 
-    @cached_property
-    def coherence_times(self) -> tuple[float, float]:
-        """Jitter-free coherence FWHM of each source's JSA [s], known or estimated."""
-        if self.known_coherence_times is not None:
-            return self.known_coherence_times
-        return (jsa_coherence_fwhm(self.jsa_a), jsa_coherence_fwhm(self.jsa_b))
+
+def _given_coherence_times(setup: InterferenceSetup) -> tuple[float, float]:
+    if setup.coherence_times is None:
+        raise ValueError("setup has no coherence_times; give them, e.g. through build_setup")
+    return setup.coherence_times
 
 
 @dataclass(frozen=True)
@@ -336,9 +337,7 @@ GRID_FLOOR = 129
 SPAN_FACTOR = 8.0
 
 
-def sized_grid(
-    span: float, t_max: float, floor: int = GRID_FLOOR, n_points: int | None = None
-) -> FrequencyGrid:
+def sized_grid(span: float, t_max: float, floor: int, n_points: int | None = None) -> FrequencyGrid:
     """Grid over [-span, span] with n_points, or else the fewest points, and at
     least floor, that resolve times up to t_max (floor when t_max is 0).
 
@@ -353,6 +352,9 @@ def sized_grid(
 
 def filter_width(kind: str, t_c: float) -> float:
     """Intensity FWHM [rad/s] of the analytic filter whose JSA has coherence FWHM t_c."""
+    # a positive time in ps can underflow to 0 s
+    if not t_c > 0:
+        raise ValueError(f"coherence time must be positive, not {t_c!r} s")
     try:
         # a float quotient: one past the float range is inf, refused by the
         # grid sizing, with no numpy overflow warning for a numpy t_c
@@ -408,7 +410,7 @@ def build_setup(
     """Setup with sources a and b sampled on one ``source_grid``.
 
     The grid resolves the windows and reach besides both T_c, which the
-    setup carries as its known coherence times. Two arms holding the same
+    setup carries as its coherence times. Two arms holding the same
     Source share one JSA sample.
     """
     grid = source_grid((a, b), max(windows.tau_14, windows.tau_23, reach), n_points)
@@ -418,7 +420,7 @@ def build_setup(
         jsa_b=jsa_a if b is a else b.jsa(grid),
         detectors=DetectorModel(jitter_fwhm=jitters),
         windows=windows,
-        known_coherence_times=(a.t_c, b.t_c),
+        coherence_times=(a.t_c, b.t_c),
     )
 
 
@@ -495,7 +497,7 @@ class FourfoldEngine:
     @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, setup: InterferenceSetup):
         grid = setup.jsa_a.grid
-        tc_a, tc_b = setup.coherence_times
+        tc_a, tc_b = _given_coherence_times(setup)
         cfg = setup.windows
         self._static_t_max = max(cfg.tau_14, cfg.tau_23, tc_a, tc_b)
         _check_resolution(grid, self._static_t_max, "window/coherence kernels")
@@ -703,7 +705,7 @@ def fourfold_probability_oracle(setup: InterferenceSetup, tau: float) -> float:
     """
     grid = setup.jsa_a.grid
     cfg = setup.windows
-    tc_a, tc_b = setup.coherence_times
+    tc_a, tc_b = _given_coherence_times(setup)
     j1, j2, j3, j4 = setup.detectors.jitter_fwhm
     sig = [jitter_sigma_time(j) for j in (j1, j2, j3, j4)]
 

@@ -582,6 +582,8 @@ def load_tags_csv(path: str, duration: float | None = None) -> TagStream:
         )
     if rows.size == 0:
         rows = np.zeros((0, 2), dtype=np.int64)
+    if rows.shape[1] != 2:
+        raise ValueError(f"tag file rows must hold 2 fields, channel and timestamp_fs, not {rows.shape[1]}")
     ch, t = _tag_order(rows[:, 0], np.ascontiguousarray(rows[:, 1]))
     if duration is None:
         duration = _last_tag_time(t)

@@ -7,6 +7,7 @@ per-criterion lines.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 
@@ -18,9 +19,10 @@ from cwhom.interference import (
     CoherenceCurve,
     CoincidenceConfig,
     FourfoldEngine,
-    InterferenceSetup,
     _plateau_delay,
     analytic_jsa,
+    analytic_source,
+    build_setup,
     coherence_function,
     filter_width,
     fourfold_probability_oracle,
@@ -68,21 +70,17 @@ def report(num: int, ok: bool, detail: str) -> None:
 
 
 def identical_setup(kind, t_c, tau_14, tau_23, jitters, extra_reach=0.0):
-    # Built without known coherence times, so the setup takes its numeric
-    # estimate (164.98 ps for 165 ps), not the analytic T_c: it sets the
-    # clamped plateau delay (789.9 ps) of criterion 2, which reads
-    # V = 0.97539956 with it and 0.97539963 with the analytic 165 ps that
-    # the CLI's identical_165.json run uses. Both values are pinned to 1e-9,
-    # so swapping the T_c source of either fails a golden.
+    # Carries the numeric estimate of its JSA's coherence FWHM (164.98 ps
+    # for 165 ps), not the analytic T_c: it sets the clamped plateau delay
+    # (789.9 ps) of criterion 2, which reads V = 0.97539956 with it and
+    # 0.97539963 with the analytic 165 ps that the CLI's identical_165.json
+    # run uses. Both values are pinned to 1e-9, so swapping the T_c source
+    # of either fails a golden.
+    source = analytic_source(kind, t_c)
+    windows = CoincidenceConfig(tau_14=tau_14, tau_23=tau_23)
     reach = max(extra_reach, 6.0 * t_c, 3.0 * max(jitters), PS)
-    grid = sized_grid(8.0 * filter_width(kind, t_c), max(tau_14, tau_23, reach))
-    jsa = analytic_jsa(grid, kind, t_c)
-    return InterferenceSetup(
-        jsa_a=jsa,
-        jsa_b=jsa,
-        detectors=DetectorModel(jitter_fwhm=jitters),
-        windows=CoincidenceConfig(tau_14=tau_14, tau_23=tau_23),
-    )
+    setup = build_setup(source, source, windows, jitters, reach=reach)
+    return dataclasses.replace(setup, coherence_times=(jsa_coherence_fwhm(setup.jsa_a),) * 2)
 
 
 def test_criterion_1_engine_matches_time_domain_oracle():

@@ -534,6 +534,27 @@ def test_tags_count_rejects_bad_rows(capsys, tmp_path, row):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rows", ["1\n4\n", "1,5,9\n4,7,9\n"], ids=["one-field", "three-fields"])
+def test_tags_count_refuses_rows_of_other_than_two_fields(capsys, tmp_path, rows):
+    # rows of one field used to end in an IndexError traceback, and a
+    # third field was dropped without a word
+    (tmp_path / "tags.csv").write_text(f"channel,timestamp_fs\n{rows}")
+    sc = tmp_path / "count.json"
+    sc.write_text(json.dumps({
+        "windows": {"tau_14_ps": 100.0, "tau_23_ps": 2000.0},
+        "count": {"tag_csv": "tags.csv", "tau_ps": 0.0},
+    }))
+    out = tmp_path / "counts.json"
+    code, stdout, stderr = run(capsys, ["tags", "count", "--scenario", str(sc), "--out", str(out)])
+    assert (code, stdout) == (2, "")
+    width = rows.split("\n")[0].count(",") + 1
+    assert json.loads(stderr) == {
+        "error": "validation",
+        "message": f"tag file rows must hold 2 fields, channel and timestamp_fs, not {width}",
+    }
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("section, key, needle", [
     ("windows", "tau_14_ps", "tau_14"),
     # the shift is 20 tau_23, so tau_23 itself is refused
@@ -572,6 +593,43 @@ def test_tags_count_refuses_timestamps_past_2_60_fs(capsys, tmp_path):
     assert (code, stdout) == (2, "")
     err = json.loads(stderr)
     assert err["error"] == "validation" and "duration must be below 2**60 fs" in err["message"]
+    assert not out.exists()
+
+
+UNDERFLOWING_TC = [
+    ("identical_165.json", sub, ("sources", "a", "t_c_ps"), "coherence time must be positive, not 0.0 s")
+    for sub in (["coherence"], ["homdip"], ["visibility"], ["oracle-check"])
+] + [
+    ("tags_demo.json", ["tags", "simulate"], ("tags", "density", "t_c_ps"),
+     "tags.density.t_c_ps = 1e-320 underflows to 0 s"),
+]
+
+
+@pytest.mark.parametrize("name, sub, path, message", UNDERFLOWING_TC,
+                         ids=[" ".join(case[1]) for case in UNDERFLOWING_TC])
+def test_a_coherence_time_that_underflows_to_zero_seconds_is_refused(
+    capsys, tmp_path, name, sub, path, message
+):
+    # 1e-320 ps passes the schema's exclusive minimum of 0, but is 0.0 in
+    # seconds: the analytic commands divided by it in filter_width (a
+    # ZeroDivisionError traceback, exit 1), and tags simulate wrote a NaN
+    # density after a numpy warning
+    with open(scenario_path(name)) as fh:
+        doc = json.load(fh)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = 1e-320
+    sc = tmp_path / "scenario.json"
+    sc.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    # recorded, since pytest would capture a warning printed ahead of the JSON object
+    with warnings.catch_warnings(record=True) as caught:
+        code, stdout, stderr = run(capsys, [*sub, "--scenario", str(sc), "--out", str(out)])
+    assert [str(w.message) for w in caught] == []
+    assert (code, stdout) == (2, "")
+    assert stderr.count("\n") == 1
+    assert json.loads(stderr) == {"error": "validation", "message": message}
     assert not out.exists()
 
 

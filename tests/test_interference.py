@@ -43,7 +43,6 @@ from cwhom.interference import (
     fourfold_probability_oracle,
     hom_curve,
     jsa_coherence_fwhm,
-    sized_grid,
     source_grid,
     visibility,
     visibility_at_zero_delay,
@@ -62,17 +61,19 @@ PS = 1e-12
 JITTERS = (17e-12, 13e-12, 11e-12, 16e-12)
 
 
+def with_estimated_coherence_times(setup, **changes):
+    """setup with changes, carrying the numeric coherence FWHMs of its JSAs."""
+    setup = dataclasses.replace(setup, **changes)
+    return dataclasses.replace(
+        setup, coherence_times=(jsa_coherence_fwhm(setup.jsa_a), jsa_coherence_fwhm(setup.jsa_b))
+    )
+
+
 def two_source_setup(tc_a, tc_b, tau_14, tau_23, jitters, kind="rect"):
-    """Analytic sources with possibly different coherence times, left to the numeric estimate."""
-    grid = sized_grid(
-        8.0 * max(filter_width(kind, tc_a), filter_width(kind, tc_b)), max(tau_14, tau_23, tc_a, tc_b)
-    )
-    return InterferenceSetup(
-        jsa_a=analytic_jsa(grid, kind, tc_a),
-        jsa_b=analytic_jsa(grid, kind, tc_b),
-        detectors=DetectorModel(jitter_fwhm=jitters),
-        windows=CoincidenceConfig(tau_14=tau_14, tau_23=tau_23),
-    )
+    """Analytic sources with possibly different coherence times, carrying the numeric estimates."""
+    windows = CoincidenceConfig(tau_14=tau_14, tau_23=tau_23)
+    setup = build_setup(analytic_source(kind, tc_a), analytic_source(kind, tc_b), windows, jitters)
+    return with_estimated_coherence_times(setup)
 
 
 def full_grid_reference(setup):
@@ -152,7 +153,7 @@ def off_centre_setup():
         j[start : start + width] = np.sin(np.pi * (k + 1) / (width + 1)) ** 4 * np.exp(1j * rate * k**2)
         return JointSpectralAmplitude(grid=grid, j_amp=j)
 
-    return dataclasses.replace(
+    return with_estimated_coherence_times(
         plain, jsa_a=bump(n // 5, 31, 0.01), jsa_b=bump(n // 5 + 12, 37, -0.004)
     )
 
@@ -342,7 +343,7 @@ def chirped_setup():
     plain = two_source_setup(120 * PS, 80 * PS, 40 * PS, 280 * PS, jitters)
     grid = plain.jsa_a.grid
     chirp = np.exp(1j * (grid.omega / (0.1 * grid.span)) ** 2)
-    return dataclasses.replace(
+    return with_estimated_coherence_times(
         plain, jsa_a=JointSpectralAmplitude(grid=grid, j_amp=plain.jsa_a.j_amp * chirp)
     )
 
@@ -506,7 +507,7 @@ def test_streamed_build_matches_the_dense_cross_core(m, seed):
 
     setup = InterferenceSetup(
         jsa_a=jsa(), jsa_b=jsa(), detectors=DetectorModel(jitter_fwhm=(17e-12, 5e-12, 60e-12, 16e-12)),
-        windows=CoincidenceConfig(tau_14=40 * PS, tau_23=280 * PS), known_coherence_times=(100 * PS,) * 2,
+        windows=CoincidenceConfig(tau_14=40 * PS, tau_23=280 * PS), coherence_times=(100 * PS,) * 2,
     )
     engine = FourfoldEngine(setup)
     assert engine._x.size == 2 * m - 1
@@ -802,6 +803,53 @@ def test_setup_rejects_mismatched_grids():
         )
 
 
+def identical_165_setup():
+    return _identical_source_setup(165 * PS, 40 * PS, 2000 * PS, JITTERS, "rect")
+
+
+@pytest.mark.parametrize("times", [
+    *((bad, 165 * PS) for bad in (math.nan, 0.0, -165 * PS, math.inf)),
+    *((165 * PS, bad) for bad in (math.nan, 0.0, -165 * PS, math.inf)),
+    (165 * PS,),
+    (165 * PS,) * 3,
+])
+def test_setup_refuses_coherence_times_other_than_two_positive_finite_times(times):
+    # NaN once gave a NaN plateau at a NaN delay, and 0 or -165 ps a
+    # plateau flagged reliable inside the dip and an oracle that divided
+    # by zero or returned 0
+    with pytest.raises(ValueError, match="coherence_times must be two positive, finite times"):
+        dataclasses.replace(identical_165_setup(), coherence_times=times)
+
+
+def test_setup_without_coherence_times_is_refused_by_every_evaluation():
+    bare = dataclasses.replace(identical_165_setup(), coherence_times=None)
+    for evaluate in (
+        FourfoldEngine,
+        lambda setup: fourfold_probability_oracle(setup, 0.0),
+        lambda setup: hom_curve(setup, np.array([0.0])),
+    ):
+        with pytest.raises(ValueError, match="no coherence_times"):
+            evaluate(bare)
+
+
+def test_bare_setup_primed_through_its_dict_evaluates_with_the_primed_times():
+    # a bare setup whose times are written into its __dict__, as the
+    # benchmark harness primes its own: the field is plain, so the write
+    # is what every evaluation reads
+    built = identical_165_setup()
+    bare = InterferenceSetup(jsa_a=built.jsa_a, jsa_b=built.jsa_b, detectors=built.detectors,
+                             windows=built.windows)
+    primed = (150 * PS, 160 * PS)
+    bare.__dict__["coherence_times"] = primed
+    given = dataclasses.replace(built, coherence_times=primed)
+    assert bare.coherence_times == primed
+    delays = np.array([0.0, 100 * PS])
+    curve, want = hom_curve(bare, delays), hom_curve(given, delays)
+    assert curve.plateau_delay == want.plateau_delay != hom_curve(built, delays).plateau_delay
+    assert np.array_equal(curve.values, want.values) and curve.plateau == want.plateau
+    assert fourfold_probability_oracle(bare, 0.0) == fourfold_probability_oracle(given, 0.0)
+
+
 def test_visibility_map_shape_and_monotonicity():
     tc = np.array([80 * PS, 160 * PS])
     t14 = np.array([40 * PS, 120 * PS])
@@ -830,7 +878,7 @@ def test_tau23_regime_is_one_constant():
         visibility_map(tc, t14, jitter=15e-12, tau23_factor=interference.TAU23_TC_FACTOR - 0.5)
 
 
-# a stand-in JSA: _plateau_delay reads only the windows, jitters and known
+# a stand-in JSA: _plateau_delay reads only the windows, jitters and
 # coherence times of a setup
 _TINY_JSA = JointSpectralAmplitude(grid=FrequencyGrid(n_points=3, span=1e9), j_amp=np.ones(3))
 
@@ -842,7 +890,7 @@ _TINY_JSA = JointSpectralAmplitude(grid=FrequencyGrid(n_points=3, span=1e9), j_a
 def test_plateau_is_reliable_exactly_when_its_clamp_interval_is_not_empty(tcs, tau_14, tau_23, jitters):
     setup = InterferenceSetup(
         jsa_a=_TINY_JSA, jsa_b=_TINY_JSA, detectors=DetectorModel(jitter_fwhm=jitters),
-        windows=CoincidenceConfig(tau_14=tau_14, tau_23=tau_23), known_coherence_times=tcs,
+        windows=CoincidenceConfig(tau_14=tau_14, tau_23=tau_23), coherence_times=tcs,
     )
     tc_max, sigma = max(tcs), jitter_sigma_time(max(jitters))
     t_lo = max(2 * tc_max + tau_14 / 2 + 3 * sigma, 3 * max(jitters))
