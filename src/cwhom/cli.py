@@ -397,7 +397,7 @@ def _cmd_oracle_check(args, scenario: dict, base: str) -> None:
     delays = _delays(scenario)
     setup = _build_setup(scenario, delays)
     engine = FourfoldEngine(setup).probabilities(delays)
-    oracle = np.array([fourfold_probability_oracle(setup, t) for t in delays])
+    oracle = fourfold_probability_oracle(setup, delays)
     rel = np.abs(engine - oracle) / np.maximum(np.abs(oracle), np.finfo(float).tiny)
     max_rel = float(np.max(rel))
     out = {

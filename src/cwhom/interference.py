@@ -665,7 +665,9 @@ def _window_weights(u: np.ndarray, step: float, lo: float, hi: float, sigma: flo
 # between two detection lattices, and each JSA's Fourier sum over the lag
 # lattice): 2**22 complex cells take 64 MiB, four times the largest the
 # tests and the benchmark use (1.02 M: 2945 lags by 1407 JSA points). The
-# sizes are compared before any lattice is allocated.
+# guard counts the union of both sources' lags at each delay, an upper
+# bound on each source's own table, and the sizes are compared before any
+# lattice is allocated.
 MAX_ORACLE_CELLS = 2**22
 
 
@@ -684,6 +686,11 @@ def _lattice_offsets(lo: float, hi: float, step: float) -> tuple[int, int]:
     return int(math.floor(k_lo)), int(math.ceil(k_hi))
 
 
+def _lag_span(oa: int, na: int, ob: int, nb: int) -> tuple[int, int]:
+    """Least and greatest lag offset (oa + i) - (ob + j) between two lattices."""
+    return oa - ob - (nb - 1), oa - ob + (na - 1)
+
+
 def _pair_amplitude(jsa: JointSpectralAmplitude, v: np.ndarray) -> np.ndarray:
     """f(v) = step * sum over W of J(W) exp(-i v W), at each time lag v.
 
@@ -694,7 +701,21 @@ def _pair_amplitude(jsa: JointSpectralAmplitude, v: np.ndarray) -> np.ndarray:
     return np.exp(-1j * np.outer(v, jsa.grid.omega[nz])) @ jsa.j_amp[nz] * jsa.grid.step
 
 
-def fourfold_probability_oracle(setup: InterferenceSetup, tau: float) -> float:
+def _lag_tables(
+    jsa: JointSpectralAmplitude, step: float, oa: int, na: int, pairs: tuple[tuple[int, int], ...]
+) -> list[np.ndarray]:
+    """f(u_a - u_b) between lattice a and each lattice b of pairs (offset, size).
+
+    The pair amplitude is tabulated once, over only the lags the tables read.
+    """
+    spans = [_lag_span(oa, na, ob, nb) for ob, nb in pairs]
+    lo = min(s[0] for s in spans)
+    f = _pair_amplitude(jsa, np.arange(lo, max(s[1] for s in spans) + 1) * step)
+    ia = np.arange(na)[:, None]
+    return [f[(oa + ia) - (ob + np.arange(nb)[None, :]) - lo] for ob, nb in pairs]
+
+
+def fourfold_probability_oracle(setup: InterferenceSetup, tau: float | np.ndarray) -> float | np.ndarray:
     """Brute-force time-domain evaluation of the coincidence probability.
 
     Pair amplitudes f(t) come from a direct Fourier sum of each JSA, over
@@ -702,10 +723,23 @@ def fourfold_probability_oracle(setup: InterferenceSetup, tau: float) -> float:
     detection-time integrals use window weights with jitter folded in
     analytically. Independent of the frequency-domain contraction route.
     Practical for modest grids.
+
+    tau is one delay (a float is returned) or a 1-d array of delays (an
+    array is returned), and a scan is evaluated in one call: the step,
+    the channel 1-3 lattices and weights and source a's lag tables do
+    not depend on the delay and are built once; channel 4's lattice and
+    weights and source b's tables are built per delay. Each source's
+    amplitude is tabulated over only the lags its tables read. Both
+    guards (array cells and aliasing) run for every delay, in scan
+    order, before any table is built, so a scan refuses exactly as its
+    first refused delay does alone.
     """
     grid = setup.jsa_a.grid
     cfg = setup.windows
     tc_a, tc_b = _given_coherence_times(setup)
+    taus = np.asarray(tau, dtype=float)
+    if taus.ndim > 1:
+        raise ValueError("tau must be one delay or a 1-d array of delays")
     j1, j2, j3, j4 = setup.detectors.jitter_fwhm
     sig = [jitter_sigma_time(j) for j in (j1, j2, j3, j4)]
 
@@ -718,74 +752,77 @@ def fourfold_probability_oracle(setup: InterferenceSetup, tau: float) -> float:
     h14, h23 = cfg.tau_14 / 2, cfg.tau_23 / 2
     # detection-time lattices k * step, k from o_i to e_i; channel 1 holds
     # the single point 0 when it has no jitter
-    (o1, e1), (o2, e2), (o3, e3), (o4, e4) = (
+    (o1, e1), (o2, e2), (o3, e3) = (
         _lattice_offsets(-pad[0], pad[0], step),
         _lattice_offsets(-h23 - pad[1], h23 + pad[1], step),
         _lattice_offsets(-h23 - pad[2], h23 + pad[2], step),
-        _lattice_offsets(tau - h14 - pad[3], tau + h14 + pad[3], step),
     )
-    n1, n2, n3, n4 = e1 - o1 + 1, e2 - o2 + 1, e3 - o3 + 1, e4 - o4 + 1
-
-    # All pairwise time differences live on the lattice; the pair
-    # amplitudes are tabulated once per source over the needed lag range.
-    spans = {
-        "a12": (o1 - o2 - (n2 - 1), o1 - o2 + (n1 - 1)),
-        "a13": (o1 - o3 - (n3 - 1), o1 - o3 + (n1 - 1)),
-        "b43": (o4 - o3 - (n3 - 1), o4 - o3 + (n4 - 1)),
-        "b42": (o4 - o2 - (n2 - 1), o4 - o2 + (n4 - 1)),
-    }
-    dmin = min(lo for lo, _ in spans.values())
-    dmax = max(hi for _, hi in spans.values())
+    n1, n2, n3 = e1 - o1 + 1, e2 - o2 + 1, e3 - o3 + 1
     nnz = max(np.count_nonzero(setup.jsa_a.j_amp), np.count_nonzero(setup.jsa_b.j_amp))
-    cells = max(n1 * n2, n1 * n3, n4 * n3, n4 * n2, n1 * n4, (dmax - dmin + 1) * nnz)
-    if cells > MAX_ORACLE_CELLS:
-        raise GridResolutionError(
-            f"the time-domain oracle needs an array of {cells} cells; at most "
-            f"{MAX_ORACLE_CELLS} are allowed"
-        )
-    v_need = max(abs(dmin), abs(dmax)) * step
     period = 2.0 * math.pi / grid.step
-    if v_need > 0.45 * period:
-        # The tabulated pair amplitude is periodic with 2*pi/step, so
-        # the largest needed lag must stay well inside half a period:
-        # step <= 0.45 * 2 pi / v_need, the resolution rule's step for
-        # times up to v_need / (0.45 RESOLUTION_PERIODS).
-        need = _required_n_points(grid.span, v_need / (0.45 * RESOLUTION_PERIODS))
-        raise GridResolutionError(
-            f"time lag {v_need:.3e} s aliases on this grid (period {period:.3e} s); "
-            f"increase n_points to >= {need}",
-            required_n_points=need,
-        )
 
-    u1, u2, u3, u4 = (np.arange(o, e + 1) * step for o, e in ((o1, e1), (o2, e2), (o3, e3), (o4, e4)))
+    def channel_4(t: float) -> tuple[int, int]:
+        """Channel 4's lattice at delay t, once both guards pass."""
+        o4, e4 = _lattice_offsets(t - h14 - pad[3], t + h14 + pad[3], step)
+        n4 = e4 - o4 + 1
+        # All pairwise time differences live on the lattice
+        spans = (
+            _lag_span(o1, n1, o2, n2),
+            _lag_span(o1, n1, o3, n3),
+            _lag_span(o4, n4, o3, n3),
+            _lag_span(o4, n4, o2, n2),
+        )
+        dmin = min(lo for lo, _ in spans)
+        dmax = max(hi for _, hi in spans)
+        cells = max(n1 * n2, n1 * n3, n4 * n3, n4 * n2, n1 * n4, (dmax - dmin + 1) * nnz)
+        if cells > MAX_ORACLE_CELLS:
+            raise GridResolutionError(
+                f"the time-domain oracle needs an array of {cells} cells; at most "
+                f"{MAX_ORACLE_CELLS} are allowed"
+            )
+        v_need = max(abs(dmin), abs(dmax)) * step
+        if v_need > 0.45 * period:
+            # The tabulated pair amplitude is periodic with 2*pi/step, so
+            # the largest needed lag must stay well inside half a period:
+            # step <= 0.45 * 2 pi / v_need, the resolution rule's step for
+            # times up to v_need / (0.45 RESOLUTION_PERIODS).
+            need = _required_n_points(grid.span, v_need / (0.45 * RESOLUTION_PERIODS))
+            raise GridResolutionError(
+                f"time lag {v_need:.3e} s aliases on this grid (period {period:.3e} s); "
+                f"increase n_points to >= {need}",
+                required_n_points=need,
+            )
+        return o4, e4
+
+    delays = taus.reshape(-1).tolist()
+    lattices_4 = [channel_4(t) for t in delays]
+
+    u1, u2, u3 = (np.arange(o, e + 1) * step for o, e in ((o1, e1), (o2, e2), (o3, e3)))
     if sig[0] > 0:
         g1w = np.exp(-0.5 * (u1 / sig[0]) ** 2) / (sig[0] * math.sqrt(2 * math.pi)) * step
     else:
         g1w = np.ones(1)
     w2 = _window_weights(u2, step, -h23, h23, sig[1])
     w3 = _window_weights(u3, step, -h23, h23, sig[2])
-    w4 = _window_weights(u4, step, tau - h14, tau + h14, sig[3])
-    v = np.arange(dmin, dmax + 1) * step
+    fa12, fa13 = _lag_tables(setup.jsa_a, step, o1, n1, ((o2, n2), (o3, n3)))
+    direct_a12 = g1w @ np.abs(fa12) ** 2 @ w2
+    direct_a13 = g1w @ np.abs(fa13) ** 2 @ w3
+    xa = fa12 * w2[None, :]
+    ya = fa13.conj() * w3[None, :]
+    del fa12, fa13
 
-    fa = _pair_amplitude(setup.jsa_a, v)
-    fb = _pair_amplitude(setup.jsa_b, v)
-
-    def table(f: np.ndarray, oa: int, na: int, ob: int, nb: int) -> np.ndarray:
-        ia = np.arange(na)[:, None]
-        ib = np.arange(nb)[None, :]
-        return f[(oa + ia) - (ob + ib) - dmin]
-
-    fa12 = table(fa, o1, n1, o2, n2)
-    fa13 = table(fa, o1, n1, o3, n3)
-    fb43 = table(fb, o4, n4, o3, n3)
-    fb42 = table(fb, o4, n4, o2, n2)
-
-    term1 = (g1w @ np.abs(fa12) ** 2 @ w2) * (w4 @ np.abs(fb43) ** 2 @ w3)
-    term2 = (g1w @ np.abs(fa13) ** 2 @ w3) * (w4 @ np.abs(fb42) ** 2 @ w2)
-    xm = (fa12 * w2[None, :]) @ fb42.conj().T
-    ym = (fa13.conj() * w3[None, :]) @ fb43.T
-    cross = -2.0 * float(np.real(g1w @ (xm * ym) @ w4))
-    return float(term1 + term2 + cross)
+    out = np.empty(len(delays))
+    for i, (t, (o4, e4)) in enumerate(zip(delays, lattices_4)):
+        n4 = e4 - o4 + 1
+        w4 = _window_weights(np.arange(o4, e4 + 1) * step, step, t - h14, t + h14, sig[3])
+        fb43, fb42 = _lag_tables(setup.jsa_b, step, o4, n4, ((o3, n3), (o2, n2)))
+        term1 = direct_a12 * (w4 @ np.abs(fb43) ** 2 @ w3)
+        term2 = direct_a13 * (w4 @ np.abs(fb42) ** 2 @ w2)
+        xm = xa @ fb42.conj().T
+        ym = ya @ fb43.T
+        cross = -2.0 * float(np.real(g1w @ (xm * ym) @ w4))
+        out[i] = float(term1 + term2 + cross)
+    return float(out[0]) if taus.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

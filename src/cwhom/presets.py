@@ -5,7 +5,10 @@ the per-channel detector jitters, and the time-tagger jitter.  The
 grating parameters are frozen calibration results: each model's
 reflectivity FWHM matches its nominal bandwidth and the paired joint
 spectra reproduce the reference coherence times (see the test suite for
-the frozen expectations).
+the frozen expectations).  Each source's grating width and coherence
+time are frozen too (REFERENCE_WIDTHS, REFERENCE_COHERENCE_TIMES), so
+loading a preset runs no reflectivity scan and no coherence estimate;
+the tests pin both to the calibration reference.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from .spectral import (
     FbgModel,
     FrequencyGrid,
     JointSpectralAmplitude,
-    fbg_reflectivity_fwhm,
     fbg_response,
     joint_spectral_amplitude,
 )
@@ -97,6 +99,11 @@ REFERENCE_SOURCES = {
 # an analytic source's exact T_c sits from the estimate on its own grid.
 REFERENCE_COHERENCE_TIMES = {"a": 2.4308475663456844e-10, "b": 1.664377837527041e-10}
 
+# Widest reflectivity FWHM [rad/s] of each reference source's two
+# gratings: what spectral.fbg_reflectivity_fwhm reads, bit for bit. It
+# sets the span of every grid a preset is sampled on.
+REFERENCE_WIDTHS = {"a": 32149725943.65549, "b": 34499901467.49203}
+
 
 def tagger_composed_jitters(
     jitters_fwhm: tuple[float, float, float, float] = REFERENCE_JITTERS_FWHM,
@@ -111,11 +118,6 @@ def tagger_composed_jitters(
         effective_jitter(components_fwhm=(j,), components_rms=(tagger_rms,))
         for j in jitters_fwhm
     )
-
-
-def grating_width(*models: FbgModel) -> float:
-    """Widest reflectivity FWHM [rad/s] among the gratings."""
-    return max(fbg_reflectivity_fwhm(m) for m in models)
 
 
 def filtered_pair_jsa(
@@ -144,10 +146,9 @@ PRESET_SAMPLERS = {"a": reference_source_a, "b": reference_source_b}
 
 
 def preset_source(name: str) -> Source:
-    """Reference source "a" or "b": its gratings' widest FWHM, calibrated T_c and grid floor."""
-    jsa = PRESET_SAMPLERS[name]
+    """Reference source "a" or "b": its frozen width and T_c, and the grating grid floor."""
     return Source(
-        jsa, grating_width(*REFERENCE_SOURCES[name]), REFERENCE_COHERENCE_TIMES[name], GRATING_GRID_FLOOR
+        PRESET_SAMPLERS[name], REFERENCE_WIDTHS[name], REFERENCE_COHERENCE_TIMES[name], GRATING_GRID_FLOOR
     )
 
 

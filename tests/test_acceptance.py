@@ -39,13 +39,13 @@ from cwhom.presets import (
     REFERENCE_FILTERS,
     REFERENCE_JITTERS_FWHM,
     filtered_pair_jsa,
-    grating_width,
     tagger_composed_jitters,
 )
 from cwhom.rates import LossProfile, RateQuery, cw_fourfold_rate, optimize_window, pass_swaps, pulsed_rate
 from cwhom.spectral import (
     FbgModel,
     FrequencyGrid,
+    fbg_reflectivity_fwhm,
     fit_fbg,
     fwhm_from_samples,
     load_filter_table,
@@ -171,7 +171,8 @@ def test_criterion_3_coherence_times_from_fitted_models():
     delays = np.linspace(-800 * PS, 800 * PS, 3201)
 
     def pair_jsa(signal, idler):
-        grid = sized_grid(8.0 * grating_width(signal, idler), 800 * PS, GRATING_GRID_FLOOR)
+        width = max(fbg_reflectivity_fwhm(signal), fbg_reflectivity_fwhm(idler))
+        grid = sized_grid(8.0 * width, 800 * PS, GRATING_GRID_FLOOR)
         return filtered_pair_jsa(signal, idler, grid)
 
     jsa_a = pair_jsa(fitted["signal_a"], fitted["idler_a"])

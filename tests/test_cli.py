@@ -802,6 +802,19 @@ def test_exit_code_3_before_the_engine_allocates_its_m_by_m_arrays(capsys, tmp_p
     assert not out.exists()
 
 
+def test_oracle_scan_on_the_oracle_check_scenario_equals_its_scalar_calls():
+    from cwhom.cli import _build_setup, _delays
+    from cwhom.interference import fourfold_probability_oracle
+
+    with open(scenario_path("appendix_shape.json")) as fh:
+        doc = json.load(fh)
+    delays = _delays(doc)
+    assert delays.size == 49
+    setup = _build_setup(doc, delays)
+    scan = fourfold_probability_oracle(setup, delays)
+    assert scan.tolist() == [fourfold_probability_oracle(setup, t) for t in delays]
+
+
 def test_oracle_check_refuses_an_oversized_lattice_before_allocating(capsys, tmp_path):
     from cwhom.interference import MAX_ORACLE_CELLS
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -426,6 +427,46 @@ def test_oracle_alias_refusal_names_a_grid_that_resolves():
     assert need == 73
     setup = setup_on(need)
     assert fourfold_probability_oracle(setup, 0.0) > 0
+
+
+def test_oracle_scan_equals_its_scalar_calls_bit_for_bit():
+    setup = reference_setup(40 * PS, 2000 * PS, 800 * PS)
+    delays = np.array([0.0, 300 * PS, 800 * PS])
+    scan = fourfold_probability_oracle(setup, delays)
+    assert isinstance(scan, np.ndarray) and scan.shape == (3,)
+    scalars = [fourfold_probability_oracle(setup, t) for t in delays]
+    assert all(type(p) is float for p in scalars)
+    assert scan.tolist() == scalars
+    with pytest.raises(ValueError, match="1-d array"):
+        fourfold_probability_oracle(setup, delays[None, :])
+
+
+def test_oracle_scan_refuses_as_its_first_refused_delay_does_alone():
+    source = analytic_source("rect", 100 * PS)
+    setup = build_setup(
+        source, source, CoincidenceConfig(tau_14=40 * PS, tau_23=280 * PS), JITTERS, n_points=103
+    )
+    # on 103 points, delays up to 100 ps resolve; 150 ps needs 119 and 300 ps 167
+    for scan, last in (([0.0, 50 * PS, 100 * PS, 150 * PS], 150 * PS), ([0.0, 300 * PS, 150 * PS], 300 * PS)):
+        with pytest.raises(GridResolutionError, match="aliases") as alone:
+            fourfold_probability_oracle(setup, last)
+        with pytest.raises(GridResolutionError) as err:
+            fourfold_probability_oracle(setup, np.array(scan))
+        assert str(err.value) == str(alone.value)
+        assert err.value.required_n_points == alone.value.required_n_points
+
+
+def test_oracle_working_memory_on_the_reference_setup():
+    # each source's amplitude is tabulated over only the lags its own
+    # tables read; over the union of both sources' lags this reads 81.4 MiB
+    setup = reference_setup(40 * PS, 2000 * PS, 800 * PS)
+    tracemalloc.start()
+    try:
+        fourfold_probability_oracle(setup, 800 * PS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 70 * 2**20
 
 
 def test_oracle_pair_amplitude_skips_only_zeros():

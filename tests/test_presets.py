@@ -8,6 +8,7 @@ side peak of source B that the calibration is supposed to reproduce.
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -29,9 +30,10 @@ from cwhom.presets import (
     REFERENCE_FILTERS,
     REFERENCE_JITTERS_FWHM,
     REFERENCE_SOURCES,
+    REFERENCE_WIDTHS,
     TIME_TAGGER_RMS,
     filtered_pair_jsa,
-    grating_width,
+    preset_source,
     reference_setup,
     reference_source_a,
     reference_source_b,
@@ -60,7 +62,8 @@ FROZEN_V0_REFERENCE = 0.5944311459268931
 
 def pair_grid(signal: FbgModel, idler: FbgModel, tau_max: float, n_points: int | None = None):
     """Grid sized from a pair's widest grating band, resolving delays up to tau_max."""
-    return sized_grid(8.0 * grating_width(signal, idler), tau_max, GRATING_GRID_FLOOR, n_points)
+    width = max(fbg_reflectivity_fwhm(signal), fbg_reflectivity_fwhm(idler))
+    return sized_grid(8.0 * width, tau_max, GRATING_GRID_FLOOR, n_points)
 
 
 def local_maxima(values: np.ndarray) -> np.ndarray:
@@ -146,6 +149,27 @@ def test_reference_coherence_times_are_the_reference_grid_estimates():
     for name, source in (("a", reference_source_a), ("b", reference_source_b)):
         estimate = jsa_coherence_fwhm(source(grid))
         assert REFERENCE_COHERENCE_TIMES[name] == pytest.approx(estimate, rel=1e-12)
+
+
+def test_reference_widths_are_the_widest_grating_fwhms():
+    for name, models in REFERENCE_SOURCES.items():
+        assert REFERENCE_WIDTHS[name] == pytest.approx(max(fbg_reflectivity_fwhm(m) for m in models), rel=1e-12)
+        assert preset_source(name).width == REFERENCE_WIDTHS[name]
+
+
+def test_preset_paths_run_no_grating_fwhm_scan(tmp_path, capsys):
+    from cwhom.cli import main
+
+    fbg_reflectivity_fwhm.cache_clear()
+    preset_source("a")
+    preset_source("b")
+    reference_setup(40e-12, 2000e-12)
+    scenario = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                            "scenarios", "reference_sources.json")
+    for sub in ("coherence", "homdip"):
+        assert main([sub, "--scenario", scenario, "--out", str(tmp_path / f"{sub}.csv")]) == 0
+    capsys.readouterr()
+    assert fbg_reflectivity_fwhm.cache_info().misses == 0
 
 
 def test_reference_setup_visibility():
