@@ -473,8 +473,6 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(4, "numerical", str(exc))
     except jsonschema.ValidationError as exc:
         return _fail(2, "validation", exc.message)
-    except KeyError as exc:
-        return _fail(2, "validation", f"missing key {exc}")
     except (ValueError, OSError) as exc:
         return _fail(2, "validation", str(exc))
     return 0

@@ -330,24 +330,11 @@ WIDTH_PRODUCTS = {
     "lorentzian": 2.0 * math.log(2.0),
 }
 
-# Fewest points of a grid sized by ``sized_grid``.
+# Fewest points of a grid sized by ``source_grid``.
 GRID_FLOOR = 129
 
 # Half span of a sized grid, in units of the widest filter FWHM.
 SPAN_FACTOR = 8.0
-
-
-def sized_grid(span: float, t_max: float, floor: int, n_points: int | None = None) -> FrequencyGrid:
-    """Grid over [-span, span] with n_points, or else the fewest points, and at
-    least floor, that resolve times up to t_max (floor when t_max is 0).
-
-    Either count must stay within MAX_GRID_POINTS (GridResolutionError).
-    """
-    if n_points is None:
-        n_points = max(floor, _required_n_points(span, t_max)) if t_max > 0 else floor
-    elif n_points > MAX_GRID_POINTS:
-        raise GridResolutionError(f"n_points {n_points} exceeds the limit of {MAX_GRID_POINTS}")
-    return FrequencyGrid(n_points=n_points, span=span)
 
 
 def filter_width(kind: str, t_c: float) -> float:
@@ -387,15 +374,19 @@ def analytic_source(kind: str, t_c: float) -> Source:
 def source_grid(
     sources: Sequence[Source], t_max: float, n_points: int | None = None
 ) -> FrequencyGrid:
-    """Grid for sources: a half span of SPAN_FACTOR x the widest width, at least
-    the largest floor of points, and times up to t_max and every T_c resolved.
+    """Grid for sources over [-span, span], span SPAN_FACTOR x the widest width:
+    n_points, or else the fewest points, and at least the largest floor, that
+    resolve times up to t_max and every T_c.
+
+    Either count must stay within MAX_GRID_POINTS (GridResolutionError).
     """
-    return sized_grid(
-        SPAN_FACTOR * max(s.width for s in sources),
-        max(t_max, *(s.t_c for s in sources)),
-        max(s.floor for s in sources),
-        n_points,
-    )
+    span = SPAN_FACTOR * max(s.width for s in sources)
+    if n_points is None:
+        t_max = max(t_max, *(s.t_c for s in sources))
+        n_points = max(_required_n_points(span, t_max), *(s.floor for s in sources))
+    elif n_points > MAX_GRID_POINTS:
+        raise GridResolutionError(f"n_points {n_points} exceeds the limit of {MAX_GRID_POINTS}")
+    return FrequencyGrid(n_points=n_points, span=span)
 
 
 def build_setup(
@@ -484,23 +475,24 @@ class FourfoldEngine:
     either JSA is nonzero enters: the JSAs and the lag axis are cut to
     it, so the lag axis has 2m - 1 points for m = hi - lo, not 2n - 1.
     The span is contiguous, so the lag axis stays uniform and every
-    identity above holds on it; the grid resolution checks still use the
+    identity above holds on it; the grid resolution check still uses the
     full grid's step. Dense JSAs give the whole grid.
 
-    ``_terms`` evaluates a delay scan with one phase block and one product
-    with the coefficient block and checks every delay; ``probabilities``,
+    The build refuses only what it cannot allocate (MAX_ENGINE_CORE_BYTES);
+    evaluation refuses what it cannot resolve or trust. ``_terms``
+    evaluates a delay scan with one phase block and one product with the
+    coefficient block, after all its checks; ``probabilities``,
     ``probability``, ``baseline`` and ``visibility_at_zero_delay`` all read
     its checked terms.
     """
 
-    # an overflowing build is refused below, once its coefficients are known
+    # an overflowing build is refused by _terms, after the resolution check
     @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, setup: InterferenceSetup):
         grid = setup.jsa_a.grid
         tc_a, tc_b = _given_coherence_times(setup)
         cfg = setup.windows
         self._static_t_max = max(cfg.tau_14, cfg.tau_23, tc_a, tc_b)
-        _check_resolution(grid, self._static_t_max, "window/coherence kernels")
         self.grid = grid
 
         # an exact test: points outside [lo, hi) add exact zeros to every term
@@ -582,19 +574,21 @@ class FourfoldEngine:
         # rows T1..T4; the fourth is the second cross core's diagonal sums,
         # those of k34 * conj(w3) with k34 Hermitian
         self._coeff = np.stack([a_phi2 * b_phi3, a_phi3 * b_phi2, c3, np.conj(c3[::-1])])
-        if not (math.isfinite(self._residue_cap) and np.isfinite(self._coeff).all()):
-            raise NumericalError("the engine's lag coefficients overflow the float range")
+        self._finite = math.isfinite(self._residue_cap) and bool(np.isfinite(self._coeff).all())
 
     def _terms(self, taus: np.ndarray) -> np.ndarray:
         """Bracket contributions T1..T4 (rows) per delay, each times step^4.
 
-        The grid must resolve the largest |tau|. The imaginary residue of
-        the bracket T1 + T2 - T3 - T4 and the sign of its real part are
-        checked at every delay (NumericalError), so every reader of the
-        terms gets checked ones.
+        Refuses, in this order, a grid that does not resolve the windows,
+        both coherence times and every |tau| at once (GridResolutionError,
+        naming a count that resolves them all), overflowed coefficients,
+        and at any delay an imaginary residue of T1 + T2 - T3 - T4 or a
+        negative real part (NumericalError).
         """
         t_max = max(self._static_t_max, float(np.max(np.abs(taus))))
-        _check_resolution(self.grid, t_max, "the delay phase")
+        _check_resolution(self.grid, t_max, "the windows, coherence times and delays")
+        if not self._finite:
+            raise NumericalError("the engine's lag coefficients overflow the float range")
         out = np.empty((4, taus.size), dtype=complex)
         # phase blocks stay within 4e6 elements however long the scan
         chunk = max(1, int(4e6 // self._x.size))

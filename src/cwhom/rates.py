@@ -228,13 +228,14 @@ def optimize_window(q: RateQuery) -> OptResult:
     the smallest window is one of them, this raises.
     """
     taus = np.geomspace(q.tau_w_range[0], q.tau_w_range[1], N_WINDOW_SAMPLES)
-    if _visibility_model(q.tc_max, float(taus[0]), q.jitter) < q.v_target:
+    first = _solve_one_window(float(taus[0]), q)
+    if first is None:
         raise ValueError(
             "visibility target unreachable: even at tc_max the smallest "
             "window in tau_w_range falls short of v_target"
         )
-    # the check above makes the smallest window feasible: rows is never empty
-    solved = [_solve_one_window(float(t), q) for t in taus]
+    # the smallest window is feasible, so rows is never empty
+    solved = [first, *(_solve_one_window(float(t), q) for t in taus[1:])]
     rows = [r for r in solved if r is not None]
     curve = np.asarray(rows, dtype=float)
     k = int(np.argmax(curve[:, 2]))

@@ -19,6 +19,7 @@ from cwhom.interference import (
     CoherenceCurve,
     CoincidenceConfig,
     FourfoldEngine,
+    Source,
     _plateau_delay,
     analytic_jsa,
     analytic_source,
@@ -28,7 +29,7 @@ from cwhom.interference import (
     fourfold_probability_oracle,
     hom_curve,
     jsa_coherence_fwhm,
-    sized_grid,
+    source_grid,
     source_jitters,
     visibility,
     visibility_at_zero_delay,
@@ -170,14 +171,16 @@ def test_criterion_3_coherence_times_from_fitted_models():
 
     delays = np.linspace(-800 * PS, 800 * PS, 3201)
 
-    def pair_jsa(signal, idler):
+    def pair_jsa(signal, idler, t_c):
+        # the nominal t_c is what the fit is measured against; the 800 ps
+        # scan, not it, sets the grid's point count
         width = max(fbg_reflectivity_fwhm(signal), fbg_reflectivity_fwhm(idler))
-        grid = sized_grid(8.0 * width, 800 * PS, GRATING_GRID_FLOOR)
-        return filtered_pair_jsa(signal, idler, grid)
+        source = Source(lambda grid: filtered_pair_jsa(signal, idler, grid), width, t_c, GRATING_GRID_FLOOR)
+        return source.jsa(source_grid((source,), 800 * PS))
 
-    jsa_a = pair_jsa(fitted["signal_a"], fitted["idler_a"])
+    jsa_a = pair_jsa(fitted["signal_a"], fitted["idler_a"], 244 * PS)
     tc_a = coherence_function(jsa_a, *source_jitters(REFERENCE_JITTERS_FWHM, "a"), delays).t_c_fwhm
-    jsa_b = pair_jsa(fitted["signal_b"], fitted["idler_b"])
+    jsa_b = pair_jsa(fitted["signal_b"], fitted["idler_b"], 164 * PS)
     tc_b = coherence_function(jsa_b, *source_jitters(REFERENCE_JITTERS_FWHM, "b"), delays).t_c_fwhm
     ok_a = 0.95 * 244 * PS <= tc_a <= 1.05 * 244 * PS
     ok_b = 0.95 * 164 * PS <= tc_b <= 1.05 * 164 * PS

@@ -729,6 +729,89 @@ def test_exit_code_3_when_grid_too_coarse(capsys, tmp_path):
     assert err["required_n_points"] == 551
 
 
+@pytest.mark.parametrize("sub", ["homdip", "oracle-check"])
+def test_a_coarse_grid_is_refused_once_naming_a_grid_that_runs(capsys, tmp_path, sub):
+    # the engine checks the windows, coherence times and delays at once, so
+    # the 600 ps delays, not the 280 ps BS window alone (195 points), set
+    # the count the refusal names
+    doc = bundled_scenario("appendix_shape")
+    doc["grid"] = {"n_points": 129}
+    sc = tmp_path / "coarse.json"
+    sc.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code, stdout, stderr = run(capsys, [sub, "--scenario", str(sc), "--out", str(out)])
+    assert (code, stdout) == (3, "")
+    err = json.loads(stderr)
+    assert err["error"] == "resolution" and err["required_n_points"] == 415
+    assert "the windows, coherence times and delays" in err["message"]
+    assert not out.exists()
+    doc["grid"] = {"n_points": 415}
+    sc.write_text(json.dumps(doc))
+    code, _, stderr = run(capsys, [sub, "--scenario", str(sc), "--out", str(out)])
+    assert (code, stderr) == (0, "")
+
+
+@pytest.mark.parametrize("sub", ["homdip", "visibility"])
+def test_an_unresolvable_window_exits_3_ahead_of_the_overflow_guard(capsys, tmp_path, sub):
+    # a 1e290 ps BS window overflows the engine's lag coefficients too;
+    # the grid that cannot resolve it is named first
+    with open(scenario_path("identical_165.json")) as fh:
+        doc = json.load(fh)
+    doc["windows"]["tau_23_ps"] = 1e290
+    doc["grid"] = {"n_points": 129}
+    sc = tmp_path / "wide.json"
+    sc.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code, stdout, stderr = run(capsys, [sub, "--scenario", str(sc), "--out", str(out)])
+    assert (code, stdout) == (3, "")
+    err = json.loads(stderr)
+    assert err["error"] == "resolution" and err["required_n_points"] > 10**250
+    assert not out.exists()
+
+
+ANALYTIC_KINDS = st.sampled_from(["rect", "gaussian", "lorentzian"])
+JITTER_PS = st.one_of(st.just(0.0), st.floats(4.0, 30.0))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    kinds=st.tuples(ANALYTIC_KINDS, ANALYTIC_KINDS),
+    tc_a=st.floats(80.0, 200.0),
+    tc_ratio=st.floats(1.05, 1.5),
+    jitters=st.lists(JITTER_PS, min_size=4, max_size=4),
+    tau_14=st.floats(0.1, 1.0),
+    tau_23=st.floats(1.0, 8.0),
+    reach=st.floats(0.5, 6.0),
+    n_points=st.integers(2, 13).map(lambda k: 2 * k + 1),
+)
+def test_one_rerun_at_the_required_grid_is_never_refused_for_resolution(
+    capsys, tmp_path, kinds, tc_a, tc_ratio, jitters, tau_14, tau_23, reach, n_points
+):
+    # times in units of the longer coherence time; any grid of at most 27
+    # points is too coarse for these windows and sources
+    tc_b = tc_a * tc_ratio
+    doc = {
+        "sources": {"a": {"kind": kinds[0], "t_c_ps": tc_a}, "b": {"kind": kinds[1], "t_c_ps": tc_b}},
+        "detectors": {"jitter_fwhm_ps": jitters},
+        "windows": {"tau_14_ps": tau_14 * tc_b, "tau_23_ps": tau_23 * tc_b},
+        "delays": {"start_ps": -reach * tc_b, "stop_ps": reach * tc_b, "count": 5},
+    }
+    sc = tmp_path / "scenario.json"
+    out = tmp_path / "out"
+    for sub in ("homdip", "visibility"):
+        doc["grid"] = {"n_points": n_points}
+        sc.write_text(json.dumps(doc))
+        code, _, stderr = run(capsys, [sub, "--scenario", str(sc), "--out", str(out)])
+        assert code == 3, stderr
+        need = json.loads(stderr)["required_n_points"]
+        assert need > n_points
+        doc["grid"] = {"n_points": need}
+        sc.write_text(json.dumps(doc))
+        code, _, stderr = run(capsys, [sub, "--scenario", str(sc), "--out", str(out)])
+        assert code != 3, stderr
+
+
 def run_traced(capsys, argv):
     """run(), plus the peak bytes Python allocated during it."""
     import tracemalloc
@@ -1183,6 +1266,23 @@ def test_exit_code_4_from_the_baseline_visibility(capsys, tmp_path, monkeypatch,
     assert (code, stdout) == (4, "")
     err = json.loads(stderr)
     assert err["error"] == "numerical" and "imaginary residue" in err["message"]
+    assert not out.exists()
+
+
+def test_exit_code_4_when_the_engine_coefficients_overflow(capsys, tmp_path):
+    # tc_max = 1e300 ps sizes a grid that resolves the 4e300 ps BS window,
+    # whose kernels overflow the lag coefficients of the first engine
+    doc = bundled_scenario("optimize")
+    doc["rate_query"]["tc_max_ps"] = 1e300
+    sc = tmp_path / "optimize.json"
+    sc.write_text(json.dumps(doc))
+    out = tmp_path / "opt.json"
+    code, stdout, stderr = run(capsys, ["optimize-rate", "--scenario", str(sc), "--out", str(out)])
+    assert (code, stdout) == (4, "")
+    assert json.loads(stderr) == {
+        "error": "numerical",
+        "message": "the engine's lag coefficients overflow the float range",
+    }
     assert not out.exists()
 
 

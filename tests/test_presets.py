@@ -15,9 +15,10 @@ import pytest
 
 from cwhom.detection import RMS_TO_FWHM
 from cwhom.interference import (
+    Source,
     coherence_function,
     jsa_coherence_fwhm,
-    sized_grid,
+    source_grid,
     source_jitters,
     visibility_at_zero_delay,
 )
@@ -26,6 +27,7 @@ from cwhom.presets import (
     FILTER_SIGNAL_A,
     GRATING_GRID_FLOOR,
     NOMINAL_BANDWIDTHS_PM,
+    PRESET_SAMPLERS,
     REFERENCE_COHERENCE_TIMES,
     REFERENCE_FILTERS,
     REFERENCE_JITTERS_FWHM,
@@ -60,10 +62,11 @@ FROZEN_TC_B = 1.6850551234607817e-10
 FROZEN_V0_REFERENCE = 0.5944311459268931
 
 
-def pair_grid(signal: FbgModel, idler: FbgModel, tau_max: float, n_points: int | None = None):
-    """Grid sized from a pair's widest grating band, resolving delays up to tau_max."""
-    width = max(fbg_reflectivity_fwhm(signal), fbg_reflectivity_fwhm(idler))
-    return sized_grid(8.0 * width, tau_max, GRATING_GRID_FLOOR, n_points)
+def pair_grid(name: str, tau_max: float, n_points: int | None = None):
+    """Grid of reference pair name, sized from its gratings' widest band, resolving delays up to tau_max."""
+    width = max(fbg_reflectivity_fwhm(model) for model in REFERENCE_SOURCES[name])
+    source = Source(PRESET_SAMPLERS[name], width, REFERENCE_COHERENCE_TIMES[name], GRATING_GRID_FLOOR)
+    return source_grid((source,), tau_max, n_points)
 
 
 def local_maxima(values: np.ndarray) -> np.ndarray:
@@ -80,7 +83,7 @@ def test_bandwidths_match_nominal():
 
 
 def test_source_a_coherence_time():
-    jsa = reference_source_a(pair_grid(*REFERENCE_SOURCES["a"], 800e-12))
+    jsa = reference_source_a(pair_grid("a", 800e-12))
     curve = coherence_function(jsa, *source_jitters(REFERENCE_JITTERS_FWHM, "a"), DELAYS)
     # 244 ps nominal, 5% band.
     assert 231.8e-12 <= curve.t_c_fwhm <= 256.2e-12
@@ -88,7 +91,7 @@ def test_source_a_coherence_time():
 
 
 def test_source_b_coherence_time():
-    jsa = reference_source_b(pair_grid(*REFERENCE_SOURCES["b"], 800e-12))
+    jsa = reference_source_b(pair_grid("b", 800e-12))
     curve = coherence_function(jsa, *source_jitters(REFERENCE_JITTERS_FWHM, "b"), DELAYS)
     # 164 ps nominal, 5% band.
     assert 155.8e-12 <= curve.t_c_fwhm <= 172.2e-12
@@ -96,7 +99,7 @@ def test_source_b_coherence_time():
 
 
 def test_source_b_side_peak_requires_spectral_phase():
-    jsa = reference_source_b(pair_grid(*REFERENCE_SOURCES["b"], 800e-12))
+    jsa = reference_source_b(pair_grid("b", 800e-12))
     curve = coherence_function(jsa, *source_jitters(REFERENCE_JITTERS_FWHM, "b"), DELAYS)
     g = curve.density / curve.density.max()
 
@@ -181,13 +184,13 @@ def test_reference_setup_visibility():
 
 
 def test_filtered_jsa_grid_sizing():
-    grid = pair_grid(FILTER_SIGNAL_A, FILTER_IDLER_A, 0.0, n_points=601)
+    grid = pair_grid("a", 0.0, n_points=601)
     jsa = filtered_pair_jsa(FILTER_SIGNAL_A, FILTER_IDLER_A, grid)
     assert jsa.grid is grid and grid.n_points == 601
     assert grid.span == 8.0 * fbg_reflectivity_fwhm(FILTER_SIGNAL_A)  # the wider band
-    assert pair_grid(FILTER_SIGNAL_A, FILTER_IDLER_A, 0.0).n_points == GRATING_GRID_FLOOR
-    jsa2 = filtered_pair_jsa(FILTER_SIGNAL_A, FILTER_IDLER_A,
-                             pair_grid(FILTER_SIGNAL_A, FILTER_IDLER_A, 2e-9))
+    # source A's 243 ps coherence time needs 161 points
+    assert pair_grid("a", 0.0).n_points == GRATING_GRID_FLOOR
+    jsa2 = filtered_pair_jsa(FILTER_SIGNAL_A, FILTER_IDLER_A, pair_grid("a", 2e-9))
     assert jsa2.grid.step <= 2.0 * math.pi / (8.0 * 2e-9)
     assert np.max(np.abs(jsa2.j_amp)) == pytest.approx(1.0, abs=1e-12)
 

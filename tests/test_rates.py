@@ -22,6 +22,8 @@ from cwhom.rates import (
     OptResult,
     RateQuery,
     TC_TIGHTNESS,
+    _min_feasible_tc,
+    _solve_one_window,
     _visibility_model,
     cw_fourfold_rate,
     optimize_window,
@@ -258,3 +260,37 @@ def test_optimizer_unreachable_target():
     q = RateQuery(mu=0.01, jitter=50 * PS, v_target=0.99, tc_max=20 * PS)
     with pytest.raises(ValueError, match="unreachable"):
         optimize_window(q)
+
+
+def test_optimizer_builds_each_engine_once():
+    # the smallest window's solve is also the reachability check, so a cold
+    # query on optimize.json makes 322 engine builds and reads none twice
+    with open(os.path.join(REPO, "scenarios", "optimize.json")) as fh:
+        rq = json.load(fh)["rate_query"]
+    q = RateQuery(mu=rq["mu"], jitter=rq["jitter_ps"] * PS, v_target=rq["v_target"], tc_max=rq["tc_max_ps"] * PS)
+    _visibility_model.cache_clear()
+    optimize_window(q)
+    info = _visibility_model.cache_info()
+    assert (info.misses, info.hits) == (322, 0)
+    # an unreachable target is refused after the one build at tc_max
+    _visibility_model.cache_clear()
+    with pytest.raises(ValueError, match="unreachable"):
+        optimize_window(RateQuery(mu=0.01, jitter=50 * PS, v_target=0.99, tc_max=20 * PS))
+    assert _visibility_model.cache_info().misses == 1
+
+
+def test_min_feasible_tc_returns_a_floor_that_meets_the_target():
+    q = RateQuery(mu=0.01, jitter=15 * PS, v_target=0.99, tc_max=800 * PS)
+    assert _visibility_model(400 * PS, 10 * PS, q.jitter) >= q.v_target
+    assert _min_feasible_tc(10 * PS, q, 400 * PS) == 400 * PS
+
+
+def test_a_window_past_eight_tc_max_searches_from_half_tc_max():
+    # tau_w / 8 = 50 ps is past tc_max = 20 ps, so the T_c search starts at
+    # tc_max / 2, which already meets the target: the window is rated there,
+    # and, being wider than that T_c, with the rate model's warning
+    q = RateQuery(mu=0.01, jitter=0.0, v_target=0.25, tc_max=20 * PS)
+    assert _visibility_model(q.tc_max / 2, 400 * PS, q.jitter) >= q.v_target
+    with pytest.warns(UserWarning, match="exceeds the coherence time"):
+        row = _solve_one_window(400 * PS, q)
+    assert row == (400 * PS, q.tc_max / 2, (q.mu / (q.tc_max / 2)) ** 2 * (400 * PS))

@@ -495,6 +495,18 @@ def test_fit_recovers_bundled_table_from_bundled_seed():
     assert res < 1e-18
 
 
+def test_fit_returns_the_seed_when_no_start_improves_on_it():
+    # a second, weaker band 6 FWHM off pulls the centroid start away from
+    # the seed, which sits on the main band; every start ends worse
+    fwhm = fbg_reflectivity_fwhm(TEST_MODEL)
+    g = FrequencyGrid(n_points=161, span=8.5 * fwhm)
+    ghost = replace(TEST_MODEL, detuning_offset=6.0 * fwhm)
+    r2 = np.abs(fbg_response(TEST_MODEL, g).amp) ** 2 + 0.3 * np.abs(fbg_response(ghost, g).amp) ** 2
+    model, res = fit_fbg(g.omega.copy(), r2, TEST_MODEL, rng_seed=RNG_SEED, n_restarts=1)
+    assert model is TEST_MODEL
+    assert res == pytest.approx(0.09 * np.sum(np.abs(fbg_response(ghost, g).amp) ** 4), rel=1e-12)
+
+
 def test_fit_validation():
     seed = FbgModel(length=0.02, n_sections=32, peak_kappa=100.0, order=2.0, width=0.8)
     om = np.linspace(-1e11, 1e11, 30)
