@@ -23,9 +23,7 @@ import math
 import os
 import sys
 from dataclasses import asdict
-from functools import lru_cache
 
-import jsonschema
 import numpy as np
 
 from .detection import DetectorModel
@@ -55,7 +53,7 @@ from .presets import (
     tagger_composed_jitters,
 )
 from .rates import LossProfile, RateQuery, optimize_window, pass_swaps, pulsed_rate
-from .schemas import SCHEMAS
+from .schemas import validate
 from .spectral import FbgModel, fit_fbg, load_filter_table
 from .timetags import (
     SharedTagLoader,
@@ -78,24 +76,12 @@ _PRESET_SOURCES = PRESET_SAMPLERS
 # Schemas and serialization
 
 
-@lru_cache(maxsize=None)
-def _validator(name: str) -> jsonschema.Draft7Validator:
-    return jsonschema.Draft7Validator(SCHEMAS[name])
-
-
-def _validate(instance, schema_name: str) -> None:
-    # what jsonschema.validate raises, without its per-call metaschema check
-    error = jsonschema.exceptions.best_match(_validator(schema_name).iter_errors(instance))
-    if error is not None:
-        raise error
-
-
 def _fmt(v) -> str:
     return format(float(v), ".12g")
 
 
 def _write_json(path: str, obj: dict, schema_name: str) -> None:
-    _validate(obj, schema_name)
+    validate(obj, schema_name)
     # serialized before the file opens, so a non-finite number leaves no file
     text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
     with open(path, "w", newline="") as fh:
@@ -150,7 +136,7 @@ def _load_scenario(path: str) -> tuple[dict, str]:
         scenario = json.load(
             fh, parse_constant=_refuse_constant, parse_float=_finite_float, parse_int=_finite_int
         )
-    _validate(scenario, "scenario")
+    validate(scenario, "scenario")
     return scenario, os.path.dirname(os.path.abspath(path))
 
 
@@ -462,7 +448,7 @@ def main(argv: list[str] | None = None) -> int:
         status = _COMMANDS[args.subcommand][0](args, scenario, base)
         if status is not None:
             status = {"subcommand": args.subcommand, "out": args.out, **status}
-            _validate(status, "csv_meta")
+            validate(status, "csv_meta")
             print(json.dumps(status, sort_keys=True, allow_nan=False))
     except GridResolutionError as exc:
         extra = {}
@@ -471,8 +457,6 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(3, "resolution", str(exc), **extra)
     except NumericalError as exc:
         return _fail(4, "numerical", str(exc))
-    except jsonschema.ValidationError as exc:
-        return _fail(2, "validation", exc.message)
     except (ValueError, OSError) as exc:
         return _fail(2, "validation", str(exc))
     return 0

@@ -62,8 +62,8 @@ class RateQuery:
 class OptResult:
     """Optimizer output: the best point and the full trade-off curve.
 
-    curve rows are (tau_w, minimal feasible T_c, rate); rate_opt is the
-    maximum of the curve's rate column.
+    curve rows are (tau_w, least feasible T_c, rate), with T_c >= tau_w;
+    rate_opt is the maximum of the curve's rate column.
     """
 
     tau_w_opt: float
@@ -204,17 +204,22 @@ def _min_feasible_tc(
 def _solve_one_window(tau_w: float, q: RateQuery) -> tuple[float, float, float] | None:
     """(tau_w, least feasible T_c, rate) for one window, or None if none is feasible.
 
-    The T_c search starts at max(tau_w / 8, jitter / 4, 1e-12 s). The
-    1e-12 s floor is the optimizer's one absolute time scale: it binds
-    only when jitter / 4 and tau_w / 8 are both below 1 ps, and elsewhere
-    the result scales with every input time.
+    The rate model holds for tau_w <= T_c only, so a window longer than
+    tc_max is skipped and every window is rated at T_c >= tau_w. The T_c
+    search starts at max(tau_w / 8, jitter / 4, 1e-12 s). The 1e-12 s
+    floor is the optimizer's one absolute time scale: it binds only when
+    jitter / 4 and tau_w / 8 are both below 1 ps, and elsewhere the
+    result scales with every input time.
     """
+    if tau_w > q.tc_max:
+        return None
     tc_floor = max(tau_w / 8.0, q.jitter / 4.0, 1e-12)
     if tc_floor >= q.tc_max:
         tc_floor = q.tc_max / 2.0
     tc = _min_feasible_tc(tau_w, q, tc_floor)
     if tc is None:
         return None
+    tc = max(tc, tau_w)
     return (tau_w, tc, cw_fourfold_rate(q.mu, tc, tau_w))
 
 
@@ -224,10 +229,16 @@ def optimize_window(q: RateQuery) -> OptResult:
     Scans 40 log-spaced coincidence windows; for each, finds the
     smallest coherence time whose zero-delay visibility (identical sources,
     tau_23 = TAU23_TC_FACTOR T_c, accidentals excluded) still meets v_target,
-    then rates it.  Windows infeasible even at tc_max are skipped; if
-    the smallest window is one of them, this raises.
+    then rates it.  Windows longer than tc_max or infeasible even at
+    tc_max are skipped; if the smallest window is one of them, this
+    raises.
     """
     taus = np.geomspace(q.tau_w_range[0], q.tau_w_range[1], N_WINDOW_SAMPLES)
+    if taus[0] > q.tc_max:
+        raise ValueError(
+            "tc_max is shorter than the smallest window in tau_w_range; "
+            "the rate model needs tau_w <= T_c"
+        )
     first = _solve_one_window(float(taus[0]), q)
     if first is None:
         raise ValueError(

@@ -22,8 +22,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from cwhom.cli import _COMMANDS, _validate, _validator, _write_json, main
-from cwhom.schemas import SCHEMAS
+from cwhom.cli import _COMMANDS, _write_json, main
+from cwhom.schemas import SCHEMAS, ValidationError, validate
 from cwhom.timetags import SharedTagLoader
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -38,7 +38,7 @@ def run(capsys, argv):
 
 def meta_of(out: str) -> dict:
     meta = json.loads(out.strip().splitlines()[-1])
-    _validator("csv_meta").validate(meta)
+    jsonschema.Draft7Validator(SCHEMAS["csv_meta"]).validate(meta)
     return meta
 
 
@@ -59,7 +59,7 @@ def test_pulsed_rate(capsys, tmp_path):
                               "--out", str(out)])
     assert code == 0
     doc = json.loads(out.read_text())
-    _validator("rate").validate(doc)
+    jsonschema.Draft7Validator(SCHEMAS["rate"]).validate(doc)
     assert doc["rate_hz"] == 1e5
 
 
@@ -69,7 +69,7 @@ def test_pass_swaps(capsys, tmp_path):
                               "--out", str(out)])
     assert code == 0
     doc = json.loads(out.read_text())
-    _validator("swaps").validate(doc)
+    jsonschema.Draft7Validator(SCHEMAS["swaps"]).validate(doc)
     assert doc["swaps"] == pytest.approx(0.8509641908674247, rel=1e-12)
 
 
@@ -79,7 +79,7 @@ def test_visibility_identical_sources(capsys, tmp_path):
                               "--out", str(out)])
     assert code == 0
     doc = json.loads(out.read_text())
-    _validator("visibility").validate(doc)
+    jsonschema.Draft7Validator(SCHEMAS["visibility"]).validate(doc)
     assert doc["plateau_reliable"] is True
     assert doc["visibility"] == pytest.approx(0.9753996266532972, rel=1e-9)
     with open(scenario_path("identical_165.json")) as fh:
@@ -157,11 +157,44 @@ def test_optimize_rate(capsys, tmp_path):
                               "--out", str(out)])
     assert code == 0
     doc = json.loads(out.read_text())
-    _validator("optresult").validate(doc)
+    jsonschema.Draft7Validator(SCHEMAS["optresult"]).validate(doc)
     curve = np.asarray(doc["curve"])
     assert curve.shape[1] == 3
     assert doc["rate_opt_hz"] == curve[:, 2].max()
     assert doc["tc_opt_ps"] <= 800.0
+
+
+def test_optimize_rate_stays_inside_its_rate_model(tmp_path):
+    # at v_target 0.25 a window meets the target at T_c well below it; the
+    # rate model holds for tau_w <= T_c only, so no row may leave that
+    # domain, nor print its warning (a subprocess, since pytest's warning
+    # capture would hide one)
+    sc = tmp_path / "opt.json"
+    sc.write_text(json.dumps({"rate_query": {"mu": 0.01, "jitter_ps": 0, "v_target": 0.25, "tc_max_ps": 20}}))
+    out = tmp_path / "opt_out.json"
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+    proc = subprocess.run([sys.executable, "-m", "cwhom.cli", "optimize-rate", "--scenario", str(sc),
+                           "--out", str(out)], env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    doc = json.loads(out.read_text())
+    curve = np.asarray(doc["curve"])
+    assert curve.shape[0] >= 1
+    assert np.all(curve[:, 0] <= curve[:, 1])
+    assert np.all(curve[:, 1] <= 20.0)
+    assert doc["tau_w_opt_ps"] <= doc["tc_opt_ps"]
+
+
+def test_optimize_rate_refuses_a_tc_max_below_every_window(capsys, tmp_path):
+    sc = tmp_path / "opt.json"
+    sc.write_text(json.dumps({"rate_query": {"mu": 0.01, "jitter_ps": 0, "v_target": 0.9, "tc_max_ps": 4}}))
+    out = tmp_path / "opt_out.json"
+    code, stdout, stderr = run(capsys, ["optimize-rate", "--scenario", str(sc), "--out", str(out)])
+    assert (code, stdout) == (2, "")
+    assert json.loads(stderr) == {
+        "error": "validation",
+        "message": "tc_max is shorter than the smallest window in tau_w_range; the rate model needs tau_w <= T_c",
+    }
+    assert not out.exists()
 
 
 def test_vismap(capsys, tmp_path):
@@ -202,7 +235,7 @@ def test_fbg_fit_recovers_calibrated_model(capsys, tmp_path, monkeypatch):
     meta = meta_of(stdout)
     assert meta["residual"] < 1e-6
     doc = json.loads(out.read_text())
-    _validator("fbg_model").validate(doc)
+    jsonschema.Draft7Validator(SCHEMAS["fbg_model"]).validate(doc)
     assert doc["peak_kappa"] == pytest.approx(FILTER_SIGNAL_A.peak_kappa, rel=5e-3)
     assert doc["length"] == FILTER_SIGNAL_A.length
     # the artifact reads back as exactly the model the fit returned
@@ -453,7 +486,7 @@ def test_tags_simulate_count_roundtrip(capsys, tmp_path):
     code, _, _ = run(capsys, ["tags", "count", "--scenario", str(count_sc), "--out", str(out)])
     assert code == 0
     doc = json.loads(out.read_text())
-    _validator("counts").validate(doc)
+    jsonschema.Draft7Validator(SCHEMAS["counts"]).validate(doc)
     assert doc["corrected"] == doc["raw"] - doc["shifted_2"] - doc["shifted_3"]
     assert doc["raw"] >= 0
 
@@ -1431,12 +1464,11 @@ def test_bundled_scenarios_validate():
     for name in names:
         with open(os.path.join(SCENARIOS, name)) as fh:
             doc = json.load(fh)
-        _validator("scenario").validate(doc)
+        jsonschema.Draft7Validator(SCHEMAS["scenario"]).validate(doc)
 
 
 def test_packaged_schemas_are_valid_draft7():
-    # the cached validators skip the metaschema check that
-    # jsonschema.validate makes on every call
+    # cwhom.schemas.validate never checks a schema against the metaschema
     assert len(SCHEMAS) == 9
     for name, schema in SCHEMAS.items():
         jsonschema.Draft7Validator.check_schema(schema)
@@ -1480,8 +1512,8 @@ def test_every_required_key_is_a_property():
 def test_validate_raises_what_jsonschema_validate_raises():
     bad = {"pulsed": {"mu_p": -1.0, "tau_p_ps": 0.0}, "bogus": 1}
     with pytest.raises(jsonschema.ValidationError) as want:
-        jsonschema.validate(bad, _validator("scenario").schema, cls=jsonschema.Draft7Validator)
-    with pytest.raises(jsonschema.ValidationError) as got:
-        _validate(bad, "scenario")
-    assert (got.value.message, got.value.path) == (want.value.message, want.value.path)
+        jsonschema.validate(bad, SCHEMAS["scenario"], cls=jsonschema.Draft7Validator)
+    with pytest.raises(ValidationError) as got:
+        validate(bad, "scenario")
+    assert (str(got.value), list(got.value.path)) == (want.value.message, list(want.value.path))
 

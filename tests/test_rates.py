@@ -264,14 +264,15 @@ def test_optimizer_unreachable_target():
 
 def test_optimizer_builds_each_engine_once():
     # the smallest window's solve is also the reachability check, so a cold
-    # query on optimize.json makes 322 engine builds and reads none twice
+    # query on optimize.json makes 320 engine builds and reads none twice;
+    # its two windows longer than tc_max make none
     with open(os.path.join(REPO, "scenarios", "optimize.json")) as fh:
         rq = json.load(fh)["rate_query"]
     q = RateQuery(mu=rq["mu"], jitter=rq["jitter_ps"] * PS, v_target=rq["v_target"], tc_max=rq["tc_max_ps"] * PS)
     _visibility_model.cache_clear()
     optimize_window(q)
     info = _visibility_model.cache_info()
-    assert (info.misses, info.hits) == (322, 0)
+    assert (info.misses, info.hits) == (320, 0)
     # an unreachable target is refused after the one build at tc_max
     _visibility_model.cache_clear()
     with pytest.raises(ValueError, match="unreachable"):
@@ -285,12 +286,19 @@ def test_min_feasible_tc_returns_a_floor_that_meets_the_target():
     assert _min_feasible_tc(10 * PS, q, 400 * PS) == 400 * PS
 
 
-def test_a_window_past_eight_tc_max_searches_from_half_tc_max():
-    # tau_w / 8 = 50 ps is past tc_max = 20 ps, so the T_c search starts at
-    # tc_max / 2, which already meets the target: the window is rated there,
-    # and, being wider than that T_c, with the rate model's warning
-    q = RateQuery(mu=0.01, jitter=0.0, v_target=0.25, tc_max=20 * PS)
-    assert _visibility_model(q.tc_max / 2, 400 * PS, q.jitter) >= q.v_target
-    with pytest.warns(UserWarning, match="exceeds the coherence time"):
-        row = _solve_one_window(400 * PS, q)
-    assert row == (400 * PS, q.tc_max / 2, (q.mu / (q.tc_max / 2)) ** 2 * (400 * PS))
+def test_a_jitter_past_four_tc_max_searches_from_half_tc_max():
+    # jitter / 4 = 20 ps reaches tc_max, so the T_c search starts at
+    # tc_max / 2, which already meets the target. A window is rated at
+    # T_c >= tau_w, the rate model's domain, and one longer than tc_max
+    # is skipped.
+    q = RateQuery(mu=0.01, jitter=80 * PS, v_target=0.1, tc_max=20 * PS)
+    assert _visibility_model(q.tc_max / 2, 5 * PS, q.jitter) >= q.v_target
+    assert _solve_one_window(5 * PS, q) == (5 * PS, q.tc_max / 2, (q.mu / (q.tc_max / 2)) ** 2 * (5 * PS))
+    assert _solve_one_window(15 * PS, q) == (15 * PS, 15 * PS, (q.mu / (15 * PS)) ** 2 * (15 * PS))
+    assert _solve_one_window(400 * PS, q) is None
+
+
+def test_optimizer_refuses_a_tc_max_below_the_smallest_window():
+    q = RateQuery(mu=0.01, jitter=0.0, v_target=0.25, tc_max=1 * PS)
+    with pytest.raises(ValueError, match="tc_max is shorter than the smallest window"):
+        optimize_window(q)
